@@ -40,7 +40,6 @@ from .hamiltonian import (
 )
 from .spectral import (
     FilterKind,
-    FilterParams,
     NumericalError,
     OracleRangeError,
     SpectralData,
@@ -67,6 +66,7 @@ from .bounds import (
     BoundCertificate,
     DecayProfile,
     anticommutator_trace_norms,
+    correlation_length,
     decay_profile,
     edge_filter_decay_check,
     entrywise_trace_bound,

@@ -14,6 +14,7 @@ certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,17 @@ class BoundCertificate:
             self.bound_name, length, delta, self.margin,
             self.gamma_star, self.passed,
         ]
+
+
+def correlation_length(delta: float, decay_length: float, coupling_norm: float) -> float:
+    """decay_length * max(1, 4 coupling_norm / (pi delta)).
+
+    The length governing the off-diagonal decay of tanh(H / delta) for a
+    Hamiltonian with short-range constant ``coupling_norm`` at ``decay_length``.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    return decay_length * max(1.0, 4.0 * coupling_norm / (math.pi * delta))
 
 
 def _distances(count: int) -> np.ndarray:
@@ -170,15 +182,6 @@ def edge_filter_decay_check(
     )
 
 
-def _tiled_profile(profile: CouplingProfile, idx: np.ndarray) -> CouplingProfile:
-    # Periodic extension of the couplings; boundary terms are an open-chain
-    # feature and do not belong to the emulated bulk.
-    extra = tuple(
-        type(blk)(blk.offset, blk.a[idx], blk.b[idx]) for blk in profile.extra
-    )
-    return CouplingProfile(profile.t1[idx], profile.t2[idx], extra, None)
-
-
 def restriction_discrepancy(
     profile: CouplingProfile,
     length: int,
@@ -206,9 +209,8 @@ def restriction_discrepancy(
 
     geom = make_geometry(length, Convention.CELL_C2)
     H_open = build_ssh(geom, profile)
-    idx = (np.arange(length + 2 * pad) - pad) % length
     padded_geom = make_geometry(length + 2 * pad, Convention.CELL_C2)
-    H_pad = build_ssh(padded_geom, _tiled_profile(profile, idx))
+    H_pad = build_ssh(padded_geom, profile.tiled(length + 2 * pad, shift=pad))
 
     if kind is FilterKind.GAP_FILTER:
         f = lambda w: _sech_sq(w / delta)
@@ -237,9 +239,7 @@ def anticommutator_trace_norms(
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     spec = eigh(H)
-    w, V = spec.eigenvalues, spec.eigenvectors
-    S = (V * np.tanh(w / delta)) @ V.conj().T
-    S = (S + S.conj().T) / 2.0
+    S = matrix_function(spec, lambda e: np.tanh(e / delta))
     G = matrix_function(spec, lambda e: _sech_sq(e / delta))
     signs = geom.sublattice_signs
     theta = switch.basis_values()

@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -29,10 +28,12 @@ from .bounds import (
     BOUND_CSV_HEADER,
     BoundCertificate,
     anticommutator_trace_norms,
+    correlation_length,
     edge_filter_decay_check,
     lieb_robinson_check,
 )
 from .hamiltonian import (
+    ChiralHamiltonian,
     CouplingProfile,
     apply_defect,
     apply_disorder,
@@ -52,7 +53,7 @@ from .indices import (
     resolve_delta,
 )
 from .lattice import Convention, SwitchError, make_geometry, switch_function
-from .spectral import FilterParams, NumericalError, gap_filter
+from .spectral import NumericalError, gap_filter
 from .svgplot import PlotKind, emit_plot
 
 DENSITY_CSV_HEADER = ["cell", "value", "kind"]
@@ -480,13 +481,20 @@ def _as_cells(value, length: int, path: str) -> np.ndarray:
     return np.full(length, float(value))
 
 
-def _profile_cells(config: ExperimentConfig, length: int) -> int:
-    if config.convention is Convention.ALTERNATING_SITES:
-        return (length + 1) // 2
-    return length
+def _point_model(
+    config: ExperimentConfig, point: dict, seed: int | None
+) -> tuple[CouplingProfile, ChiralHamiltonian]:
+    """Coupling profile and open-chain Hamiltonian of one scan point."""
+    geom = make_geometry(point.get("length", config.length), config.convention)
+    profile = build_profile(config.model, geom.cells, seed)
+    return profile, build_ssh(geom, profile)
 
 
-def _delta_policy_for(config: ExperimentConfig, profile, H) -> DeltaPolicy:
+def _delta_policy_for(
+    config: ExperimentConfig, point: dict, profile: CouplingProfile, H: ChiralHamiltonian
+) -> DeltaPolicy:
+    if "delta" in point:
+        return DeltaPolicy.manual(point["delta"])
     mode = config.delta.mode
     if mode is DeltaMode.MANUAL:
         return DeltaPolicy.manual(config.delta.value)
@@ -511,33 +519,22 @@ def _scan_points(config: ExperimentConfig) -> list[dict]:
     return [{}]
 
 
-def _evaluate_point(config: ExperimentConfig, point: dict, seed: int | None) -> IndexReport:
-    length = point.get("length", config.length)
-    profile = build_profile(config.model, _profile_cells(config, length), seed)
-    geom = make_geometry(length, config.convention)
-    H = build_ssh(geom, profile)
-    if "delta" in point:
-        policy: DeltaPolicy | float = float(point["delta"])
-    else:
-        policy = _delta_policy_for(config, profile, H)
-    transition = point.get("switch", config.switch)
+def _evaluate_point(
+    config: ExperimentConfig, point: dict, profile: CouplingProfile, H: ChiralHamiltonian
+) -> IndexReport:
+    policy = _delta_policy_for(config, point, profile, H)
     try:
-        return index_report(H, policy, transition)
+        return index_report(H, policy, point.get("switch", config.switch))
     except SwitchError as exc:
         raise ConfigError(f"switch: {exc}") from exc
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> ResultTable:
+def run(config: ExperimentConfig) -> ResultTable:
     """Evaluate every scan point into one CSV row, in scan-axis order."""
     seed = config.seed
-    points = _scan_points(config)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda p: _evaluate_point(config, p, seed), points))
-    else:
-        reports = [_evaluate_point(config, p, seed) for p in points]
     table = ResultTable(list(INDEX_CSV_HEADER), provenance=_provenance(config, seed))
-    for point, report in zip(points, reports):
+    for point in _scan_points(config):
+        report = _evaluate_point(config, point, *_point_model(config, point, seed))
         # The finite-size correspondence is exact algebra; a visible residual
         # means the numerics are broken and the row must not be emitted.
         if report.correspondence_residual >= 1e-10:
@@ -568,12 +565,10 @@ def disordered_defect_model(seed: int) -> ModelConfig:
     )
 
 
-def _density_table(config: ExperimentConfig, length: int, delta: float, seed: int) -> ResultTable:
-    profile = build_profile(config.model, length, seed)
-    geom = make_geometry(length, Convention.CELL_C2)
-    H = build_ssh(geom, profile)
-    switch = switch_function(geom, "middle")
-    table = ResultTable(list(DENSITY_CSV_HEADER), provenance=_provenance(config, seed))
+def _density_table(config: ExperimentConfig, delta: float) -> ResultTable:
+    _, H = _point_model(config, {}, config.seed)
+    switch = switch_function(H.geometry, "middle")
+    table = ResultTable(list(DENSITY_CSV_HEADER), provenance=_provenance(config, config.seed))
     table.provenance["delta"] = repr(float(delta))
     for kind in (IndexKind.EDGE, IndexKind.BULK):
         density = index_density(H, delta, switch, kind)
@@ -600,7 +595,7 @@ def reproduce_fig3(seed: int = 1) -> tuple[ResultTable, ResultTable]:
     )
     table_a = run(scan_config)
     density_config = ExperimentConfig(model=model, length=30, seed=seed)
-    table_b = _density_table(density_config, 30, 1.0 / 20.0, seed)
+    table_b = _density_table(density_config, 1.0 / 20.0)
     return table_a, table_b
 
 
@@ -644,20 +639,15 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
     """Certificates for one scan point: propagator bound, filter decay, trace norms."""
     seed = config.seed
     point = _scan_points(config)[0]
-    length = point.get("length", config.length)
-    profile = build_profile(config.model, _profile_cells(config, length), seed)
-    geom = make_geometry(length, config.convention)
-    H = build_ssh(geom, profile)
-    if "delta" in point:
-        delta = float(point["delta"])
-    else:
-        delta = resolve_delta(_delta_policy_for(config, profile, H), geom.length)
+    profile, H = _point_model(config, point, seed)
+    geom = H.geometry
+    length = geom.length
+    delta = resolve_delta(_delta_policy_for(config, point, profile, H), length)
 
     d = config.delta.decay_length
     coupling_norm = short_range_constant(H, d)
     half_gap = bulk_gap(profile)
-    params = FilterParams(delta, decay_length=d, coupling_norm=coupling_norm)
-    corr_len = params.correlation_length
+    corr_len = correlation_length(delta, d, coupling_norm)
 
     table = ResultTable(list(BOUND_CSV_HEADER), provenance=_provenance(config, seed))
     for t in BOUNDS_TIMES:
@@ -692,12 +682,8 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
 
 def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """Structural checks on the configured model at its first scan point."""
-    seed = config.seed
     point = _scan_points(config)[0]
-    length = point.get("length", config.length)
-    profile = build_profile(config.model, _profile_cells(config, length), seed)
-    geom = make_geometry(length, config.convention)
-    H = build_ssh(geom, profile)
+    profile, H = _point_model(config, point, config.seed)
 
     results = []
     herm = float(np.abs(H.matrix - H.matrix.conj().T).max())
@@ -705,7 +691,7 @@ def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     chir = verify_chiral(H)
     results.append(("chirality", chir == 0.0, f"max |HC + CH| = {chir:.3e}"))
 
-    report = _evaluate_point(config, point, seed)
+    report = _evaluate_point(config, point, profile, H)
     results.append((
         "bulk_edge_identity",
         report.correspondence_residual < 1e-10,
@@ -728,7 +714,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output CSV path (default: config output or stdout)")
     parser.add_argument("--reproducible", action="store_true",
                         help="suppress the timestamp comment for byte-stable output")
-    parser.add_argument("--threads", type=int, default=1, help="concurrent scan-point evaluations")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored; scan points run serially")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -752,7 +739,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, default=1)
     p_rep.add_argument("--out", default=".", help="output directory")
     p_rep.add_argument("--reproducible", action="store_true")
-    p_rep.add_argument("--threads", type=int, default=1)
+    p_rep.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored")
     return parser
 
 
@@ -782,7 +770,7 @@ def _cmd_index_or_scan(args, want_scan: bool) -> int:
         raise ConfigError("scan: 'scan' command needs a config with a scan axis")
     if not want_scan and config.scan is not ScanAxis.NONE:
         raise ConfigError("scan: 'index' command needs a config without a scan axis")
-    table = run(config, threads=args.threads)
+    table = run(config)
     _emit(table, config.output, args.reproducible)
     return 0
 

@@ -6,6 +6,11 @@ disorder and defect profiles, closes chains into rings for bulk-gap
 estimates, and measures the short-range constant that controls all the
 locality bounds.
 
+One builder places every bond.  The ring is the open chain of the
+periodically tiled profile plus the wrap bonds x -> (x + k) mod L, and the
+``sites`` chain of L sites is the cell chain of (L + 1) // 2 cells cropped
+to its first L basis states.
+
 Chirality is structural here: every constructed matrix has nonzero entries
 only between A and B basis vectors, so ``H C + C H = 0`` holds with exact
 zeros, not cancellation.
@@ -121,6 +126,17 @@ class CouplingProfile:
         boundary = None if self.boundary is None else self.boundary[:cells]
         return CouplingProfile(self.t1[:cells], self.t2[:cells], extra, boundary)
 
+    def tiled(self, cells: int, shift: int = 0) -> "CouplingProfile":
+        """Periodic extension to ``cells`` cells: cell x gets the couplings of (x - shift) mod L.
+
+        Boundary perturbations are an open-chain feature, so they are dropped.
+        """
+        idx = (np.arange(cells) - shift) % self.length
+        extra = tuple(
+            ExtraCoupling(blk.offset, blk.a[idx], blk.b[idx]) for blk in self.extra
+        )
+        return CouplingProfile(self.t1[idx], self.t2[idx], extra)
+
 
 @dataclass(frozen=True)
 class ChiralHamiltonian:
@@ -163,12 +179,6 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _profile_cells_for(geom: ChainGeometry) -> int:
-    if geom.convention is Convention.CELL_C2:
-        return geom.length
-    return (geom.length + 1) // 2
-
-
 def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonian:
     """Open-chain Hamiltonian for the given couplings.
 
@@ -177,51 +187,49 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
     on odd x (the same chain, one state per site); extra blocks and boundary
     perturbations are CELL_C2-only features.
     """
-    need = _profile_cells_for(geom)
-    if profile.length != need:
+    if profile.length != geom.cells:
         raise ValueError(
-            f"profile has {profile.length} cells but geometry needs {need}"
+            f"profile has {profile.length} cells but geometry needs {geom.cells}"
         )
-    if geom.convention is Convention.ALTERNATING_SITES:
-        if profile.extra or profile.boundary is not None:
-            raise ValueError(
-                "extra couplings and boundary perturbations are only supported "
-                "under the CELL_C2 convention"
-            )
-        return _build_alternating(geom, profile)
-    return _build_cells(geom, profile)
-
-
-def _build_cells(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonian:
-    L = geom.length
-    t1 = profile.t1 if profile.boundary is None else profile.t1 + profile.boundary
-    dtype = np.result_type(
-        profile.t1, profile.t2, *(np.result_type(b.a, b.b) for b in profile.extra), float
-    )
-    upper = np.zeros((2 * L, 2 * L), dtype=dtype)
-    cells = np.arange(L)
-    upper[2 * cells, 2 * cells + 1] = t1
-    upper[2 * cells[:-1] + 1, 2 * cells[:-1] + 2] = profile.t2[: L - 1]
-    for blk in profile.extra:
-        k = blk.offset
-        if k >= L:
-            continue
-        x = np.arange(L - k)
-        upper[2 * x, 2 * (x + k) + 1] += blk.a[: L - k]
-        upper[2 * x + 1, 2 * (x + k)] += blk.b[: L - k]
-    H = upper + upper.conj().T
+    if geom.convention is Convention.ALTERNATING_SITES and (
+        profile.extra or profile.boundary is not None
+    ):
+        raise ValueError(
+            "extra couplings and boundary perturbations are only supported "
+            "under the CELL_C2 convention"
+        )
+    n = geom.total_dim
+    H = _chain_matrix(profile, ring=False)[:n, :n]
     return ChiralHamiltonian(H, geom, profile.coupling_range)
 
 
-def _build_alternating(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonian:
-    L = geom.length
-    dtype = np.result_type(profile.t1, profile.t2, float)
-    H = np.zeros((L, L), dtype=dtype)
-    for x in range(L - 1):
-        t = profile.t1[x // 2] if x % 2 == 0 else profile.t2[x // 2]
-        H[x, x + 1] = t
-        H[x + 1, x] = np.conj(t)
-    return ChiralHamiltonian(H, geom, 1)
+def _chain_matrix(profile: CouplingProfile, ring: bool) -> np.ndarray:
+    """Hermitian matrix of the profile's bonds in the cell basis.
+
+    A block of offset k bonds cell x to cell (x + k) mod L.  The open chain
+    keeps only x < L - k (no bonds at all for k >= L); the ring keeps every
+    x, which needs every offset below L.  All bonds go into one array that
+    is symmetrized once.
+    """
+    L = profile.length
+    t1 = profile.t1 if profile.boundary is None else profile.t1 + profile.boundary
+    dtype = np.result_type(
+        t1, profile.t2, *(np.result_type(b.a, b.b) for b in profile.extra), float
+    )
+    upper = np.zeros((2 * L, 2 * L), dtype=dtype)
+    x = np.arange(L)
+    upper[2 * x, 2 * x + 1] = t1
+    # t2 is the offset-1 block from (x, B) to (x+1, A), with no A-B part.
+    blocks = [(1, None, profile.t2)] + [(blk.offset, blk.a, blk.b) for blk in profile.extra]
+    for k, a, b in blocks:
+        if k >= L:
+            continue
+        src = x if ring else x[: L - k]
+        dst = (src + k) % L
+        if a is not None:
+            upper[2 * src, 2 * dst + 1] += a[src]
+        upper[2 * src + 1, 2 * dst] += b[src]
+    return upper + upper.conj().T
 
 
 def _uniform_stream(seed: int, kind: int, count: int, amplitude: float) -> np.ndarray:
@@ -264,10 +272,6 @@ def apply_defect(
     return dataclasses.replace(profile, t1=profile.t1 + bump)
 
 
-def _tile(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return arr[idx]
-
-
 def periodic_closure(profile: CouplingProfile, l_ring: int) -> np.ndarray:
     """Ring Hamiltonian with the same bulk blocks and wrap-around bonds.
 
@@ -278,25 +282,7 @@ def periodic_closure(profile: CouplingProfile, l_ring: int) -> np.ndarray:
     r = profile.coupling_range
     if l_ring < 2 * r or l_ring < 2:
         raise ValueError(f"ring of {l_ring} cells is too small for coupling range {r}")
-    idx = np.arange(l_ring) % profile.length
-    t1 = _tile(profile.t1, idx)
-    t2 = _tile(profile.t2, idx)
-    dtype = np.result_type(
-        t1, t2, *(np.result_type(b.a, b.b) for b in profile.extra), float
-    )
-    upper = np.zeros((2 * l_ring, 2 * l_ring), dtype=dtype)
-    x = np.arange(l_ring)
-    upper[2 * x, 2 * x + 1] = t1
-    y = (x + 1) % l_ring
-    np.add.at(upper, (2 * x + 1, 2 * y), t2)
-    for blk in profile.extra:
-        k = blk.offset
-        a = _tile(blk.a, idx)
-        b = _tile(blk.b, idx)
-        y = (x + k) % l_ring
-        np.add.at(upper, (2 * x, 2 * y + 1), a)
-        np.add.at(upper, (2 * x + 1, 2 * y), b)
-    return upper + upper.conj().T
+    return _chain_matrix(profile.tiled(l_ring), ring=True)
 
 
 def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:

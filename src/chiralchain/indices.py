@@ -33,7 +33,7 @@ from .lattice import (
     make_geometry,
     switch_function,
 )
-from .spectral import _sech_sq, eigh
+from .spectral import _sech_sq, eigh, matrix_function
 
 # Residual above which a supposedly real trace is rejected.
 IMAG_TOL = 1e-12
@@ -170,8 +170,7 @@ def _index_diagonals(
     # Edge side only needs diag(1 - S^2).
     gap_diag = (np.abs(V) ** 2) @ _sech_sq(w / delta)
     edge_diag = signs * theta * gap_diag
-    S = (V * np.tanh(w / delta)) @ V.conj().T
-    S = (S + S.conj().T) / 2.0
+    S = matrix_function(spec, lambda e: np.tanh(e / delta))
     comm = theta[:, None] * S - S * theta[None, :]
     bulk_diag = 0.5 * signs * _real_trace(np.einsum("ij,ji->i", S, comm), "bulk index")
     return _real_trace(edge_diag, "edge index"), bulk_diag

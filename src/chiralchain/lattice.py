@@ -47,6 +47,13 @@ class ChainGeometry:
         return self.length
 
     @property
+    def cells(self) -> int:
+        """Cells of the coupling profile; L sites are the first L states of (L + 1) // 2 cells."""
+        if self.convention is Convention.CELL_C2:
+            return self.length
+        return (self.length + 1) // 2
+
+    @property
     def positions(self) -> np.ndarray:
         """Cell/site coordinate of each basis vector."""
         if self.convention is Convention.CELL_C2:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import pi
 from typing import Callable
 
 import numpy as np
@@ -55,37 +54,14 @@ class SpectralData:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-@dataclass(frozen=True)
-class FilterParams:
-    """Smoothing scale ``delta`` plus the constants that rescale the decay length.
-
-    ``correlation_length`` is decay_length * max(1, 4 coupling_norm / (pi delta)),
-    the length governing the off-diagonal decay of tanh(H / delta).
-    """
-
-    delta: float
-    decay_length: float | None = None
-    coupling_norm: float | None = None
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-
-    @property
-    def correlation_length(self) -> float:
-        if self.decay_length is None or self.coupling_norm is None:
-            raise ValueError("correlation_length needs decay_length and coupling_norm")
-        return self.decay_length * max(1.0, 4.0 * self.coupling_norm / (pi * self.delta))
-
-
 def _as_matrix(H: ChiralHamiltonian | np.ndarray) -> np.ndarray:
     if isinstance(H, ChiralHamiltonian):
         return H.matrix
     return np.asarray(H)
 
 
-def _as_delta(params: FilterParams | float) -> float:
-    delta = params.delta if isinstance(params, FilterParams) else float(params)
+def _as_delta(delta: float) -> float:
+    delta = float(delta)
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return delta
@@ -131,15 +107,15 @@ def _sech_sq(x: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def flattened_sign(H: ChiralHamiltonian | np.ndarray, params: FilterParams | float) -> np.ndarray:
+def flattened_sign(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """S = tanh(H / delta): the band-flattening smooth surrogate for sign(H)."""
-    delta = _as_delta(params)
+    delta = _as_delta(delta)
     return matrix_function(eigh(H), lambda w: np.tanh(w / delta))
 
 
-def gap_filter(H: ChiralHamiltonian | np.ndarray, params: FilterParams | float) -> np.ndarray:
+def gap_filter(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """1 - S^2: positive semidefinite, concentrates weight on near-zero-energy states."""
-    delta = _as_delta(params)
+    delta = _as_delta(delta)
     return matrix_function(eigh(H), lambda w: _sech_sq(w / delta))
 
 

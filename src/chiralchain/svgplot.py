@@ -47,15 +47,11 @@ class _Frame:
         self.log_x = log_x
         self.log_y = log_y
         if log_x:
-            if min(xs) <= 0:
-                raise ValueError("log-scale plot requires strictly positive values")
             xs = [math.log10(x) for x in xs]
         x_lo, x_hi = min(xs), max(xs)
         if x_hi == x_lo:
             x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
         if log_y:
-            if min(ys) <= 0:
-                raise ValueError("log-scale plot requires strictly positive values")
             ys = [math.log10(y) for y in ys]
         y_lo, y_hi = min(ys), max(ys)
         if y_hi == y_lo:
@@ -121,18 +117,21 @@ def emit_plot(
     ]
 
     if kind is PlotKind.PER_SITE and "kind" in table.header:
-        groups = {}
         kinds = _text_column(table, "kind")
-        xs_all = _column(table, x_col)
-        ys_all = _column(table, y_col)
-        for k, x, y in zip(kinds, xs_all, ys_all):
-            groups.setdefault(k, []).append((x, y))
     else:
-        groups = {"": list(zip(_column(table, x_col), _column(table, y_col)))}
-        xs_all = [p[0] for p in groups[""]]
-        ys_all = [p[1] for p in groups[""]]
+        kinds = [""] * len(table.rows)
+    groups = {}
+    for k, x, y in zip(kinds, _column(table, x_col), _column(table, y_col)):
+        # A value <= 0 has no place on a log axis; its point is left out.
+        if (log_x and x <= 0) or (log_y and y <= 0):
+            groups.setdefault(k, [])
+        else:
+            groups.setdefault(k, []).append((x, y))
+    points = [p for pts in groups.values() for p in pts]
+    if not points:
+        raise ValueError("log-scale plot requires strictly positive values")
 
-    frame = _Frame(xs_all, ys_all, log_x, log_y)
+    frame = _Frame([p[0] for p in points], [p[1] for p in points], log_x, log_y)
 
     # Axes.
     ax_y = HEIGHT - MARGIN_B

@@ -5,6 +5,7 @@ import pytest
 
 from chiralchain.bounds import (
     anticommutator_trace_norms,
+    correlation_length,
     decay_profile,
     edge_filter_decay_check,
     entrywise_trace_bound,
@@ -21,7 +22,7 @@ from chiralchain.hamiltonian import (
 )
 from chiralchain.indices import edge_index
 from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
-from chiralchain.spectral import FilterKind, FilterParams, flattened_sign, gap_filter
+from chiralchain.spectral import FilterKind, flattened_sign, gap_filter
 
 
 def ssh(L, t1, t2):
@@ -128,15 +129,26 @@ def test_lieb_robinson_undersized_constant_reports_failure():
 # --- gap filter decay -----------------------------------------------------------
 
 
-def params_for(H, delta):
-    K = short_range_constant(H, 1.0)
-    return FilterParams(delta, decay_length=1.0, coupling_norm=K)
+def corr_for(H, delta):
+    return correlation_length(delta, 1.0, short_range_constant(H, 1.0))
+
+
+def test_correlation_length():
+    expected = max(1.0, 4 * (0.5 + 2 * math.e) / (math.pi * 0.1))
+    assert correlation_length(0.1, 1.0, 0.5 + 2 * math.e) == pytest.approx(expected, rel=1e-12)
+    # Large delta: the raw decay length is kept.
+    assert correlation_length(1e6, 2.0, 1.0) == 2.0
+
+
+def test_correlation_length_requires_positive_delta():
+    with pytest.raises(ValueError):
+        correlation_length(0.0, 1.0, 1.0)
 
 
 def test_edge_filter_decay_dimerized_trivial():
     H = ssh(20, 1.0, 0.0)
     delta = 0.05
-    cert = edge_filter_decay_check(H, delta, 1.0, params_for(H, delta).correlation_length)
+    cert = edge_filter_decay_check(H, delta, 1.0, corr_for(H, delta))
     assert cert.passed
     # Flat bands at +-1: every entry sits under the bulk-leakage term alone.
     assert np.all(cert.lhs <= 4 * math.exp(-2 / delta) + 1e-15)
@@ -145,7 +157,7 @@ def test_edge_filter_decay_dimerized_trivial():
 def test_edge_filter_decay_clean_topological():
     H = ssh(60, 0.5, 1.0)
     delta = 0.1
-    cert = edge_filter_decay_check(H, delta, 0.5, params_for(H, delta).correlation_length)
+    cert = edge_filter_decay_check(H, delta, 0.5, corr_for(H, delta))
     assert cert.passed
     assert cert.gamma_star <= 10 * 60 * 60
 
@@ -164,7 +176,7 @@ def test_gap_filter_interior_smallness():
 def test_edge_filter_threshold_controls_pass():
     H = ssh(30, 0.5, 1.0)
     delta = 0.1
-    corr = params_for(H, delta).correlation_length
+    corr = corr_for(H, delta)
     strict = edge_filter_decay_check(H, delta, 0.5, corr, threshold=1e-12)
     assert not strict.passed
     assert strict.margin < 0
@@ -273,6 +285,6 @@ def test_bulk_gap_feeds_edge_filter_envelope():
     H = build_ssh(make_geometry(L), profile)
     delta = 1.0 / math.sqrt(2 * L)
     half_gap = bulk_gap(profile)
-    corr = FilterParams(delta, 1.0, short_range_constant(H, 1.0)).correlation_length
+    corr = correlation_length(delta, 1.0, short_range_constant(H, 1.0))
     cert = edge_filter_decay_check(H, delta, half_gap, corr)
     assert cert.passed

@@ -174,14 +174,19 @@ def test_run_switch_scan_flat_in_middle():
     assert max(edges) - min(edges) < 1e-2
 
 
-def test_run_threads_match_serial():
+def test_threads_flag_accepted_and_ignored(tmp_path):
     raw = disordered_config(
         scan="length", geometry={"length": [10, 20, 30], "convention": "cell"}
     )
-    config = parse_config(raw)
-    a = run(config, threads=1).render(reproducible=True)
-    b = run(config, threads=3).render(reproducible=True)
-    assert a == b
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "scan.csv"  # the output path is part of the config hash
+    assert main(["scan", "--config", str(cfg), "--reproducible", "--out", str(out)]) == 0
+    serial = out.read_bytes()
+    assert main(["scan", "--config", str(cfg), "--reproducible", "--threads", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == serial
+    assert main(["reproduce", "fig3", "--threads", "2", "--out", str(tmp_path / "fig3"),
+                 "--reproducible"]) == 0
 
 
 def test_run_deterministic_bytes():
@@ -231,6 +236,20 @@ def test_emit_plot_line_and_log_scale():
     svg = emit_plot(table, PlotKind.LINE, y_column="q_error", log_y=True)
     assert "<polyline" in svg
     assert "q_error (log)" in svg
+
+
+def test_emit_plot_log_scale_omits_non_positive_points():
+    q_errors = [0.0, 1e-3, 1e-6]
+    rows = [[20, 1, d, 10, 1.0, 1.0, 0, 0.0, 1, q] for d, q in zip((1e-9, 1e-3, 1.0), q_errors)]
+    table = ResultTable(INDEX_CSV_HEADER, rows, {})
+    svg = emit_plot(table, PlotKind.LINE, x_column="delta", y_column="q_error",
+                    log_x=True, log_y=True)
+    assert svg.count("<circle") == 2
+    assert svg == emit_plot(ResultTable(INDEX_CSV_HEADER, rows[1:], {}), PlotKind.LINE,
+                            x_column="delta", y_column="q_error", log_x=True, log_y=True)
+    zeros = ResultTable(INDEX_CSV_HEADER, [rows[0]], {})
+    with pytest.raises(ValueError):
+        emit_plot(zeros, PlotKind.LINE, x_column="delta", y_column="q_error", log_y=True)
 
 
 def test_emit_plot_per_site():
@@ -353,7 +372,7 @@ def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     import chiralchain.cli as cli_module
     from chiralchain.spectral import NumericalError
 
-    def boom(config, threads=1):
+    def boom(config):
         raise NumericalError("eigensolver did not converge")
 
     monkeypatch.setattr(cli_module, "run", boom)
@@ -391,6 +410,21 @@ def test_main_reproduce_fig3(tmp_path):
                  "--reproducible"]) == 0
     assert (tmp_path / "fig3_length_scan.csv").exists()
     assert (tmp_path / "fig3_density.svg").read_text().startswith("<svg ")
+
+
+def test_main_reproduce_fig4_with_zero_q_error(tmp_path):
+    # At seed 195 the delta = 1e-9 edge index is exactly 0, so one q_error is
+    # 0 and has no place on the log-log delta plot.
+    assert main(["reproduce", "fig4", "--seed", "195", "--out", str(tmp_path),
+                 "--reproducible"]) == 0
+    names = ("fig4_switch_scan", "fig4_delta_scan")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{n}.{ext}" for n in names for ext in ("csv", "svg")
+    )
+    lines = (tmp_path / "fig4_delta_scan.csv").read_text().splitlines()
+    q_errors = [ln.rsplit(",", 1)[1] for ln in lines if not ln.startswith("#")][1:]
+    assert "0.0" in q_errors
+    assert (tmp_path / "fig4_delta_scan.svg").read_text().count("<circle") == len(q_errors) - 1
 
 
 def test_main_bad_usage_exit_code(capsys):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralchain.hamiltonian import (
+    ChiralHamiltonian,
     CouplingProfile,
     ExtraCoupling,
     apply_defect,
@@ -296,3 +299,199 @@ def test_bulk_constants_assembly():
     assert const.coupling_norm == pytest.approx(0.5 + 2 * E, rel=1e-12)
     assert const.half_gap == pytest.approx(0.5, abs=0.01)
     assert const.neighborhood_weight >= 1.0
+
+
+# --- the single chain builder against the builders it replaced -------------------
+#
+# Verbatim copies of the former open-chain cell builder, the former
+# alternating-sites loop and the former ring builder.  The one builder must
+# reproduce them bit for bit on real couplings and exactly on complex ones.
+
+
+def _tile(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return arr[idx]
+
+
+def reference_cells(geom, profile):
+    L = geom.length
+    t1 = profile.t1 if profile.boundary is None else profile.t1 + profile.boundary
+    dtype = np.result_type(
+        profile.t1, profile.t2, *(np.result_type(b.a, b.b) for b in profile.extra), float
+    )
+    upper = np.zeros((2 * L, 2 * L), dtype=dtype)
+    cells = np.arange(L)
+    upper[2 * cells, 2 * cells + 1] = t1
+    upper[2 * cells[:-1] + 1, 2 * cells[:-1] + 2] = profile.t2[: L - 1]
+    for blk in profile.extra:
+        k = blk.offset
+        if k >= L:
+            continue
+        x = np.arange(L - k)
+        upper[2 * x, 2 * (x + k) + 1] += blk.a[: L - k]
+        upper[2 * x + 1, 2 * (x + k)] += blk.b[: L - k]
+    H = upper + upper.conj().T
+    return ChiralHamiltonian(H, geom, profile.coupling_range)
+
+
+def reference_alternating(geom, profile):
+    L = geom.length
+    dtype = np.result_type(profile.t1, profile.t2, float)
+    H = np.zeros((L, L), dtype=dtype)
+    for x in range(L - 1):
+        t = profile.t1[x // 2] if x % 2 == 0 else profile.t2[x // 2]
+        H[x, x + 1] = t
+        H[x + 1, x] = np.conj(t)
+    return ChiralHamiltonian(H, geom, 1)
+
+
+def reference_periodic_closure(profile, l_ring):
+    r = profile.coupling_range
+    if l_ring < 2 * r or l_ring < 2:
+        raise ValueError(f"ring of {l_ring} cells is too small for coupling range {r}")
+    idx = np.arange(l_ring) % profile.length
+    t1 = _tile(profile.t1, idx)
+    t2 = _tile(profile.t2, idx)
+    dtype = np.result_type(
+        t1, t2, *(np.result_type(b.a, b.b) for b in profile.extra), float
+    )
+    upper = np.zeros((2 * l_ring, 2 * l_ring), dtype=dtype)
+    x = np.arange(l_ring)
+    upper[2 * x, 2 * x + 1] = t1
+    y = (x + 1) % l_ring
+    np.add.at(upper, (2 * x + 1, 2 * y), t2)
+    for blk in profile.extra:
+        k = blk.offset
+        a = _tile(blk.a, idx)
+        b = _tile(blk.b, idx)
+        y = (x + k) % l_ring
+        np.add.at(upper, (2 * x, 2 * y + 1), a)
+        np.add.at(upper, (2 * x + 1, 2 * y), b)
+    return upper + upper.conj().T
+
+
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if np.iscomplexobj(want):
+        assert np.array_equal(got, want)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def offsets_profile(cells, offsets, complex_valued=False, seed=0):
+    rng = np.random.default_rng(seed)
+
+    def values():
+        v = rng.uniform(-1.5, 1.5, cells)
+        return v + 1j * rng.uniform(-1.5, 1.5, cells) if complex_valued else v
+
+    extra = tuple(ExtraCoupling(k, values(), values()) for k in offsets)
+    return CouplingProfile(values(), values(), extra)
+
+
+@pytest.mark.parametrize("sites", [2, 3, 4, 5, 40])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_sites_chain_is_cropped_cell_chain(sites, complex_valued):
+    geom = make_geometry(sites, Convention.ALTERNATING_SITES)
+    profile = offsets_profile(geom.cells, (), complex_valued, seed=sites)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_alternating(geom, profile).matrix)
+
+
+@pytest.mark.parametrize("offsets", [(), (1,), (3,), (1, 3), (2, 6, 9)])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_open_cell_chain_matches_reference(offsets, complex_valued):
+    # Offsets 6 and 9 reach past the 6-cell chain and place no bonds.
+    profile = offsets_profile(6, offsets, complex_valued)
+    geom = make_geometry(6)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_cells(geom, profile).matrix)
+
+
+@pytest.mark.parametrize("offsets", [(), (1,), (3,), (1, 3)])
+@pytest.mark.parametrize("ring", ["2r", "L", "4L", "L+5"])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_ring_is_open_chain_plus_wrap_bonds(offsets, ring, complex_valued):
+    # Offset 1 puts its b block on the t2 entries and its wrap bond on t2's.
+    L = 7
+    profile = offsets_profile(L, offsets, complex_valued)
+    r = profile.coupling_range
+    l_ring = {"2r": 2 * r, "L": L, "4L": 4 * L, "L+5": L + 5}[ring]
+    assert_same_matrix(periodic_closure(profile, l_ring), reference_periodic_closure(profile, l_ring))
+
+
+def test_complex_boundary_perturbation_keeps_its_phase():
+    boundary = np.zeros(12, dtype=complex)
+    boundary[0] = 0.3j
+    profile = CouplingProfile(np.full(12, 0.5), np.ones(12), boundary=boundary)
+    H = build_ssh(make_geometry(12), profile)
+    assert H.matrix[0, 1] == 0.5 + 0.3j
+    assert H.matrix[1, 0] == 0.5 - 0.3j
+
+
+def test_ring_ignores_boundary_perturbation():
+    boundary = np.zeros(12)
+    boundary[0] = 0.3
+    plain = CouplingProfile.constant(12, 0.5, 1.0)
+    perturbed = CouplingProfile(plain.t1, plain.t2, boundary=boundary)
+    assert_same_matrix(periodic_closure(perturbed, 24), periodic_closure(plain, 24))
+
+
+def test_tiled_profile_shifts_and_drops_boundary():
+    boundary = np.zeros(8)
+    boundary[0] = 0.2
+    profile = CouplingProfile(np.arange(8.0), np.arange(8.0) + 10, boundary=boundary)
+    tiled = profile.tiled(12, shift=3)
+    assert tiled.boundary is None
+    assert list(tiled.t1) == [5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0]
+    assert list(tiled.t2) == list(tiled.t1 + 10)
+
+
+# Signed zeros are normalized (+ 0.0): symmetrizing adds +0.0 to every entry,
+# so a -0.0 coupling comes out as +0.0 where the sites loop copied it as -0.0.
+_coupling = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: v + 0.0)
+
+
+@st.composite
+def _profiles(draw, cells, complex_valued, offsets=()):
+    def values():
+        v = np.array(draw(st.lists(_coupling, min_size=cells, max_size=cells)))
+        if complex_valued:
+            v = v + 1j * np.array(draw(st.lists(_coupling, min_size=cells, max_size=cells)))
+        return v
+
+    extra = tuple(ExtraCoupling(k, values(), values()) for k in offsets)
+    return CouplingProfile(values(), values(), extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sites=st.integers(2, 40), complex_valued=st.booleans())
+def test_sites_chain_property(data, sites, complex_valued):
+    geom = make_geometry(sites, Convention.ALTERNATING_SITES)
+    profile = data.draw(_profiles(geom.cells, complex_valued))
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_alternating(geom, profile).matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    cells=st.integers(2, 10),
+    offsets=st.lists(st.integers(1, 12), max_size=3),
+    complex_valued=st.booleans(),
+)
+def test_open_cell_chain_property(data, cells, offsets, complex_valued):
+    profile = data.draw(_profiles(cells, complex_valued, offsets))
+    geom = make_geometry(cells)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_cells(geom, profile).matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    cells=st.integers(1, 10),
+    offsets=st.lists(st.integers(1, 6), max_size=3),
+    complex_valued=st.booleans(),
+)
+def test_ring_property(data, cells, offsets, complex_valued):
+    profile = data.draw(_profiles(cells, complex_valued, offsets))
+    r = profile.coupling_range
+    l_ring = data.draw(st.sampled_from([2 * r, max(cells, 2 * r), 4 * cells + 2 * r])
+                       | st.integers(max(2, 2 * r), 4 * cells + 2 * r))
+    assert_same_matrix(periodic_closure(profile, l_ring), reference_periodic_closure(profile, l_ring))

@@ -6,7 +6,6 @@ import pytest
 from chiralchain.hamiltonian import CouplingProfile, build_ssh
 from chiralchain.lattice import make_geometry
 from chiralchain.spectral import (
-    FilterParams,
     NumericalError,
     OracleRangeError,
     eigh,
@@ -197,23 +196,3 @@ def test_tanh_oracle_range_guard():
     H = np.diag([1.0, -1.0])
     with pytest.raises(OracleRangeError):
         tanh_oracle(H, 1.0 / 500.0)
-
-
-def test_filter_params_correlation_length():
-    params = FilterParams(0.1, decay_length=1.0, coupling_norm=0.5 + 2 * math.e)
-    expected = max(1.0, 4 * (0.5 + 2 * math.e) / (math.pi * 0.1))
-    assert params.correlation_length == pytest.approx(expected, rel=1e-12)
-    # Large delta: the raw decay length is kept.
-    wide = FilterParams(1e6, decay_length=2.0, coupling_norm=1.0)
-    assert wide.correlation_length == 2.0
-
-
-def test_filter_params_requires_positive_delta():
-    with pytest.raises(ValueError):
-        FilterParams(0.0)
-
-
-def test_flattened_sign_accepts_filter_params():
-    H = ssh(6, 0.5, 1.0)
-    params = FilterParams(0.1, decay_length=1.0, coupling_norm=6.0)
-    assert np.array_equal(flattened_sign(H, params), flattened_sign(H, 0.1))
