@@ -89,8 +89,7 @@ def decay_profile(
     P = norms.shape[0]
     dist = _distances(P)
     maxima = np.zeros(P)
-    for r in range(P):
-        maxima[r] = norms[dist == r].max()
+    np.maximum.at(maxima, dist, norms)
     if fit_window is None:
         fit_window = (1, P - 1)
     lo, hi = fit_window

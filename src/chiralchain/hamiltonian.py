@@ -6,10 +6,13 @@ disorder and defect profiles, closes chains into rings for bulk-gap
 estimates, and measures the short-range constant that controls all the
 locality bounds.
 
-One builder places every bond.  The ring is the open chain of the
-periodically tiled profile plus the wrap bonds x -> (x + k) mod L, and the
-``sites`` chain of L sites is the cell chain of (L + 1) // 2 cells cropped
-to its first L basis states.
+One builder places every bond, as (row, col, value) triplets of the upper
+triangle.  The open chain and ``periodic_closure`` scatter them into dense
+matrices; ``bulk_gap`` assembles them into a sparse ring, so its cost grows
+with L * coupling_range.  The ring is the open chain of the periodically
+tiled profile plus the wrap bonds x -> (x + k) mod L, and the ``sites``
+chain of L sites is the cell chain of (L + 1) // 2 cells cropped to its
+first L basis states.
 
 Chirality is structural here: every constructed matrix has nonzero entries
 only between A and B basis vectors, so ``H C + C H = 0`` holds with exact
@@ -174,6 +177,10 @@ class BulkConstants:
     neighborhood_weight: float
 
 
+class NumericalError(RuntimeError):
+    """A numerical contract was violated (non-Hermitian input, NaN values, solver failure, ...)."""
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -199,26 +206,29 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
             "under the CELL_C2 convention"
         )
     n = geom.total_dim
-    H = _chain_matrix(profile, ring=False)[:n, :n]
+    H = _dense(_chain_bonds(profile, ring=False), 2 * profile.length)[:n, :n]
     return ChiralHamiltonian(H, geom, profile.coupling_range)
 
 
-def _chain_matrix(profile: CouplingProfile, ring: bool) -> np.ndarray:
-    """Hermitian matrix of the profile's bonds in the cell basis.
+_Bonds = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _chain_bonds(profile: CouplingProfile, ring: bool) -> _Bonds:
+    """Upper-triangle bonds of the profile in the cell basis, as (rows, cols, values).
 
     A block of offset k bonds cell x to cell (x + k) mod L.  The open chain
     keeps only x < L - k (no bonds at all for k >= L); the ring keeps every
-    x, which needs every offset below L.  All bonds go into one array that
-    is symmetrized once.
+    x, which needs every offset below L.  The Hermitian matrix is the sum of
+    the bonds plus its conjugate transpose; bonds on the same entry add up
+    in the order listed.
     """
     L = profile.length
     t1 = profile.t1 if profile.boundary is None else profile.t1 + profile.boundary
     dtype = np.result_type(
         t1, profile.t2, *(np.result_type(b.a, b.b) for b in profile.extra), float
     )
-    upper = np.zeros((2 * L, 2 * L), dtype=dtype)
     x = np.arange(L)
-    upper[2 * x, 2 * x + 1] = t1
+    rows, cols, values = [2 * x], [2 * x + 1], [t1]
     # t2 is the offset-1 block from (x, B) to (x+1, A), with no A-B part.
     blocks = [(1, None, profile.t2)] + [(blk.offset, blk.a, blk.b) for blk in profile.extra]
     for k, a, b in blocks:
@@ -227,8 +237,20 @@ def _chain_matrix(profile: CouplingProfile, ring: bool) -> np.ndarray:
         src = x if ring else x[: L - k]
         dst = (src + k) % L
         if a is not None:
-            upper[2 * src, 2 * dst + 1] += a[src]
-        upper[2 * src + 1, 2 * dst] += b[src]
+            rows.append(2 * src)
+            cols.append(2 * dst + 1)
+            values.append(a[src])
+        rows.append(2 * src + 1)
+        cols.append(2 * dst)
+        values.append(b[src])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values).astype(dtype)
+
+
+def _dense(bonds: _Bonds, n: int) -> np.ndarray:
+    """The n x n Hermitian matrix of the bonds, symmetrized once."""
+    rows, cols, values = bonds
+    upper = np.zeros((n, n), dtype=values.dtype)
+    np.add.at(upper, (rows, cols), values)
     return upper + upper.conj().T
 
 
@@ -272,6 +294,13 @@ def apply_defect(
     return dataclasses.replace(profile, t1=profile.t1 + bump)
 
 
+def _ring_bonds(profile: CouplingProfile, l_ring: int) -> _Bonds:
+    r = profile.coupling_range
+    if l_ring < 2 * r or l_ring < 2:
+        raise ValueError(f"ring of {l_ring} cells is too small for coupling range {r}")
+    return _chain_bonds(profile.tiled(l_ring), ring=True)
+
+
 def periodic_closure(profile: CouplingProfile, l_ring: int) -> np.ndarray:
     """Ring Hamiltonian with the same bulk blocks and wrap-around bonds.
 
@@ -279,49 +308,99 @@ def periodic_closure(profile: CouplingProfile, l_ring: int) -> np.ndarray:
     length; boundary perturbations are an open-chain feature and excluded.
     Returns a plain Hermitian matrix of dimension 2 * l_ring.
     """
-    r = profile.coupling_range
-    if l_ring < 2 * r or l_ring < 2:
-        raise ValueError(f"ring of {l_ring} cells is too small for coupling range {r}")
-    return _chain_matrix(profile.tiled(l_ring), ring=True)
+    return _dense(_ring_bonds(profile, l_ring), 2 * l_ring)
 
 
 def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:
     """Half-width of the spectral gap around zero, estimated on a periodic ring.
 
     A finite-ring estimate of the true bulk gap; defaults to a ring of four
-    times the profile length.
+    times the profile length.  The ring is assembled as a sparse matrix from
+    the bonds of ``periodic_closure`` and solved by ARPACK shift-invert about
+    zero, so time and memory grow with l_ring * coupling_range.  Chirality
+    makes the spectrum symmetric about zero, so the half gap is the smallest
+    positive eigenvalue: the algebraically largest eigenvalue of the inverse.
+    The start vector is a fixed-seed Gaussian (a constant vector lies in one
+    symmetry sector of a clean ring).  An exactly singular ring (a closed
+    gap) gives 0.0; an ARPACK failure, such as the overflow a gap near the
+    float underflow causes, raises NumericalError.  Clean, translation-
+    invariant rings converge slowly, because their band edge is a
+    near-continuum.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     if l_ring is None:
         l_ring = 4 * profile.length
-    ring = periodic_closure(profile, l_ring)
-    return float(np.abs(np.linalg.eigvalsh(ring)).min())
+    rows, cols, values = _ring_bonds(profile, l_ring)
+    n = 2 * l_ring
+    ring = scipy.sparse.csc_array(
+        (np.concatenate([values, values.conj()]),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    )
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w = scipy.sparse.linalg.eigsh(
+            ring, k=1, sigma=0, which="LA", v0=v0, return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
+    except RuntimeError as exc:
+        # SuperLU's report of a zero pivot: zero is an eigenvalue.
+        if "exactly singular" in str(exc):
+            return 0.0
+        raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
+    return float(w[0])
 
 
 def block_norms(matrix: np.ndarray, geom: ChainGeometry) -> np.ndarray:
     """Operator norms of the position-space blocks, one per position pair.
 
-    Exact 2x2 spectral norms under CELL_C2 (largest singular value),
-    absolute entries under ALTERNATING_SITES.
+    Exact 2x2 spectral norms under CELL_C2 (largest singular value, in
+    closed form), absolute entries under ALTERNATING_SITES.
     """
     n = geom.total_dim
     if matrix.shape != (n, n):
         raise ValueError(f"matrix shape {matrix.shape} does not match geometry dim {n}")
     if geom.convention is Convention.ALTERNATING_SITES:
         return np.abs(matrix)
-    L = geom.length
-    blocks = matrix.reshape(L, 2, L, 2).transpose(0, 2, 1, 3)
-    return np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    # Block [[a, b], [c, d]] per cell pair, scaled by its largest absolute
+    # entry so that squares neither overflow nor underflow.  Its largest
+    # singular value squared is the largest eigenvalue of the Gram matrix
+    # [[p, q], [conj(q), r]]; every term of that closed form is non-negative,
+    # so nothing cancels.
+    matrix = matrix.astype(np.result_type(matrix, float), copy=False)
+    entries = [matrix[0::2, 0::2], matrix[0::2, 1::2], matrix[1::2, 0::2], matrix[1::2, 1::2]]
+    mags = [np.abs(e) for e in entries]
+    scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
+    a, b, c, d = (
+        np.divide(e, scale, out=np.zeros_like(e), where=scale > 0) for e in entries
+    )
+    p = _abs2(a) + _abs2(c)
+    r = _abs2(b) + _abs2(d)
+    q = np.abs(a.conj() * b + c.conj() * d)
+    return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return (z * z.conj()).real
 
 
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
-    """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains."""
+    """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains.
+
+    Only the nonzero blocks are weighted, so a long chain never multiplies a
+    zero block by an overflowed weight.
+    """
     if decay_length <= 0:
         raise ValueError(f"decay length must be > 0, got {decay_length}")
     norms = block_norms(np.asarray(H.matrix), H.geometry)
-    P = norms.shape[0]
-    x = np.arange(P)
-    weights = np.exp(np.abs(x[:, None] - x[None, :]) / decay_length)
-    return float((norms * weights).sum(axis=1).max())
+    x, y = np.nonzero(norms)
+    # A weight that overflows makes the constant infinite, which is its value.
+    with np.errstate(over="ignore"):
+        weighted = norms[x, y] * np.exp(np.abs(x - y) / decay_length)
+    return float(np.bincount(x, weights=weighted, minlength=norms.shape[0]).max())
 
 
 def neighborhood_weight(length: int, decay_length: float) -> float:

@@ -102,8 +102,8 @@ def resolve_delta(policy: DeltaPolicy, length: int | None = None) -> float:
     """Concrete delta for a policy; ``length`` fills in when the policy has none."""
     L = policy.length if policy.length is not None else length
     if policy.mode is DeltaMode.MANUAL:
-        if policy.value is None or policy.value <= 0:
-            raise ValueError(f"manual delta must be > 0, got {policy.value}")
+        if policy.value is None or not math.isfinite(policy.value) or policy.value <= 0:
+            raise ValueError(f"manual delta value must be finite and > 0, got {policy.value}")
         return float(policy.value)
     if L is None or L <= 0:
         raise ValueError(f"delta policy {policy.mode.value} needs a positive length")
@@ -111,8 +111,8 @@ def resolve_delta(policy: DeltaPolicy, length: int | None = None) -> float:
         return 1.0 / math.sqrt(2.0 * L)
     for name in ("half_gap", "decay_length", "coupling_norm"):
         v = getattr(policy, name)
-        if v is None or v <= 0:
-            raise ValueError(f"theorem delta policy needs positive {name}, got {v}")
+        if v is None or not math.isfinite(v) or v <= 0:
+            raise ValueError(f"theorem delta policy needs finite positive {name}, got {v}")
     return math.sqrt(
         128.0 * policy.half_gap * policy.decay_length * policy.coupling_norm / L
     )

@@ -16,17 +16,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .hamiltonian import ChiralHamiltonian
+from .hamiltonian import ChiralHamiltonian, NumericalError
 
 # Relative Hermiticity defect tolerated on input matrices.
 HERMITICITY_RTOL = 1e-12
 
 # Largest ||H||_2 / delta the oracle path supports.
 ORACLE_MAX_RATIO = 50.0
-
-
-class NumericalError(RuntimeError):
-    """A numerical contract was violated (non-Hermitian input, NaN values, ...)."""
 
 
 class OracleRangeError(NumericalError):

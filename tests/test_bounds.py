@@ -61,6 +61,21 @@ def test_decay_profile_of_flattened_sign():
     assert prof.max_block_norm[L // 2] < 1e-8
 
 
+@pytest.mark.parametrize("convention", [Convention.CELL_C2, Convention.ALTERNATING_SITES])
+def test_decay_profile_maxima_match_distance_loop(convention):
+    from chiralchain.hamiltonian import block_norms
+
+    geom = make_geometry(9, convention)
+    rng = np.random.default_rng(4)
+    M = rng.normal(size=(geom.total_dim,) * 2) + 1j * rng.normal(size=(geom.total_dim,) * 2)
+    M[::3] = 0.0  # ties at zero and whole zero rows
+    norms = block_norms(M, geom)
+    P = norms.shape[0]
+    dist = np.abs(np.arange(P)[:, None] - np.arange(P)[None, :])
+    loop = np.array([norms[dist == r].max() for r in range(P)])
+    assert decay_profile(M, geom).max_block_norm.tobytes() == loop.tobytes()
+
+
 def test_decay_profile_window_validation():
     geom = make_geometry(6)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -379,6 +380,29 @@ def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, base_config())
     assert main(["index", "--config", str(cfg)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["index", "bounds"])
+def test_theorem_delta_on_closed_gap_exits_2(tmp_path, capsys, command):
+    # t1 = t2 closes the gap on the even default ring: half_gap is 0.
+    raw = base_config(delta={"mode": "theorem"})
+    raw["model"] = {"t1": 1.0, "t2": 1.0}
+    cfg = write_config(tmp_path, raw)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "half_gap" in capsys.readouterr().err
+
+
+def test_theorem_delta_beyond_exp_overflow_length(tmp_path):
+    # Past 709 cells the weight exp(|x - y| / d) of a far block overflows;
+    # a zero block times that weight would make delta NaN.
+    raw = disordered_config(delta={"mode": "theorem"})
+    raw["geometry"]["length"] = 720
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "index.csv"
+    assert main(["index", "--config", str(cfg), "--out", str(out), "--reproducible"]) == 0
+    header, row = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    delta = float(row.split(",")[header.split(",").index("delta")])
+    assert math.isfinite(delta) and delta > 0
 
 
 def test_main_seed_override(tmp_path):

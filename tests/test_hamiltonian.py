@@ -9,6 +9,7 @@ from chiralchain.hamiltonian import (
     ChiralHamiltonian,
     CouplingProfile,
     ExtraCoupling,
+    NumericalError,
     apply_defect,
     apply_disorder,
     block_norms,
@@ -152,8 +153,13 @@ def test_bulk_gap_homogeneous(t1, t2):
 
 
 def test_bulk_gap_closes_at_critical_point():
-    gap = bulk_gap(CouplingProfile.constant(50, 1.0, 1.0), l_ring=200)
-    assert gap < 0.05
+    # t1 = t2 closes the gap at k = pi, which an even ring contains exactly;
+    # an odd ring misses it by a little.
+    profile = CouplingProfile.constant(50, 1.0, 1.0)
+    assert bulk_gap(profile, l_ring=200) == 0.0
+    odd = bulk_gap(profile, l_ring=201)
+    assert odd == pytest.approx(0.0156296551047, abs=1e-12)
+    assert abs(odd - dense_gap(profile, 201)) <= 1e-12
 
 
 def test_bulk_gap_converges_with_ring_size():
@@ -450,11 +456,11 @@ _coupling = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: v + 0.0)
 
 
 @st.composite
-def _profiles(draw, cells, complex_valued, offsets=()):
+def _profiles(draw, cells, complex_valued, offsets=(), coupling=_coupling):
     def values():
-        v = np.array(draw(st.lists(_coupling, min_size=cells, max_size=cells)))
+        v = np.array(draw(st.lists(coupling, min_size=cells, max_size=cells)))
         if complex_valued:
-            v = v + 1j * np.array(draw(st.lists(_coupling, min_size=cells, max_size=cells)))
+            v = v + 1j * np.array(draw(st.lists(coupling, min_size=cells, max_size=cells)))
         return v
 
     extra = tuple(ExtraCoupling(k, values(), values()) for k in offsets)
@@ -495,3 +501,138 @@ def test_ring_property(data, cells, offsets, complex_valued):
     l_ring = data.draw(st.sampled_from([2 * r, max(cells, 2 * r), 4 * cells + 2 * r])
                        | st.integers(max(2, 2 * r), 4 * cells + 2 * r))
     assert_same_matrix(periodic_closure(profile, l_ring), reference_periodic_closure(profile, l_ring))
+
+
+# --- the sparse ring gap against the dense ring spectrum ---------------------------
+
+
+def dense_gap(profile, l_ring):
+    return float(np.abs(np.linalg.eigvalsh(periodic_closure(profile, l_ring))).min())
+
+
+# Couplings within four decades of each other, or exactly zero.  Couplings
+# hundreds of decades apart can put the ring's half gap near the float
+# underflow, where shift-invert overflows; that case has its own test below.
+_gap_coupling = st.just(0.0) | st.floats(1e-4, 2.0) | st.floats(-2.0, -1e-4)
+
+
+@pytest.mark.parametrize("offsets", [(), (1,), (3,), (1, 3)])
+@pytest.mark.parametrize("ring", ["2r", "L", "4L", "L+5"])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_bulk_gap_matches_dense_ring_fixed(offsets, ring, complex_valued):
+    L = 7
+    profile = offsets_profile(L, offsets, complex_valued, seed=len(offsets))
+    r = profile.coupling_range
+    l_ring = {"2r": 2 * r, "L": L, "4L": 4 * L, "L+5": L + 5}[ring]
+    assert abs(bulk_gap(profile, l_ring) - dense_gap(profile, l_ring)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    cells=st.integers(1, 12),
+    offsets=st.lists(st.integers(1, 3), max_size=3),
+    complex_valued=st.booleans(),
+    ring=st.sampled_from(["2r", "L", "4L", "L+5"]),
+)
+def test_bulk_gap_matches_dense_ring(data, cells, offsets, complex_valued, ring):
+    profile = data.draw(_profiles(cells, complex_valued, offsets, _gap_coupling))
+    r = profile.coupling_range
+    # 2r is also the smallest ring (l_ring = 2 for plain SSH).
+    l_ring = max(2 * r, {"2r": 0, "L": cells, "4L": 4 * cells, "L+5": cells + 5}[ring])
+    assert abs(bulk_gap(profile, l_ring) - dense_gap(profile, l_ring)) <= 1e-12
+
+
+def test_bulk_gap_near_underflow_is_numerical_error():
+    # Bonds of 1e-200 and 1e-300 next to bonds of 2 leave a half gap near the
+    # float underflow; its inverse overflows inside ARPACK.
+    profile = CouplingProfile(np.array([2.0, 1e-200, 1e-200]), np.array([1e-200, 2.0, 1e-300]))
+    with pytest.raises(NumericalError, match="ARPACK"):
+        bulk_gap(profile, l_ring=3)
+
+
+def test_bulk_gap_arpack_failure_is_numerical_error(monkeypatch):
+    # ArpackNoConvergence is a RuntimeError; it must not read as a closed gap.
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="no convergence"):
+        bulk_gap(CouplingProfile.constant(20, 0.5, 1.0))
+
+
+def test_bulk_gap_long_disordered_chain_stays_sparse():
+    import tracemalloc
+
+    # The default ring has 8000 cells: a dense ring matrix would take 2 GB.
+    profile = disordered_defect_profile(2000, 1)
+    tracemalloc.start()
+    try:
+        gap = bulk_gap(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.2 < gap < 0.35
+    assert peak < 32e6
+
+
+# --- closed-form block norms against the SVD --------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+_mantissa = st.floats(0.01, 1.0) | st.just(0.0)
+
+
+@st.composite
+def _block(draw, complex_valued):
+    """One 2x2 block: zero, random or near-unitary, at a magnitude from e^-600 to e^600."""
+    kind = draw(st.sampled_from(["zero", "random", "near_unitary"]))
+    if kind == "zero":
+        return np.zeros((2, 2), dtype=complex if complex_valued else float)
+
+    def entry():
+        v = draw(_mantissa) * draw(st.sampled_from([1.0, -1.0]))
+        if complex_valued:
+            v = complex(v, draw(_mantissa) * draw(st.sampled_from([1.0, -1.0])))
+        return v
+
+    if kind == "random":
+        block = np.array([[entry(), entry()], [entry(), entry()]])
+    else:
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        phase = np.exp(1j * draw(st.floats(0.0, 2 * math.pi))) if complex_valued else 1.0
+        c, s = math.cos(angle), math.sin(angle)
+        block = np.array([[c, -s * np.conj(phase)], [s * phase, c]])
+        block[1, 1] *= 1.0 + draw(st.floats(-1e-9, 1e-9))
+    return block * math.exp(draw(st.integers(-600, 600)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), cells=st.integers(2, 5), complex_valued=st.booleans())
+def test_block_norms_match_svd(data, cells, complex_valued):
+    M = np.zeros((2 * cells, 2 * cells), dtype=complex if complex_valued else float)
+    for x in range(cells):
+        for y in range(cells):
+            M[2 * x : 2 * x + 2, 2 * y : 2 * y + 2] = data.draw(_block(complex_valued))
+    blocks = M.reshape(cells, 2, cells, 2).transpose(0, 2, 1, 3)
+    want = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    got = block_norms(M, make_geometry(cells))
+    assert np.all((got == 0) == (want == 0))
+    assert np.all(np.abs(got - want) <= 8 * _EPS * want)
+
+
+def test_block_norms_of_integer_matrix():
+    M = np.arange(16).reshape(4, 4)
+    geom = make_geometry(2)
+    assert np.array_equal(block_norms(M, geom), block_norms(M.astype(float), geom))
+
+
+# --- the short-range constant on long chains ---------------------------------------
+
+
+def test_short_range_constant_finite_beyond_exp_overflow():
+    # exp(|x - y| / d) overflows past 709 d; only the band is weighted.
+    values = [short_range_constant(ssh(L, 0.5, 1.0), 1.0) for L in (250, 709, 1000)]
+    assert values == [values[0]] * 3
+    assert values[0] == pytest.approx(5.93656365691809, rel=1e-14)

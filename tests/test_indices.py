@@ -226,6 +226,20 @@ def test_resolve_theorem_requires_positive_inputs():
         resolve_delta(policy)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["half_gap", "decay_length", "coupling_norm"])
+def test_resolve_theorem_rejects_non_finite_inputs(field, bad):
+    values = {"half_gap": 0.5, "decay_length": 1.0, "coupling_norm": 2.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        resolve_delta(DeltaPolicy.theorem(**values, length=100))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_resolve_manual_rejects_non_finite_value(bad):
+    with pytest.raises(ValueError, match="value"):
+        resolve_delta(DeltaPolicy.manual(bad))
+
+
 # --- densities ----------------------------------------------------------------
 
 
