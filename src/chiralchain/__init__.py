@@ -12,18 +12,15 @@ __version__ = "0.1.0"
 
 from .lattice import (
     ChainGeometry,
-    ChiralOperator,
     Convention,
     GeometryError,
     SwitchError,
     SwitchFunction,
-    chiral_operator,
     chiral_polarization,
     make_geometry,
     switch_function,
 )
 from .hamiltonian import (
-    BulkConstants,
     ChiralHamiltonian,
     CouplingProfile,
     ExtraCoupling,
@@ -31,15 +28,12 @@ from .hamiltonian import (
     apply_disorder,
     block_norms,
     build_ssh,
-    bulk_constants,
     bulk_gap,
-    neighborhood_weight,
     periodic_closure,
     short_range_constant,
     verify_chiral,
 )
 from .spectral import (
-    FilterKind,
     NumericalError,
     OracleRangeError,
     SpectralData,

@@ -15,13 +15,14 @@ certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, CouplingProfile, block_norms, build_ssh
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
-from .spectral import FilterKind, _sech_sq, eigh, gap_filter, matrix_function, propagator
+from .spectral import _sech_sq, eigh, gap_filter, matrix_function, propagator
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
 NOISE_FLOOR = 1e-14
@@ -186,12 +187,13 @@ def restriction_discrepancy(
     length: int,
     pad: int,
     cells: tuple[int, int],
-    kind: FilterKind,
+    kind: Callable[[ChiralHamiltonian, float], np.ndarray],
     delta: float,
 ) -> float:
-    """||chi_Omega (f(H) - f(restricted bulk))|| for f = gap filter or flattened sign.
+    """||chi_Omega (f(H) - f(restricted bulk))|| for f = ``kind``(H, delta).
 
-    The infinite bulk is emulated by the periodic extension of the profile,
+    ``kind`` is ``spectral.gap_filter`` or ``spectral.flattened_sign``.  The
+    infinite bulk is emulated by the periodic extension of the profile,
     padded by ``pad`` cells on each side, then truncated back to the window.
     ``cells`` = (start, stop) selects the rows Omega.  Exponentially small in
     the distance between Omega and the edges once pad >= length.
@@ -211,13 +213,9 @@ def restriction_discrepancy(
     padded_geom = make_geometry(length + 2 * pad, Convention.CELL_C2)
     H_pad = build_ssh(padded_geom, profile.tiled(length + 2 * pad, shift=pad))
 
-    if kind is FilterKind.GAP_FILTER:
-        f = lambda w: _sech_sq(w / delta)
-    else:
-        f = lambda w: np.tanh(w / delta)
-    F_open = matrix_function(eigh(H_open), f)
+    F_open = kind(H_open, delta)
     window = slice(2 * pad, 2 * (pad + length))
-    F_bulk = matrix_function(eigh(H_pad), f)[window, window]
+    F_bulk = kind(H_pad, delta)[window, window]
 
     row_mask = np.repeat((np.arange(length) >= start) & (np.arange(length) < stop), 2)
     masked = (F_open - F_bulk) * row_mask[:, None]

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -103,18 +104,11 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class DeltaConfig:
-    mode: DeltaMode = DeltaMode.EMPIRICAL
-    value: float | None = None
-    decay_length: float = 1.0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelConfig
     length: int | tuple
     convention: Convention = Convention.CELL_C2
-    delta: DeltaConfig = DeltaConfig()
+    delta: DeltaPolicy = DeltaPolicy()
     switch: int | str | tuple = "middle"
     seed: int | None = None
     scan: ScanAxis = ScanAxis.NONE
@@ -177,12 +171,22 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_finite_number(v) -> bool:
+    """True for a JSON number that is a finite float (JSON also admits NaN and Infinity)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _get_number(d: dict, key: str, path: str, default=None, required=False):
     if key not in d:
         _expect(not required, f"{path}.{key}", "is required")
         return default
     v = d[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}.{key}", "must be a number")
+    _expect(_is_finite_number(v), f"{path}.{key}", "must be a finite number")
     return float(v)
 
 
@@ -198,16 +202,14 @@ def _get_int(d: dict, key: str, path: str, default=None, required=False):
 def _coupling_field(d: dict, key: str, path: str):
     _expect(key in d, f"{path}.{key}", "is required")
     v = d[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    if isinstance(v, list):
-        _expect(
-            all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
-            f"{path}.{key}",
-            "must be a number or a list of numbers",
-        )
-        return tuple(float(x) for x in v)
-    raise ConfigError(f"{path}.{key}: must be a number or a list of numbers")
+    items = v if isinstance(v, list) else [v]
+    _expect(
+        all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items),
+        f"{path}.{key}",
+        "must be a number or a list of numbers",
+    )
+    _expect(all(map(_is_finite_number, items)), f"{path}.{key}", "contains non-finite entries")
+    return tuple(float(x) for x in v) if isinstance(v, list) else float(v)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -257,8 +259,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             cell, value = item
             _expect(isinstance(cell, int) and not isinstance(cell, bool),
                     f"model.boundary_potential[{i}]", "cell must be an integer")
-            _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-                    f"model.boundary_potential[{i}]", "value must be a number")
+            _expect(_is_finite_number(value),
+                    f"model.boundary_potential[{i}]", "value must be a finite number")
             pairs.append((int(cell), float(value)))
         boundary = tuple(pairs)
 
@@ -309,13 +311,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "delta_values" in raw:
         dv = raw["delta_values"]
         _expect(isinstance(dv, list) and dv, "delta_values", "must be a non-empty list of numbers")
-        _expect(
-            all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in dv),
-            "delta_values", "entries must be positive numbers",
-        )
+        for i, x in enumerate(dv):
+            _expect(_is_finite_number(x) and x > 0, f"delta_values[{i}]",
+                    "must be a finite positive number")
         delta_values = tuple(float(x) for x in dv)
 
-    delta = DeltaConfig()
+    delta = DeltaPolicy()
     if "delta" in raw:
         d = raw["delta"]
         _expect(isinstance(d, dict), "delta", "must be an object")
@@ -331,7 +332,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _expect(value is not None and value > 0, "delta.value", "must be > 0 for manual mode")
         decay_length = _get_number(d, "decay_length", "delta", default=1.0)
         _expect(decay_length > 0, "delta.decay_length", "must be > 0")
-        delta = DeltaConfig(mode, value, decay_length)
+        delta = DeltaPolicy(mode, value=value, decay_length=decay_length)
 
     seed = _get_int(raw, "seed", "config")
     output = raw.get("output")
@@ -462,15 +463,15 @@ def build_profile(model: ModelConfig, length: int, seed: int | None) -> Coupling
             boundary[cell] += value
     try:
         profile = CouplingProfile(t1, t2, boundary=boundary)
+        if model.disorder.amplitude > 0:
+            disorder_seed = model.disorder.seed if model.disorder.seed is not None else seed
+            profile = apply_disorder(profile, disorder_seed, model.disorder.amplitude)
+        if model.defect.height:
+            profile = apply_defect(
+                profile, model.defect.height, model.defect.center_frac, model.defect.width
+            )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    if model.disorder.amplitude > 0:
-        disorder_seed = model.disorder.seed if model.disorder.seed is not None else seed
-        profile = apply_disorder(profile, disorder_seed, model.disorder.amplitude)
-    if model.defect.height:
-        profile = apply_defect(
-            profile, model.defect.height, model.defect.center_frac, model.defect.width
-        )
     return profile
 
 
@@ -495,16 +496,13 @@ def _delta_policy_for(
 ) -> DeltaPolicy:
     if "delta" in point:
         return DeltaPolicy.manual(point["delta"])
-    mode = config.delta.mode
-    if mode is DeltaMode.MANUAL:
-        return DeltaPolicy.manual(config.delta.value)
-    if mode is DeltaMode.EMPIRICAL:
-        return DeltaPolicy.empirical()
-    d = config.delta.decay_length
-    return DeltaPolicy.theorem(
+    policy = config.delta
+    if policy.mode is not DeltaMode.THEOREM:
+        return policy
+    return dataclasses.replace(
+        policy,
         half_gap=bulk_gap(profile),
-        decay_length=d,
-        coupling_norm=short_range_constant(H, d),
+        coupling_norm=short_range_constant(H, policy.decay_length),
     )
 
 
@@ -588,7 +586,7 @@ def reproduce_fig3(seed: int = 1) -> tuple[ResultTable, ResultTable]:
     scan_config = ExperimentConfig(
         model=model,
         length=tuple(FIG3_LENGTHS),
-        delta=DeltaConfig(DeltaMode.EMPIRICAL),
+        delta=DeltaPolicy.empirical(),
         switch="middle",
         seed=seed,
         scan=ScanAxis.LENGTH,
@@ -611,7 +609,7 @@ def reproduce_fig4(seed: int = 1) -> tuple[ResultTable, ResultTable]:
     switch_config = ExperimentConfig(
         model=model,
         length=30,
-        delta=DeltaConfig(DeltaMode.MANUAL, value=1.0 / 20.0),
+        delta=DeltaPolicy.manual(1.0 / 20.0),
         switch=tuple(range(1, 30)),
         seed=seed,
         scan=ScanAxis.SWITCH,
@@ -642,6 +640,10 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
     profile, H = _point_model(config, point, seed)
     geom = H.geometry
     length = geom.length
+    try:
+        switch = switch_function(geom, point.get("switch", config.switch))
+    except SwitchError as exc:
+        raise ConfigError(f"switch: {exc}") from exc
     delta = resolve_delta(_delta_policy_for(config, point, profile, H), length)
 
     d = config.delta.decay_length
@@ -661,7 +663,6 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
         edge_filter_decay_check(H, delta, half_gap, corr_len).csv_row(length, delta)
     )
 
-    switch = switch_function(geom, config.switch if not isinstance(config.switch, tuple) else "middle")
     norm_anti, norm_comm = anticommutator_trace_norms(H, delta, switch)
     envelope = float(np.exp(-2.0 * half_gap / delta) + np.exp(-length / (48.0 * corr_len)))
     threshold = 10.0 * length * length

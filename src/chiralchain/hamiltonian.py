@@ -22,17 +22,12 @@ zeros, not cancellation.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    ChainGeometry,
-    ChiralOperator,
-    Convention,
-    chiral_operator,
-    make_geometry,
-)
+from .lattice import ChainGeometry, Convention
 
 # Bond-kind tags for the disorder streams; fixed so a draw depends only on
 # (seed, kind, cell index).
@@ -147,7 +142,6 @@ class ChiralHamiltonian:
 
     matrix: np.ndarray
     geometry: ChainGeometry
-    coupling_range: int
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -155,26 +149,6 @@ class ChiralHamiltonian:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
-
-    @property
-    def chiral(self) -> ChiralOperator:
-        return chiral_operator(self.geometry)
-
-
-@dataclass(frozen=True)
-class BulkConstants:
-    """Constants of the short-range and gap assumptions.
-
-    ``coupling_norm`` is the exponentially weighted row-sum bound of the
-    couplings, ``half_gap`` the half-width of the spectral gap around zero
-    (estimated on a ring), ``neighborhood_weight`` the chain sum
-    max_x sum_y exp(-|x-y|/(2 decay_length)).
-    """
-
-    decay_length: float
-    coupling_norm: float
-    half_gap: float
-    neighborhood_weight: float
 
 
 class NumericalError(RuntimeError):
@@ -207,7 +181,7 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
         )
     n = geom.total_dim
     H = _dense(_chain_bonds(profile, ring=False), 2 * profile.length)[:n, :n]
-    return ChiralHamiltonian(H, geom, profile.coupling_range)
+    return ChiralHamiltonian(H, geom)
 
 
 _Bonds = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -269,6 +243,9 @@ def apply_disorder(profile: CouplingProfile, seed: int, amplitude: float) -> Cou
     """
     if amplitude < 0:
         raise ValueError(f"disorder amplitude must be >= 0, got {amplitude}")
+    # The draws span an interval of width 2 * amplitude, which must be a float.
+    if not math.isfinite(2.0 * amplitude):
+        raise ValueError(f"disorder amplitude must keep 2 * amplitude finite, got {amplitude}")
     if amplitude == 0:
         return profile
     L = profile.length
@@ -403,48 +380,16 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     return float(np.bincount(x, weights=weighted, minlength=norms.shape[0]).max())
 
 
-def neighborhood_weight(length: int, decay_length: float) -> float:
-    """max_x sum_y exp(-|x-y| / (2 decay_length)) over the chain positions."""
-    x = np.arange(length)
-    w = np.exp(-np.abs(x[:, None] - x[None, :]) / (2.0 * decay_length))
-    return float(w.sum(axis=1).max())
+def verify_chiral(H: ChiralHamiltonian) -> float:
+    """Largest absolute entry of H C + C H (0 for structurally chiral matrices).
 
-
-def bulk_constants(
-    profile: CouplingProfile,
-    decay_length: float = 1.0,
-    l_ring: int | None = None,
-) -> BulkConstants:
-    """Estimate the locality and gap constants for a coupling profile."""
-    geom = make_geometry(profile.length, Convention.CELL_C2)
-    H = build_ssh(geom, profile)
-    return BulkConstants(
-        decay_length=float(decay_length),
-        coupling_norm=short_range_constant(H, decay_length),
-        half_gap=bulk_gap(profile, l_ring),
-        neighborhood_weight=neighborhood_weight(profile.length, decay_length),
-    )
-
-
-def verify_chiral(H: ChiralHamiltonian | np.ndarray, chiral: ChiralOperator | np.ndarray | None = None) -> float:
-    """Largest absolute entry of H C + C H (0 for structurally chiral matrices)."""
-    if isinstance(H, ChiralHamiltonian):
-        matrix = H.matrix
-        signs = H.chiral.signs if chiral is None else _chiral_signs(chiral)
-    else:
-        matrix = np.asarray(H)
-        if chiral is None:
-            raise ValueError("a chiral operator is required for a bare matrix")
-        signs = _chiral_signs(chiral)
-    if matrix.shape[0] != signs.shape[0] or matrix.shape[0] != matrix.shape[1]:
+    C is the diagonal of the geometry's sublattice signs.
+    """
+    matrix = H.matrix
+    signs = H.geometry.sublattice_signs
+    if matrix.shape != (signs.shape[0], signs.shape[0]):
         raise ValueError(
-            f"dimension mismatch: matrix {matrix.shape}, chiral operator {signs.shape}"
+            f"dimension mismatch: matrix {matrix.shape}, geometry dim {signs.shape[0]}"
         )
     anticomm = matrix * signs[None, :] + signs[:, None] * matrix
     return float(np.abs(anticomm).max())
-
-
-def _chiral_signs(chiral: ChiralOperator | np.ndarray) -> np.ndarray:
-    if isinstance(chiral, ChiralOperator):
-        return chiral.signs
-    return np.asarray(chiral)

@@ -63,58 +63,52 @@ class DeltaPolicy:
     conservative choice from the quantization bound (at small L it can land
     above the gap).  EMPIRICAL: 1 / sqrt(2 L), which mirrors how the indices
     behave in practice and is the default in the experiment runner.
-    MANUAL: an explicit positive value.
+    MANUAL: an explicit positive value.  ``decay_length`` is also the decay
+    length of the bound certificates, so it is set in every mode.
     """
 
-    mode: DeltaMode
+    mode: DeltaMode = DeltaMode.EMPIRICAL
     value: float | None = None
     half_gap: float | None = None
-    decay_length: float | None = None
+    decay_length: float = 1.0
     coupling_norm: float | None = None
-    length: int | None = None
 
     @classmethod
     def manual(cls, value: float) -> "DeltaPolicy":
         return cls(DeltaMode.MANUAL, value=value)
 
     @classmethod
-    def empirical(cls, length: int | None = None) -> "DeltaPolicy":
-        return cls(DeltaMode.EMPIRICAL, length=length)
+    def empirical(cls) -> "DeltaPolicy":
+        return cls(DeltaMode.EMPIRICAL)
 
     @classmethod
     def theorem(
-        cls,
-        half_gap: float,
-        decay_length: float,
-        coupling_norm: float,
-        length: int | None = None,
+        cls, half_gap: float, decay_length: float, coupling_norm: float
     ) -> "DeltaPolicy":
         return cls(
             DeltaMode.THEOREM,
             half_gap=half_gap,
             decay_length=decay_length,
             coupling_norm=coupling_norm,
-            length=length,
         )
 
 
 def resolve_delta(policy: DeltaPolicy, length: int | None = None) -> float:
-    """Concrete delta for a policy; ``length`` fills in when the policy has none."""
-    L = policy.length if policy.length is not None else length
+    """Concrete delta for a policy on a chain of ``length`` cells (or sites)."""
     if policy.mode is DeltaMode.MANUAL:
         if policy.value is None or not math.isfinite(policy.value) or policy.value <= 0:
             raise ValueError(f"manual delta value must be finite and > 0, got {policy.value}")
         return float(policy.value)
-    if L is None or L <= 0:
+    if length is None or length <= 0:
         raise ValueError(f"delta policy {policy.mode.value} needs a positive length")
     if policy.mode is DeltaMode.EMPIRICAL:
-        return 1.0 / math.sqrt(2.0 * L)
+        return 1.0 / math.sqrt(2.0 * length)
     for name in ("half_gap", "decay_length", "coupling_norm"):
         v = getattr(policy, name)
         if v is None or not math.isfinite(v) or v <= 0:
             raise ValueError(f"theorem delta policy needs finite positive {name}, got {v}")
     return math.sqrt(
-        128.0 * policy.half_gap * policy.decay_length * policy.coupling_norm / L
+        128.0 * policy.half_gap * policy.decay_length * policy.coupling_norm / length
     )
 
 

@@ -1,4 +1,4 @@
-"""Chain geometry, chiral operator, switch functions and sublattice bookkeeping.
+"""Chain geometry, switch functions and sublattice bookkeeping.
 
 Two basis conventions are supported.  Under ``CELL_C2`` the chain has L unit
 cells with two internal states (A, B) per cell and the basis is ordered
@@ -62,24 +62,10 @@ class ChainGeometry:
 
     @property
     def sublattice_signs(self) -> np.ndarray:
-        """+1 on A, -1 on B, per basis vector."""
+        """+1 on A, -1 on B, per basis vector: the diagonal of the chiral operator C."""
         if self.convention is Convention.CELL_C2:
             return np.tile([1.0, -1.0], self.length)
         return np.where(np.arange(self.length) % 2 == 0, 1.0, -1.0)
-
-
-@dataclass(frozen=True)
-class ChiralOperator:
-    """Diagonal +/-1 sublattice operator; squares to the identity."""
-
-    signs: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.signs)
-
-    def trace(self) -> float:
-        return float(self.signs.sum())
 
 
 @dataclass(frozen=True)
@@ -101,10 +87,6 @@ def make_geometry(length: int, convention: Convention = Convention.CELL_C2) -> C
     if length < 2:
         raise GeometryError(f"chain length must be at least 2, got {length}")
     return ChainGeometry(int(length), convention)
-
-
-def chiral_operator(geom: ChainGeometry) -> ChiralOperator:
-    return ChiralOperator(geom.sublattice_signs)
 
 
 def switch_function(geom: ChainGeometry, transition: int | str = "middle") -> SwitchFunction:

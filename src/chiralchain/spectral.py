@@ -10,7 +10,6 @@ eigendecomposition-free route to S for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -27,11 +26,6 @@ ORACLE_MAX_RATIO = 50.0
 
 class OracleRangeError(NumericalError):
     """tanh_oracle called outside its supported conditioning range."""
-
-
-class FilterKind(Enum):
-    GAP_FILTER = "gap_filter"
-    FLATTENED_SIGN = "flattened_sign"
 
 
 @dataclass(frozen=True)

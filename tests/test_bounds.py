@@ -22,7 +22,7 @@ from chiralchain.hamiltonian import (
 )
 from chiralchain.indices import edge_index
 from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
-from chiralchain.spectral import FilterKind, flattened_sign, gap_filter
+from chiralchain.spectral import flattened_sign, gap_filter
 
 
 def ssh(L, t1, t2):
@@ -202,27 +202,27 @@ def test_edge_filter_threshold_controls_pass():
 
 def test_restriction_middle_region_close_to_bulk():
     profile = CouplingProfile.constant(60, 0.5, 1.0)
-    value = restriction_discrepancy(profile, 60, 60, (20, 40), FilterKind.GAP_FILTER, 0.1)
+    value = restriction_discrepancy(profile, 60, 60, (20, 40), gap_filter, 0.1)
     assert value < 1e-6
 
 
 def test_restriction_vacuous_at_edge():
     profile = CouplingProfile.constant(60, 0.5, 1.0)
-    value = restriction_discrepancy(profile, 60, 60, (0, 20), FilterKind.GAP_FILTER, 0.1)
+    value = restriction_discrepancy(profile, 60, 60, (0, 20), gap_filter, 0.1)
     assert value > 1e-2
 
 
 def test_restriction_decreases_with_region_distance():
     profile = CouplingProfile.constant(60, 0.5, 1.0)
-    near = restriction_discrepancy(profile, 60, 60, (10, 50), FilterKind.FLATTENED_SIGN, 0.1)
-    far = restriction_discrepancy(profile, 60, 60, (20, 40), FilterKind.FLATTENED_SIGN, 0.1)
+    near = restriction_discrepancy(profile, 60, 60, (10, 50), flattened_sign, 0.1)
+    far = restriction_discrepancy(profile, 60, 60, (20, 40), flattened_sign, 0.1)
     assert far < near
 
 
 def test_restriction_monotone_in_pad():
     profile = CouplingProfile.constant(40, 0.5, 1.0)
     values = [
-        restriction_discrepancy(profile, 40, pad, (14, 26), FilterKind.GAP_FILTER, 0.1)
+        restriction_discrepancy(profile, 40, pad, (14, 26), gap_filter, 0.1)
         for pad in (40, 60, 80)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -231,7 +231,7 @@ def test_restriction_monotone_in_pad():
 def test_restriction_requires_enough_padding():
     profile = CouplingProfile.constant(20, 0.5, 1.0)
     with pytest.raises(ValueError):
-        restriction_discrepancy(profile, 20, 10, (5, 15), FilterKind.GAP_FILTER, 0.1)
+        restriction_discrepancy(profile, 20, 10, (5, 15), gap_filter, 0.1)
 
 
 # --- trace norms -----------------------------------------------------------------

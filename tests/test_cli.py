@@ -65,6 +65,33 @@ def test_config_round_trip_idempotent():
 
 
 @pytest.mark.parametrize(
+    "raw,expected",
+    [
+        ({"model": {"t1": 0.5, "t2": 1.0}, "geometry": {"length": 40}}, "e89fde899707922e"),
+        (
+            {"model": {"t1": 0.5, "t2": 1.0}, "geometry": {"length": 40},
+             "delta": {"mode": "manual", "value": 0.05}},
+            "17357338cbad3e79",
+        ),
+        (
+            {"model": {"t1": 0.5, "t2": 1.0}, "geometry": {"length": 40},
+             "delta": {"mode": "theorem", "decay_length": 2.0}},
+            "fa5d3a19f46dafb1",
+        ),
+        (
+            {"model": {"t1": 0.5, "t2": 1.0}, "geometry": {"length": 30},
+             "scan": "delta", "delta_values": [0.01, 0.1]},
+            "51981bf437e2eabc",
+        ),
+    ],
+)
+def test_config_hash_is_stable(raw, expected):
+    # The hash is printed in every CSV's provenance block, so it must not
+    # change when the config's internal representation does.
+    assert parse_config(raw).config_hash() == expected
+
+
+@pytest.mark.parametrize(
     "mutate,path_fragment",
     [
         (lambda r: r.pop("model"), "model"),
@@ -204,9 +231,10 @@ def test_alternating_sites_run():
 
 
 def test_run_out_of_range_switch_is_config_error():
-    raw = base_config(switch=25)
-    with pytest.raises(ConfigError):
-        run(parse_config(raw))
+    config = parse_config(base_config(switch=25))
+    for pipeline in (run, bound_table, self_check):
+        with pytest.raises(ConfigError, match="switch"):
+            pipeline(config)
 
 
 # --- tables and plots --------------------------------------------------------------
@@ -312,6 +340,14 @@ def test_bound_table_rows():
     assert all(r[-1] is True or r[-1] == "true" or r[-1] for r in table.rows)
 
 
+def test_bound_table_certifies_first_switch_of_a_switch_scan():
+    scan = bound_table(parse_config(disordered_config(
+        geometry={"length": 24}, scan="switch", switch=[9, 3]
+    )))
+    single = bound_table(parse_config(disordered_config(geometry={"length": 24}, switch=3)))
+    assert scan.rows == single.rows
+
+
 def test_self_check_passes_on_valid_model():
     results = self_check(parse_config(disordered_config()))
     assert all(ok for _, ok, _ in results)
@@ -365,6 +401,31 @@ def test_main_nan_coupling_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps(raw))  # json emits a bare NaN literal
     assert main(["index", "--config", str(cfg)]) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate,field",
+    [
+        (lambda r: r["model"].update(t1=[0.5] * 19 + [10**400]), "model.t1"),
+        (lambda r: r["model"].update(defect={"height": math.nan}), "model.defect.height"),
+        (lambda r: r["model"].update(defect={"height": 10**400}), "model.defect.height"),
+        (lambda r: r.update(delta={"mode": "manual", "value": math.inf}), "delta.value"),
+        (lambda r: r.update(scan="delta", delta_values=[0.1, math.inf]), "delta_values[1]"),
+        (lambda r: r["model"].update(disorder={"amplitude": math.inf}), "model.disorder.amplitude"),
+        (lambda r: r["model"].update(disorder={"amplitude": 1e308}), "disorder amplitude"),
+        (lambda r: r["model"].update(boundary_potential=[[0, -math.inf]]),
+         "model.boundary_potential[0]"),
+    ],
+)
+def test_main_non_finite_number_is_config_error(tmp_path, capsys, mutate, field):
+    raw = base_config(seed=1)
+    mutate(raw)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))  # json emits bare NaN and Infinity literals
+    command = "scan" if raw["scan"] != "none" else "index"
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
 
 
 def test_main_numerical_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -14,14 +14,12 @@ from chiralchain.hamiltonian import (
     apply_disorder,
     block_norms,
     build_ssh,
-    bulk_constants,
     bulk_gap,
-    neighborhood_weight,
     periodic_closure,
     short_range_constant,
     verify_chiral,
 )
-from chiralchain.lattice import Convention, chiral_operator, make_geometry
+from chiralchain.lattice import Convention, make_geometry
 
 E = math.e
 
@@ -210,7 +208,9 @@ def test_verify_chiral_detects_identity_shift():
     H = ssh(6, 0.5, 1.0)
     eps = 0.1
     shifted = H.matrix + eps * np.eye(H.dim)
-    assert verify_chiral(shifted, H.chiral) == pytest.approx(2 * eps, abs=1e-15)
+    assert verify_chiral(ChiralHamiltonian(shifted, H.geometry)) == pytest.approx(
+        2 * eps, abs=1e-15
+    )
 
 
 def test_verify_chiral_detects_sublattice_diagonal_entry():
@@ -219,13 +219,13 @@ def test_verify_chiral_detects_sublattice_diagonal_entry():
     M = rng.normal(size=(10, 10))
     H = (M + M.T) / 2
     a = H[0, 2]  # an A-A entry
-    assert verify_chiral(H, chiral_operator(geom)) >= 2 * abs(a) - 1e-12
+    assert verify_chiral(ChiralHamiltonian(H, geom)) >= 2 * abs(a) - 1e-12
 
 
 def test_verify_chiral_dim_mismatch():
     H = ssh(6, 0.5, 1.0)
     with pytest.raises(ValueError):
-        verify_chiral(H.matrix, chiral_operator(make_geometry(4)))
+        verify_chiral(ChiralHamiltonian(H.matrix, make_geometry(4)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -292,21 +292,6 @@ def test_alternating_sites_rejects_cell_only_features():
         build_ssh(geom, CouplingProfile(np.full(4, 0.5), np.ones(4), extra))
 
 
-def test_neighborhood_weight_bounds():
-    w = neighborhood_weight(40, 1.0)
-    assert w >= 1.0
-    # Infinite-chain value coth(1/(4 d)) is an upper bound.
-    assert w <= 1.0 / math.tanh(0.25) + 1e-12
-
-
-def test_bulk_constants_assembly():
-    profile = CouplingProfile.constant(30, 0.5, 1.0)
-    const = bulk_constants(profile, decay_length=1.0)
-    assert const.coupling_norm == pytest.approx(0.5 + 2 * E, rel=1e-12)
-    assert const.half_gap == pytest.approx(0.5, abs=0.01)
-    assert const.neighborhood_weight >= 1.0
-
-
 # --- the single chain builder against the builders it replaced -------------------
 #
 # Verbatim copies of the former open-chain cell builder, the former
@@ -336,7 +321,7 @@ def reference_cells(geom, profile):
         upper[2 * x, 2 * (x + k) + 1] += blk.a[: L - k]
         upper[2 * x + 1, 2 * (x + k)] += blk.b[: L - k]
     H = upper + upper.conj().T
-    return ChiralHamiltonian(H, geom, profile.coupling_range)
+    return ChiralHamiltonian(H, geom)
 
 
 def reference_alternating(geom, profile):
@@ -347,7 +332,7 @@ def reference_alternating(geom, profile):
         t = profile.t1[x // 2] if x % 2 == 0 else profile.t2[x // 2]
         H[x, x + 1] = t
         H[x + 1, x] = np.conj(t)
-    return ChiralHamiltonian(H, geom, 1)
+    return ChiralHamiltonian(H, geom)
 
 
 def reference_periodic_closure(profile, l_ring):

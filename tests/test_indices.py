@@ -197,14 +197,14 @@ def test_half_integer_rounds_away_from_zero():
 
 
 def test_resolve_empirical():
-    assert resolve_delta(DeltaPolicy.empirical(32)) == pytest.approx(0.125, abs=1e-15)
+    assert resolve_delta(DeltaPolicy.empirical(), 32) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_resolve_theorem_formula():
     policy = DeltaPolicy.theorem(
-        half_gap=0.5, decay_length=1.0, coupling_norm=0.5 + 2 * math.e, length=10000
+        half_gap=0.5, decay_length=1.0, coupling_norm=0.5 + 2 * math.e
     )
-    assert resolve_delta(policy) == pytest.approx(0.1949, abs=2e-4)
+    assert resolve_delta(policy, 10000) == pytest.approx(0.1949, abs=2e-4)
 
 
 def test_resolve_manual_passthrough_and_guard():
@@ -221,9 +221,9 @@ def test_resolve_needs_length():
 
 def test_resolve_theorem_requires_positive_inputs():
     policy = DeltaPolicy(DeltaMode.THEOREM, half_gap=-1.0, decay_length=1.0,
-                         coupling_norm=1.0, length=10)
+                         coupling_norm=1.0)
     with pytest.raises(ValueError):
-        resolve_delta(policy)
+        resolve_delta(policy, 10)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -231,7 +231,7 @@ def test_resolve_theorem_requires_positive_inputs():
 def test_resolve_theorem_rejects_non_finite_inputs(field, bad):
     values = {"half_gap": 0.5, "decay_length": 1.0, "coupling_norm": 2.0, field: bad}
     with pytest.raises(ValueError, match=field):
-        resolve_delta(DeltaPolicy.theorem(**values, length=100))
+        resolve_delta(DeltaPolicy.theorem(**values), 100)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -97,7 +97,7 @@ def test_flattened_sign_norm_below_one():
 
 def test_chiral_conjugation_flips_sign():
     H = ssh(12, 0.5, 1.0)
-    c = H.chiral.signs
+    c = H.geometry.sublattice_signs
     S = flattened_sign(H, 0.1)
     assert np.abs(c[:, None] * S * c[None, :] + S).max() < 1e-10
     G = gap_filter(H, 0.1)
