@@ -34,6 +34,7 @@ from .hamiltonian import (
     verify_chiral,
 )
 from .spectral import (
+    ChiralSpectrum,
     NumericalError,
     OracleRangeError,
     SpectralData,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, CouplingProfile, block_norms, build_ssh
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
-from .spectral import _sech_sq, eigh, gap_filter, matrix_function, propagator
+from .spectral import _ratio, _sech_sq, eigh, gap_filter, matrix_function, propagator
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
 NOISE_FLOOR = 1e-14
@@ -236,8 +236,8 @@ def anticommutator_trace_norms(
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     spec = eigh(H)
-    S = matrix_function(spec, lambda e: np.tanh(e / delta))
-    G = matrix_function(spec, lambda e: _sech_sq(e / delta))
+    S = matrix_function(spec, lambda e: np.tanh(_ratio(e, delta)))
+    G = matrix_function(spec, lambda e: _sech_sq(_ratio(e, delta)))
     signs = geom.sublattice_signs
     theta = switch.basis_values()
     A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])

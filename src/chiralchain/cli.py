@@ -140,14 +140,19 @@ class ExperimentConfig:
             "switch": _plain(self.switch),
             "scan": self.scan.value,
         }
+        delta = {}
         if self.scan is ScanAxis.DELTA:
             out["delta_values"] = list(self.delta_values)
         else:
-            delta = {"mode": self.delta.mode.value}
+            delta["mode"] = self.delta.mode.value
             if self.delta.mode is DeltaMode.MANUAL:
                 delta["value"] = self.delta.value
             if self.delta.mode is DeltaMode.THEOREM:
                 delta["decay_length"] = self.delta.decay_length
+        # The bound certificates read decay_length in every mode and scan.
+        if self.delta.decay_length != 1.0:
+            delta["decay_length"] = self.delta.decay_length
+        if delta:
             out["delta"] = delta
         if self.seed is not None:
             out["seed"] = self.seed

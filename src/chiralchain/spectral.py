@@ -1,10 +1,13 @@
-"""Hermitian eigendecomposition and matrix functions.
+"""Spectra of chiral Hamiltonians and the matrix functions built on them.
 
 Everything downstream (indices, bound certificates) runs through functions of
 one Hermitian matrix: the flattened sign S = tanh(H / delta), the gap filter
-1 - S^2, and the propagator exp(i t H).  The primary compute path is a full
-eigendecomposition, exact at desk scale.  ``tanh_oracle`` provides a second,
-eigendecomposition-free route to S for cross-checking.
+1 - S^2, and the propagator exp(i t H).  In sublattice order a chiral
+Hamiltonian is H = [[0, T], [T^dag, 0]], so the production path is one SVD
+of the A->B block T = U Sigma W^dag: the spectrum is +-sigma, and every
+function of H is assembled from L x L blocks.  The dense eigendecomposition
+of a plain array and ``tanh_oracle``, an eigendecomposition-free route to S,
+are cross-checks.
 """
 
 from __future__ import annotations
@@ -39,9 +42,38 @@ class SpectralData:
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
+
+@dataclass(frozen=True)
+class ChiralSpectrum:
+    """H = [[0, T], [T^dag, 0]] with T = H[a][:, b] = U diag(sigma) W^dag.
+
+    ``a`` and ``b`` index the A and B basis vectors.  ``U`` (|A| x |A|) and
+    ``W`` (|B| x |B|) are unitary and ``sigma`` holds the min(|A|, |B|)
+    singular values.  Column i < len(sigma) of U and W pairs into the
+    eigenvectors (u_i, +-w_i) / sqrt(2) at energies +-sigma_i; the remaining
+    columns of the larger factor are exact zero modes.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    W: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.a.size + self.b.size)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        zero_modes = np.zeros(self.dim - 2 * self.sigma.size)
+        return np.sort(np.concatenate([-self.sigma, zero_modes, self.sigma]))
+
+    def column_sigma(self, columns: int) -> np.ndarray:
+        """Singular value of each of ``columns`` factor columns; zero modes get 0."""
+        out = np.zeros(columns)
+        out[: self.sigma.size] = self.sigma
+        return out
 
 
 def _as_matrix(H: ChiralHamiltonian | np.ndarray) -> np.ndarray:
@@ -57,11 +89,13 @@ def _as_delta(delta: float) -> float:
     return delta
 
 
-def eigh(H: ChiralHamiltonian | np.ndarray) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix.
+def eigh(H: ChiralHamiltonian | np.ndarray) -> ChiralSpectrum | SpectralData:
+    """Spectrum of a Hermitian matrix.
 
-    The input must be Hermitian within 1e-12 relative; it is symmetrized
-    before the solve to guard the eigensolver contract.
+    The input must be Hermitian within 1e-12 relative.  A ``ChiralHamiltonian``
+    gets a ``ChiralSpectrum`` from one SVD of its A->B block; its A-A and B-B
+    blocks must be exactly zero.  A plain array gets the dense
+    eigendecomposition of its symmetrized form.
     """
     M = _as_matrix(H)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -72,41 +106,106 @@ def eigh(H: ChiralHamiltonian | np.ndarray) -> SpectralData:
         raise NumericalError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
         )
-    sym = (M + M.conj().T) / 2.0
-    w, V = np.linalg.eigh(sym)
+    if isinstance(H, ChiralHamiltonian):
+        return _chiral_svd(M, H.geometry.sublattice_signs)
+    # Halve before adding: M + M^dag overflows for entries above ~9e307.
+    w, V = np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
     return SpectralData(w, V)
 
 
-def matrix_function(spec: SpectralData, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """V f(Lambda) V^dagger; Hermitian (symmetrized) when f is real on the spectrum."""
-    values = np.asarray(f(spec.eigenvalues))
-    if values.shape != spec.eigenvalues.shape:
-        values = np.broadcast_to(values, spec.eigenvalues.shape)
+def _chiral_svd(M: np.ndarray, signs: np.ndarray) -> ChiralSpectrum:
+    if signs.shape != M.shape[:1]:
+        raise NumericalError(f"matrix shape {M.shape} does not match {signs.size} sublattice signs")
+    a = np.flatnonzero(signs > 0)
+    b = np.flatnonzero(signs < 0)
+    if np.any(M[np.ix_(a, a)]) or np.any(M[np.ix_(b, b)]):
+        raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
+    try:
+        U, sigma, Wh = np.linalg.svd(M[np.ix_(a, b)], full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of the A->B block failed: {exc}") from exc
+    return ChiralSpectrum(a, b, U, sigma, Wh.conj().T)
+
+
+def _checked_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
+    values = np.asarray(f(w))
+    if values.shape != w.shape:
+        values = np.broadcast_to(values, w.shape)
     if np.any(np.isnan(values)):
         raise NumericalError("scalar function produced NaN on an eigenvalue")
-    V = spec.eigenvectors
-    out = (V * values) @ V.conj().T
+    return values
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return M / 2.0 + M.conj().T / 2.0
+
+
+def _sandwich(X: np.ndarray, d: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X diag(d) Y^dag, skipping the product when d is zero."""
+    if not np.any(d):
+        return np.zeros((X.shape[0], Y.shape[0]), dtype=np.result_type(X, d, Y))
+    return (X * d) @ Y.conj().T
+
+
+def matrix_function(
+    spec: ChiralSpectrum | SpectralData, f: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """f(H) in the original basis; Hermitian (symmetrized) when f is real on the spectrum.
+
+    On a ``ChiralSpectrum``, with f_e/o = (f(sigma) +- f(-sigma)) / 2 and
+    f(0) on the zero-mode columns: f(H)_AA = U f_e U^dag,
+    f(H)_BB = W f_e W^dag, f(H)_AB = U f_o W^dag and f(H)_BA = W f_o U^dag.
+    """
+    if isinstance(spec, SpectralData):
+        values = _checked_values(f, spec.eigenvalues)
+        V = spec.eigenvectors
+        out = (V * values) @ V.conj().T
+        return out if np.iscomplexobj(values) else _hermitian_part(out)
+
+    U, W, k = spec.U, spec.W, spec.sigma.size
+    s = spec.column_sigma(max(U.shape[1], W.shape[1]))
+    values = _checked_values(f, np.concatenate([s, -s]))
+    plus, minus = values[: s.size], values[s.size :]
+    even = plus / 2.0 + minus / 2.0
+    odd = (plus / 2.0 - minus / 2.0)[:k]
+    AA = _sandwich(U, even[: U.shape[1]], U)
+    BB = _sandwich(W, even[: W.shape[1]], W)
+    AB = _sandwich(U[:, :k], odd, W[:, :k])
     if not np.iscomplexobj(values):
-        out = (out + out.conj().T) / 2.0
+        AA, BB, BA = _hermitian_part(AA), _hermitian_part(BB), AB.conj().T
+    else:
+        BA = _sandwich(W[:, :k], odd, U[:, :k])
+    a, b = spec.a, spec.b
+    out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(AA, BB, AB, BA))
+    out[np.ix_(a, a)] = AA
+    out[np.ix_(b, b)] = BB
+    out[np.ix_(a, b)] = AB
+    out[np.ix_(b, a)] = BA
     return out
 
 
 def _sech_sq(x: np.ndarray) -> np.ndarray:
-    # 1 - tanh(x)^2 without cancellation or overflow.
-    e = np.exp(-2.0 * np.abs(x))
+    # 1 - tanh(x)^2 without cancellation or overflow; exp(-800) is already 0.
+    e = np.exp(-2.0 * np.minimum(np.abs(x), 400.0))
     return 4.0 * e / (1.0 + e) ** 2
+
+
+def _ratio(w: np.ndarray, delta: float) -> np.ndarray:
+    """w / delta; an overflow to +-inf is exact for tanh and sech^2."""
+    with np.errstate(over="ignore"):
+        return w / delta
 
 
 def flattened_sign(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """S = tanh(H / delta): the band-flattening smooth surrogate for sign(H)."""
     delta = _as_delta(delta)
-    return matrix_function(eigh(H), lambda w: np.tanh(w / delta))
+    return matrix_function(eigh(H), lambda w: np.tanh(_ratio(w, delta)))
 
 
 def gap_filter(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """1 - S^2: positive semidefinite, concentrates weight on near-zero-energy states."""
     delta = _as_delta(delta)
-    return matrix_function(eigh(H), lambda w: _sech_sq(w / delta))
+    return matrix_function(eigh(H), lambda w: _sech_sq(_ratio(w, delta)))
 
 
 def propagator(H: ChiralHamiltonian | np.ndarray, t: float) -> np.ndarray:

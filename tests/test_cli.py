@@ -91,6 +91,25 @@ def test_config_hash_is_stable(raw, expected):
     assert parse_config(raw).config_hash() == expected
 
 
+@pytest.mark.parametrize("scan", ["none", "delta"])
+def test_decay_length_enters_config_hash(scan):
+    # The bound certificates read decay_length in every mode, so two configs
+    # that differ only there must not share a hash.
+    if scan == "delta":
+        # A delta scan ignores the mode; only decay_length is kept.
+        raw = base_config(delta={}, scan="delta", delta_values=[0.01, 0.1])
+    else:
+        raw = base_config(delta={"mode": "manual", "value": 0.05})
+    configs = []
+    for decay_length in (1.0, 2.0):
+        raw["delta"]["decay_length"] = decay_length
+        config = parse_config(raw)
+        assert parse_config(config.to_dict()) == config
+        configs.append(config)
+    assert configs[0].config_hash() != configs[1].config_hash()
+    assert "decay_length" not in configs[0].to_dict().get("delta", {})
+
+
 @pytest.mark.parametrize(
     "mutate,path_fragment",
     [
@@ -464,6 +483,18 @@ def test_theorem_delta_beyond_exp_overflow_length(tmp_path):
     header, row = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     delta = float(row.split(",")[header.split(",").index("delta")])
     assert math.isfinite(delta) and delta > 0
+
+
+def test_main_index_huge_defect_height(tmp_path):
+    # Entries near the float maximum: symmetrizing as (M + M^dag) / 2 overflowed.
+    raw = base_config()
+    raw["model"]["defect"] = {"height": 1e308}
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "index.csv"
+    assert main(["index", "--config", str(cfg), "--out", str(out), "--reproducible"]) == 0
+    header, row = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    residual = float(row.split(",")[header.split(",").index("residual")])
+    assert residual < 1e-10
 
 
 def test_main_seed_override(tmp_path):

@@ -45,9 +45,17 @@ def test_eigh_ssh_chiral_pairs():
 def test_eigh_reconstruction_and_orthonormality(seed):
     H = random_hermitian(20, seed, complex_valued=seed % 2 == 1)
     spec = eigh(H)
-    assert np.abs(spec.reconstruct() - H).max() < 1e-10
+    assert np.abs(matrix_function(spec, lambda w: w) - H).max() < 1e-10
     V = spec.eigenvectors
     assert np.abs(V.conj().T @ V - np.eye(20)).max() < 1e-10
+
+
+def test_eigh_of_entries_near_float_max():
+    # M + M^dag overflows here; the solve must neither warn nor lose the spectrum.
+    H = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e307], [0.0, 1e307, -1e308]])
+    spec = eigh(H)
+    assert np.all(np.isfinite(spec.eigenvalues))
+    assert np.abs(matrix_function(spec, lambda w: w) - H).max() < 1e-12 * 1e308
 
 
 def test_eigh_rejects_non_hermitian():
