@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -143,14 +144,13 @@ class ExperimentConfig:
         delta = {}
         if self.scan is ScanAxis.DELTA:
             out["delta_values"] = list(self.delta_values)
-        else:
+        # A delta scan ignores the mode, so its default is left out there.
+        if self.scan is not ScanAxis.DELTA or self.delta.mode is not DeltaMode.EMPIRICAL:
             delta["mode"] = self.delta.mode.value
-            if self.delta.mode is DeltaMode.MANUAL:
-                delta["value"] = self.delta.value
-            if self.delta.mode is DeltaMode.THEOREM:
-                delta["decay_length"] = self.delta.decay_length
+        if self.delta.mode is DeltaMode.MANUAL:
+            delta["value"] = self.delta.value
         # The bound certificates read decay_length in every mode and scan.
-        if self.delta.decay_length != 1.0:
+        if self.delta.mode is DeltaMode.THEOREM or self.delta.decay_length != 1.0:
             delta["decay_length"] = self.delta.decay_length
         if delta:
             out["delta"] = delta
@@ -161,7 +161,9 @@ class ExperimentConfig:
         return out
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the experiment; where its table is written is not part of it."""
+        experiment = dataclasses.replace(self, output=None).to_dict()
+        blob = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -176,6 +178,10 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_finite_number(v) -> bool:
     """True for a JSON number that is a finite float (JSON also admits NaN and Infinity)."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -186,21 +192,38 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _get_number(d: dict, key: str, path: str, default=None, required=False):
+def _object(v, path: str) -> dict:
+    _expect(isinstance(v, dict), path, "must be an object")
+    return v
+
+
+def _number(d: dict, key: str, path: str, default=None, required=False) -> float | None:
     if key not in d:
         _expect(not required, f"{path}.{key}", "is required")
         return default
-    v = d[key]
-    _expect(_is_finite_number(v), f"{path}.{key}", "must be a finite number")
-    return float(v)
+    _expect(_is_finite_number(d[key]), f"{path}.{key}", "must be a finite number")
+    return float(d[key])
 
 
-def _get_int(d: dict, key: str, path: str, default=None, required=False):
+def _integer(d: dict, key: str, path: str) -> int | None:
     if key not in d:
-        _expect(not required, f"{path}.{key}", "is required")
-        return default
-    v = d[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool), f"{path}.{key}", "must be an integer")
+        return None
+    _expect(_is_int(d[key]), f"{path}.{key}", "must be an integer")
+    return int(d[key])
+
+
+def _choice(enum: type[Enum], v, path: str) -> Enum:
+    try:
+        return enum(v)
+    except ValueError:
+        raise ConfigError(f"{path}: must be one of {[m.value for m in enum]}, got {v!r}") from None
+
+
+def _int_or_list(v, path: str, message: str) -> int | tuple:
+    """An integer, or a non-empty list of integers as a tuple."""
+    if isinstance(v, list) and v and all(map(_is_int, v)):
+        return tuple(int(x) for x in v)
+    _expect(_is_int(v), path, message)
     return int(v)
 
 
@@ -208,11 +231,8 @@ def _coupling_field(d: dict, key: str, path: str):
     _expect(key in d, f"{path}.{key}", "is required")
     v = d[key]
     items = v if isinstance(v, list) else [v]
-    _expect(
-        all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items),
-        f"{path}.{key}",
-        "must be a number or a list of numbers",
-    )
+    _expect(all(_is_int(x) or isinstance(x, float) for x in items), f"{path}.{key}",
+            "must be a number or a list of numbers")
     _expect(all(map(_is_finite_number, items)), f"{path}.{key}", "contains non-finite entries")
     return tuple(float(x) for x in v) if isinstance(v, list) else float(v)
 
@@ -225,28 +245,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
     }
     _expect(not unknown, "config", f"unknown keys {sorted(unknown)}")
 
-    model_raw = raw.get("model")
-    _expect(isinstance(model_raw, dict), "model", "must be an object")
+    model_raw = _object(raw.get("model"), "model")
     t1 = _coupling_field(model_raw, "t1", "model")
     t2 = _coupling_field(model_raw, "t2", "model")
 
     disorder = DisorderConfig()
     if "disorder" in model_raw:
-        d = model_raw["disorder"]
-        _expect(isinstance(d, dict), "model.disorder", "must be an object")
-        amplitude = _get_number(d, "amplitude", "model.disorder", required=True)
+        d = _object(model_raw["disorder"], "model.disorder")
+        amplitude = _number(d, "amplitude", "model.disorder", required=True)
         _expect(amplitude >= 0, "model.disorder.amplitude", "must be >= 0")
-        disorder = DisorderConfig(amplitude, _get_int(d, "seed", "model.disorder"))
+        disorder = DisorderConfig(amplitude, _integer(d, "seed", "model.disorder"))
 
     defect = DefectConfig()
     if "defect" in model_raw:
-        d = model_raw["defect"]
-        _expect(isinstance(d, dict), "model.defect", "must be an object")
-        width = _get_number(d, "width", "model.defect", default=1.0)
+        d = _object(model_raw["defect"], "model.defect")
+        width = _number(d, "width", "model.defect", default=1.0)
         _expect(width > 0, "model.defect.width", "must be > 0")
         defect = DefectConfig(
-            _get_number(d, "height", "model.defect", required=True),
-            _get_number(d, "center_frac", "model.defect", default=0.5),
+            _number(d, "height", "model.defect", required=True),
+            _number(d, "center_frac", "model.defect", default=0.5),
             width,
         )
 
@@ -256,61 +273,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect(isinstance(bp, list), "model.boundary_potential", "must be a list of [cell, value] pairs")
         pairs = []
         for i, item in enumerate(bp):
-            _expect(
-                isinstance(item, list) and len(item) == 2,
-                f"model.boundary_potential[{i}]",
-                "must be a [cell, value] pair",
-            )
+            path = f"model.boundary_potential[{i}]"
+            _expect(isinstance(item, list) and len(item) == 2, path, "must be a [cell, value] pair")
             cell, value = item
-            _expect(isinstance(cell, int) and not isinstance(cell, bool),
-                    f"model.boundary_potential[{i}]", "cell must be an integer")
-            _expect(_is_finite_number(value),
-                    f"model.boundary_potential[{i}]", "value must be a finite number")
+            _expect(_is_int(cell), path, "cell must be an integer")
+            _expect(_is_finite_number(value), path, "value must be a finite number")
             pairs.append((int(cell), float(value)))
         boundary = tuple(pairs)
 
-    model = ModelConfig(t1, t2, disorder, defect, boundary)
-
-    geom_raw = raw.get("geometry")
-    _expect(isinstance(geom_raw, dict), "geometry", "must be an object")
-    length_raw = geom_raw.get("length")
-    if isinstance(length_raw, list):
-        _expect(
-            all(isinstance(x, int) and not isinstance(x, bool) for x in length_raw) and length_raw,
-            "geometry.length", "must be an integer or a non-empty list of integers",
-        )
-        length = tuple(int(x) for x in length_raw)
-    elif isinstance(length_raw, int) and not isinstance(length_raw, bool):
-        length = int(length_raw)
-    else:
-        raise ConfigError("geometry.length: must be an integer or a non-empty list of integers")
-    conv_raw = geom_raw.get("convention", "cell")
-    try:
-        convention = Convention(conv_raw)
-    except ValueError:
-        raise ConfigError(
-            f"geometry.convention: must be one of {[c.value for c in Convention]}, got {conv_raw!r}"
-        ) from None
-
-    scan_raw = raw.get("scan", "none")
-    try:
-        scan = ScanAxis(scan_raw)
-    except ValueError:
-        raise ConfigError(
-            f"scan: must be one of {[a.value for a in ScanAxis]}, got {scan_raw!r}"
-        ) from None
-
-    switch_raw = raw.get("switch", "middle")
-    if isinstance(switch_raw, list):
-        _expect(
-            all(isinstance(x, int) and not isinstance(x, bool) for x in switch_raw) and switch_raw,
-            "switch", "must be 'middle', an integer, or a non-empty list of integers",
-        )
-        switch = tuple(int(x) for x in switch_raw)
-    elif switch_raw == "middle" or (isinstance(switch_raw, int) and not isinstance(switch_raw, bool)):
-        switch = switch_raw if switch_raw == "middle" else int(switch_raw)
-    else:
-        raise ConfigError("switch: must be 'middle', an integer, or a non-empty list of integers")
+    geom_raw = _object(raw.get("geometry"), "geometry")
+    length = _int_or_list(geom_raw.get("length"), "geometry.length",
+                          "must be an integer or a non-empty list of integers")
+    convention = _choice(Convention, geom_raw.get("convention", "cell"), "geometry.convention")
+    scan = _choice(ScanAxis, raw.get("scan", "none"), "scan")
+    switch = raw.get("switch", "middle")
+    if switch != "middle":
+        switch = _int_or_list(switch, "switch",
+                              "must be 'middle', an integer, or a non-empty list of integers")
 
     delta_values = ()
     if "delta_values" in raw:
@@ -323,29 +302,38 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     delta = DeltaPolicy()
     if "delta" in raw:
-        d = raw["delta"]
-        _expect(isinstance(d, dict), "delta", "must be an object")
-        mode_raw = d.get("mode", "empirical")
-        try:
-            mode = DeltaMode(mode_raw)
-        except ValueError:
-            raise ConfigError(
-                f"delta.mode: must be one of {[m.value for m in DeltaMode]}, got {mode_raw!r}"
-            ) from None
-        value = _get_number(d, "value", "delta")
+        d = _object(raw["delta"], "delta")
+        mode = _choice(DeltaMode, d.get("mode", "empirical"), "delta.mode")
+        value = _number(d, "value", "delta")
         if mode is DeltaMode.MANUAL:
             _expect(value is not None and value > 0, "delta.value", "must be > 0 for manual mode")
-        decay_length = _get_number(d, "decay_length", "delta", default=1.0)
+        decay_length = _number(d, "decay_length", "delta", default=1.0)
         _expect(decay_length > 0, "delta.decay_length", "must be > 0")
         delta = DeltaPolicy(mode, value=value, decay_length=decay_length)
 
-    seed = _get_int(raw, "seed", "config")
+    seed = _integer(raw, "seed", "config")
     output = raw.get("output")
-    if output is not None:
-        _expect(isinstance(output, str), "output", "must be a string path")
+    _expect(output is None or isinstance(output, str), "output", "must be a string path")
 
-    config = ExperimentConfig(
-        model=model,
+    # Scan shape: exactly the scanned field is a list.
+    length_is_list = isinstance(length, tuple)
+    _expect(length_is_list == (scan is ScanAxis.LENGTH), "geometry.length",
+            "must be a list exactly when scan is 'length'")
+    _expect(isinstance(switch, tuple) == (scan is ScanAxis.SWITCH), "switch",
+            "must be a list exactly when scan is 'switch'")
+    _expect(bool(delta_values) == (scan is ScanAxis.DELTA), "delta_values",
+            "must be present exactly when scan is 'delta'")
+    if disorder.amplitude > 0:
+        _expect(seed is not None or disorder.seed is not None, "seed",
+                "a seed is required when disorder amplitude is > 0")
+    for v in length if length_is_list else (length,):
+        _expect(v >= 2, "geometry.length", f"lengths must be >= 2, got {v}")
+    if isinstance(t1, tuple) or isinstance(t2, tuple):
+        _expect(not length_is_list, "model.t1",
+                "per-cell coupling lists cannot be combined with a length scan")
+
+    return ExperimentConfig(
+        model=ModelConfig(t1, t2, disorder, defect, boundary),
         length=length,
         convention=convention,
         delta=delta,
@@ -355,43 +343,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         delta_values=delta_values,
         output=output,
     )
-    _validate_scan_shape(config)
-    return config
-
-
-def _validate_scan_shape(config: ExperimentConfig) -> None:
-    length_is_list = isinstance(config.length, tuple)
-    switch_is_list = isinstance(config.switch, tuple)
-    _expect(
-        length_is_list == (config.scan is ScanAxis.LENGTH),
-        "geometry.length",
-        "must be a list exactly when scan is 'length'",
-    )
-    _expect(
-        switch_is_list == (config.scan is ScanAxis.SWITCH),
-        "switch",
-        "must be a list exactly when scan is 'switch'",
-    )
-    _expect(
-        bool(config.delta_values) == (config.scan is ScanAxis.DELTA),
-        "delta_values",
-        "must be present exactly when scan is 'delta'",
-    )
-    if config.model.disorder.amplitude > 0:
-        _expect(
-            config.seed is not None or config.model.disorder.seed is not None,
-            "seed",
-            "a seed is required when disorder amplitude is > 0",
-        )
-    lengths = config.length if length_is_list else (config.length,)
-    for v in lengths:
-        _expect(v >= 2, "geometry.length", f"lengths must be >= 2, got {v}")
-    if isinstance(config.model.t1, tuple) or isinstance(config.model.t2, tuple):
-        _expect(
-            not length_is_list,
-            "model.t1",
-            "per-cell coupling lists cannot be combined with a length scan",
-        )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -425,9 +376,6 @@ class ResultTable:
         for row in self.rows:
             lines.append(",".join(_format_cell(v) for v in row))
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path, reproducible: bool = False) -> None:
-        Path(path).write_text(self.render(reproducible=reproducible))
 
 
 def _format_cell(v) -> str:
@@ -591,8 +539,6 @@ def reproduce_fig3(seed: int = 1) -> tuple[ResultTable, ResultTable]:
     scan_config = ExperimentConfig(
         model=model,
         length=tuple(FIG3_LENGTHS),
-        delta=DeltaPolicy.empirical(),
-        switch="middle",
         seed=seed,
         scan=ScanAxis.LENGTH,
     )
@@ -624,7 +570,6 @@ def reproduce_fig4(seed: int = 1) -> tuple[ResultTable, ResultTable]:
     delta_config = ExperimentConfig(
         model=model,
         length=30,
-        switch="middle",
         seed=seed,
         scan=ScanAxis.DELTA,
         delta_values=delta_grid,
@@ -714,95 +659,64 @@ def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="experiment config (JSON)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None, help="output CSV path (default: config output or stdout)")
-    parser.add_argument("--reproducible", action="store_true",
-                        help="suppress the timestamp comment for byte-stable output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; scan points run serially")
+@contextlib.contextmanager
+def _writing(path: str | Path):
+    """Report a failure to create or write ``path`` as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path}: {exc}") from exc
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chiralchain",
-        description="Finite-size bulk/edge indices and locality certificates for chiral chains.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_index = sub.add_parser("index", help="evaluate a single index report")
-    _add_common(p_index)
-    p_scan = sub.add_parser("scan", help="run the config's parameter scan")
-    _add_common(p_scan)
-    p_bounds = sub.add_parser("bounds", help="emit bound certificates for the configured model")
-    _add_common(p_bounds)
-    p_check = sub.add_parser("check", help="run structural self-tests on the configured model")
-    _add_common(p_check)
-
-    p_rep = sub.add_parser("reproduce", help="figure-reproduction pipelines")
-    p_rep.add_argument("figure", choices=["fig3", "fig4"])
-    p_rep.add_argument("--seed", type=int, default=1)
-    p_rep.add_argument("--out", default=".", help="output directory")
-    p_rep.add_argument("--reproducible", action="store_true")
-    p_rep.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and ignored")
-    return parser
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["output"] = args.out
-    if updates:
-        config = dataclasses.replace(config, **updates)
-        _validate_scan_shape(config)
-    return config
-
-
-def _emit(table: ResultTable, path: str | None, reproducible: bool) -> None:
+def _emit(table: ResultTable, path: str | Path | None, reproducible: bool) -> None:
+    """Write a table to ``path``, or to stdout when there is no path."""
     text = table.render(reproducible=reproducible)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    with _writing(path):
         Path(path).write_text(text)
 
 
-def _cmd_index_or_scan(args, want_scan: bool) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    if want_scan and config.scan is ScanAxis.NONE:
-        raise ConfigError("scan: 'scan' command needs a config with a scan axis")
-    if not want_scan and config.scan is not ScanAxis.NONE:
-        raise ConfigError("scan: 'index' command needs a config without a scan axis")
-    table = run(config)
-    _emit(table, config.output, args.reproducible)
+def _load(args) -> ExperimentConfig:
+    # --seed is the one override; a seed can only satisfy the seed rule, so
+    # the parsed config stays valid.
+    config = load_config(args.config)
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
+
+
+def _cmd_index(args) -> int:
+    config = _load(args)
+    _expect(config.scan is ScanAxis.NONE, "scan", "'index' command needs a config without a scan axis")
+    _emit(run(config), args.out or config.output, args.reproducible)
+    return 0
+
+
+def _cmd_scan(args) -> int:
+    config = _load(args)
+    _expect(config.scan is not ScanAxis.NONE, "scan", "'scan' command needs a config with a scan axis")
+    _emit(run(config), args.out or config.output, args.reproducible)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    table = bound_table(config)
     # The config's output path belongs to the index scan; certificates go to
     # stdout unless --out says otherwise.
-    _emit(table, args.out, args.reproducible)
+    _emit(bound_table(_load(args)), args.out, args.reproducible)
     return 0
 
 
 def _cmd_check(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    results = self_check(config)
-    ok = True
+    results = self_check(_load(args))
     for name, passed, detail in results:
         print(f"check {name}: {'ok' if passed else 'FAIL'} ({detail})")
-        ok = ok and passed
-    return 0 if ok else 3
+    return 0 if all(passed for _, passed, _ in results) else 3
 
 
 def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     if args.figure == "fig3":
         table_a, table_b = reproduce_fig3(args.seed)
         names = ("fig3_length_scan", "fig3_density")
@@ -819,30 +733,58 @@ def _cmd_reproduce(args) -> int:
                       log_x=True, log_y=True),
         )
     for table, name, svg in zip((table_a, table_b), names, plots):
-        table.write(out_dir / f"{name}.csv", reproducible=args.reproducible)
-        (out_dir / f"{name}.svg").write_text(svg)
+        _emit(table, out_dir / f"{name}.csv", args.reproducible)
+        with _writing(out_dir / f"{name}.svg"):
+            (out_dir / f"{name}.svg").write_text(svg)
         print(f"wrote {out_dir / name}.csv and .svg")
     return 0
 
 
+# Subcommands that read a config: name, handler, help.
+_CONFIG_COMMANDS = (
+    ("index", _cmd_index, "evaluate a single index report"),
+    ("scan", _cmd_scan, "run the config's parameter scan"),
+    ("bounds", _cmd_bounds, "emit bound certificates for the configured model"),
+    ("check", _cmd_check, "run structural self-tests on the configured model"),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="chiralchain",
+        description="Finite-size bulk/edge indices and locality certificates for chiral chains.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, help_text in _CONFIG_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", required=True, help="experiment config (JSON)")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out", default=None,
+                       help="output CSV path (default: config output or stdout)")
+        p.add_argument("--reproducible", action="store_true",
+                       help="suppress the timestamp comment for byte-stable output")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored; scan points run serially")
+
+    p_rep = sub.add_parser("reproduce", help="figure-reproduction pipelines")
+    p_rep.set_defaults(handler=_cmd_reproduce)
+    p_rep.add_argument("figure", choices=["fig3", "fig4"])
+    p_rep.add_argument("--seed", type=int, default=1)
+    p_rep.add_argument("--out", default=".", help="output directory")
+    p_rep.add_argument("--reproducible", action="store_true")
+    p_rep.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "index":
-            return _cmd_index_or_scan(args, want_scan=False)
-        if args.command == "scan":
-            return _cmd_index_or_scan(args, want_scan=True)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "reproduce":
-            return _cmd_reproduce(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .hamiltonian import ChiralHamiltonian, NumericalError
 
@@ -100,17 +99,22 @@ def eigh(H: ChiralHamiltonian | np.ndarray) -> ChiralSpectrum | SpectralData:
     M = _as_matrix(H)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NumericalError(f"expected a square matrix, got shape {M.shape}")
-    defect = float(np.abs(M - M.conj().T).max())
-    scale = max(1.0, float(np.abs(M).max()))
+    if isinstance(H, ChiralHamiltonian):
+        return _chiral_svd(M, H.geometry.sublattice_signs)
+    _check_hermitian(M, M)
+    # Halve before adding: M + M^dag overflows for entries above ~9e307.
+    w, V = np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
+    return SpectralData(w, V)
+
+
+def _check_hermitian(X: np.ndarray, Y: np.ndarray) -> None:
+    """Raise unless X = Y^dag within HERMITICITY_RTOL of the largest entry (and of 1)."""
+    defect = float(np.abs(X - Y.conj().T).max())
+    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
     if defect > HERMITICITY_RTOL * scale:
         raise NumericalError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
         )
-    if isinstance(H, ChiralHamiltonian):
-        return _chiral_svd(M, H.geometry.sublattice_signs)
-    # Halve before adding: M + M^dag overflows for entries above ~9e307.
-    w, V = np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
-    return SpectralData(w, V)
 
 
 def _chiral_svd(M: np.ndarray, signs: np.ndarray) -> ChiralSpectrum:
@@ -120,8 +124,12 @@ def _chiral_svd(M: np.ndarray, signs: np.ndarray) -> ChiralSpectrum:
     b = np.flatnonzero(signs < 0)
     if np.any(M[np.ix_(a, a)]) or np.any(M[np.ix_(b, b)]):
         raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
+    # With zero A-A and B-B blocks, H = H^dag exactly when T = (H_BA)^dag,
+    # and the largest entry of H is the largest entry of T or H_BA.
+    T = M[np.ix_(a, b)]
+    _check_hermitian(T, M[np.ix_(b, a)])
     try:
-        U, sigma, Wh = np.linalg.svd(M[np.ix_(a, b)], full_matrices=True)
+        U, sigma, Wh = np.linalg.svd(T, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the A->B block failed: {exc}") from exc
     return ChiralSpectrum(a, b, U, sigma, Wh.conj().T)
@@ -224,6 +232,8 @@ def tanh_oracle(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     tanh(2y) = 2 tanh(y) (1 + tanh(y)^2)^{-1}, each a solve with condition
     number at most 2.  Supported for ||H||_2 / delta <= 50.
     """
+    import scipy.linalg
+
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     M = _as_matrix(H)

@@ -178,7 +178,8 @@ def test_index_report_memory_stays_below_dense():
     import tracemalloc
 
     # The dense path peaks at ~122 MB here: the 2L x 2L eigenvectors, S and
-    # the commutator.  The chiral path keeps L x L factors.
+    # the commutator.  The chiral path keeps L x L factors, and its input
+    # checks also run on L x L blocks.
     L = 1000
     profile = apply_defect(apply_disorder(CouplingProfile.constant(L, 0.5, 1.0), 1, 0.1), 0.2)
     H = build_ssh(make_geometry(L), profile)
@@ -189,4 +190,4 @@ def test_index_report_memory_stays_below_dense():
     finally:
         tracemalloc.stop()
     assert report.correspondence_residual < 1e-10
-    assert peak < 80e6
+    assert peak < 48e6

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,141 @@ def test_decay_length_enters_config_hash(scan):
         configs.append(config)
     assert configs[0].config_hash() != configs[1].config_hash()
     assert "decay_length" not in configs[0].to_dict().get("delta", {})
+
+
+@pytest.mark.parametrize("mode", [{"mode": "theorem"}, {"mode": "manual", "value": 0.05}])
+def test_delta_scan_round_trip_keeps_mode(mode):
+    # A delta scan ignores the mode, but the config still records it.
+    config = parse_config(base_config(delta=mode, scan="delta", delta_values=[0.01, 0.1]))
+    assert parse_config(config.to_dict()) == config
+
+
+def test_output_path_is_not_part_of_config_hash():
+    raw = base_config()
+    config = parse_config(raw)
+    with_output = parse_config({**raw, "output": "scan.csv"})
+    assert with_output.output == "scan.csv"
+    assert with_output.config_hash() == config.config_hash()
+
+
+def test_main_scan_output_does_not_change_bytes(tmp_path, capsys):
+    cfg = write_config(tmp_path, disordered_config(
+        scan="length", geometry={"length": [10, 20], "convention": "cell"}
+    ))
+    outputs = []
+    for name in ("o1.csv", "o2.csv"):
+        assert main(["scan", "--config", str(cfg), "--reproducible",
+                     "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_text())
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg), "--reproducible"]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _add(section, **fields):
+    return lambda r: r[section].update(**fields)
+
+
+def _set(**fields):
+    return lambda r: r.update(**fields)
+
+
+# Every message parse_config raises, verbatim; each mutation of base_config()
+# breaks one rule (the last two break two, to pin which is reported first).
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_set(unknown_key=1), "config: unknown keys ['unknown_key']"),
+        (lambda r: r.pop("model"), "model: must be an object"),
+        (lambda r: r["model"].pop("t1"), "model.t1: is required"),
+        (_add("model", t1="x"), "model.t1: must be a number or a list of numbers"),
+        (_add("model", t2=[0.5, True]), "model.t2: must be a number or a list of numbers"),
+        (_add("model", t1=math.nan), "model.t1: contains non-finite entries"),
+        (_add("model", t1=[0.5, 10**400]), "model.t1: contains non-finite entries"),
+        (_add("model", disorder=1), "model.disorder: must be an object"),
+        (_add("model", disorder={}), "model.disorder.amplitude: is required"),
+        (_add("model", disorder={"amplitude": "big"}),
+         "model.disorder.amplitude: must be a finite number"),
+        (_add("model", disorder={"amplitude": -0.1}), "model.disorder.amplitude: must be >= 0"),
+        (_add("model", disorder={"amplitude": 0.1, "seed": 1.5}),
+         "model.disorder.seed: must be an integer"),
+        (_add("model", disorder={"amplitude": 0.1, "seed": True}),
+         "model.disorder.seed: must be an integer"),
+        (_add("model", defect=[]), "model.defect: must be an object"),
+        (_add("model", defect={}), "model.defect.height: is required"),
+        (_add("model", defect={"height": None}), "model.defect.height: must be a finite number"),
+        (_add("model", defect={"height": 0.2, "width": 0}), "model.defect.width: must be > 0"),
+        (_add("model", defect={"height": 0.2, "center_frac": True}),
+         "model.defect.center_frac: must be a finite number"),
+        (_add("model", boundary_potential={}),
+         "model.boundary_potential: must be a list of [cell, value] pairs"),
+        (_add("model", boundary_potential=[[0]]),
+         "model.boundary_potential[0]: must be a [cell, value] pair"),
+        (_add("model", boundary_potential=[[0, 1.0], [0.5, 1.0]]),
+         "model.boundary_potential[1]: cell must be an integer"),
+        (_add("model", boundary_potential=[[0, "x"]]),
+         "model.boundary_potential[0]: value must be a finite number"),
+        (lambda r: r.pop("geometry"), "geometry: must be an object"),
+        *[
+            (_set(geometry=geometry),
+             "geometry.length: must be an integer or a non-empty list of integers")
+            for geometry in ({"length": "20"}, {"length": []}, {"length": [10, True]}, {})
+        ],
+        (_set(geometry={"length": 20, "convention": "hex"}),
+         "geometry.convention: must be one of ['cell', 'sites'], got 'hex'"),
+        (_set(geometry={"length": 20, "convention": [1]}),
+         "geometry.convention: must be one of ['cell', 'sites'], got [1]"),
+        (_set(scan="sideways"),
+         "scan: must be one of ['length', 'delta', 'switch', 'none'], got 'sideways'"),
+        *[
+            (_set(switch=switch, scan="switch"),
+             "switch: must be 'middle', an integer, or a non-empty list of integers")
+            for switch in ("left", [], [1.5], None)
+        ],
+        (_set(delta_values=[], scan="delta"), "delta_values: must be a non-empty list of numbers"),
+        (_set(delta_values=[0.1, 0], scan="delta"),
+         "delta_values[1]: must be a finite positive number"),
+        (_set(delta="x"), "delta: must be an object"),
+        (_set(delta={"mode": "auto"}),
+         "delta.mode: must be one of ['theorem', 'empirical', 'manual'], got 'auto'"),
+        (_set(delta={"mode": "manual", "value": "x"}), "delta.value: must be a finite number"),
+        (_set(delta={"mode": "manual"}), "delta.value: must be > 0 for manual mode"),
+        (_set(delta={"mode": "manual", "value": -1}), "delta.value: must be > 0 for manual mode"),
+        (_set(delta={"decay_length": 0}), "delta.decay_length: must be > 0"),
+        (_set(delta={"decay_length": None}), "delta.decay_length: must be a finite number"),
+        (_set(seed=1.5), "config.seed: must be an integer"),
+        (_set(output=3), "output: must be a string path"),
+        (_set(geometry={"length": [10, 20]}),
+         "geometry.length: must be a list exactly when scan is 'length'"),
+        (_set(scan="length"), "geometry.length: must be a list exactly when scan is 'length'"),
+        (_set(switch=[5, 6]), "switch: must be a list exactly when scan is 'switch'"),
+        (_set(delta_values=[0.1]), "delta_values: must be present exactly when scan is 'delta'"),
+        (_add("model", disorder={"amplitude": 0.1}),
+         "seed: a seed is required when disorder amplitude is > 0"),
+        (_set(geometry={"length": 1}), "geometry.length: lengths must be >= 2, got 1"),
+        (_set(geometry={"length": [10, 1]}, scan="length"),
+         "geometry.length: lengths must be >= 2, got 1"),
+        (lambda r: r["model"].update(t2=[1.0] * 20) or r.update(
+            geometry={"length": [10, 20]}, scan="length"),
+         "model.t1: per-cell coupling lists cannot be combined with a length scan"),
+        (_set(scan="sideways", switch="left"),
+         "scan: must be one of ['length', 'delta', 'switch', 'none'], got 'sideways'"),
+        (_set(seed=1.5, output=3), "config.seed: must be an integer"),
+    ],
+)
+def test_config_error_messages(mutate, message):
+    raw = base_config()
+    mutate(raw)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert str(err.value) == message
+
+
+def test_config_must_be_an_object():
+    with pytest.raises(ConfigError) as err:
+        parse_config([])
+    assert str(err.value) == "config: must be a JSON object"
 
 
 @pytest.mark.parametrize(
@@ -226,7 +365,7 @@ def test_threads_flag_accepted_and_ignored(tmp_path):
         scan="length", geometry={"length": [10, 20, 30], "convention": "cell"}
     )
     cfg = write_config(tmp_path, raw)
-    out = tmp_path / "scan.csv"  # the output path is part of the config hash
+    out = tmp_path / "scan.csv"
     assert main(["scan", "--config", str(cfg), "--reproducible", "--out", str(out)]) == 0
     serial = out.read_bytes()
     assert main(["scan", "--config", str(cfg), "--reproducible", "--threads", "3",
@@ -541,6 +680,33 @@ def test_main_reproduce_fig4_with_zero_q_error(tmp_path):
     q_errors = [ln.rsplit(",", 1)[1] for ln in lines if not ln.startswith("#")][1:]
     assert "0.0" in q_errors
     assert (tmp_path / "fig4_delta_scan.svg").read_text().count("<circle") == len(q_errors) - 1
+
+
+def test_main_unwritable_output_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(
+        scan="length", geometry={"length": [10, 20], "convention": "cell"}
+    ))
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+    existing = tmp_path / "file"
+    existing.write_text("")
+    assert main(["reproduce", "fig3", "--out", str(existing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(existing) in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is only needed by the test oracle and the bulk gap, which import it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chiralchain.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_main_bad_usage_exit_code(capsys):
