@@ -22,7 +22,7 @@ import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, CouplingProfile, block_norms, build_ssh
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
-from .spectral import _ratio, _sech_sq, eigh, gap_filter, matrix_function, propagator
+from .spectral import ChiralSpectrum, _ratio, _sech_sq, chiral_blocks, eigh, gap_filter, propagator
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
 NOISE_FLOOR = 1e-14
@@ -222,6 +222,16 @@ def restriction_discrepancy(
     return float(np.linalg.norm(masked, 2))
 
 
+def _filter_blocks(spec: ChiralSpectrum, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The A-A and B-B blocks of 1 - S^2; its A-B blocks are zero."""
+    G_A, G_B, _, _ = chiral_blocks(spec, lambda e: _sech_sq(_ratio(e, delta)))
+    return G_A, G_B
+
+
+def _trace_norm(M: np.ndarray) -> float:
+    return float(np.linalg.svd(M, compute_uv=False).sum())
+
+
 def anticommutator_trace_norms(
     H: ChiralHamiltonian, delta: float, switch: SwitchFunction
 ) -> tuple[float, float]:
@@ -229,23 +239,35 @@ def anticommutator_trace_norms(
 
     Both are exponentially small in the chain size and in the gap-to-delta
     ratio; they control the deviation of the indices from an integer.
-    Computed exactly from singular values.
+    Computed exactly from singular values of L x L blocks.  In sublattice
+    order 1 - S^2 = diag(G_A, G_B) and S = [[0, X], [X^dag, 0]], so with
+    P = (1/2) {theta_A, G_A} and Q = (1/2) {theta_B, G_B},
+    {A, S} = [[0, Y], [Y^dag, 0]] for Y = P X - X Q, whose trace norm is
+    2 ||Y||_1, and ||[1-S^2, theta]||_1 = ||[G_A, theta_A]||_1 + ||[G_B, theta_B]||_1.
     """
     geom = H.geometry
     check_switch_compatible(geom, switch)
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     spec = eigh(H)
-    S = matrix_function(spec, lambda e: np.tanh(_ratio(e, delta)))
-    G = matrix_function(spec, lambda e: _sech_sq(_ratio(e, delta)))
-    signs = geom.sublattice_signs
+    G_A, G_B = _filter_blocks(spec, delta)
+    X = chiral_blocks(spec, lambda e: np.tanh(_ratio(e, delta)))[2]
     theta = switch.basis_values()
-    A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
-    anti = A @ S + S @ A
-    comm = G * theta[None, :] - theta[:, None] * G
-    norm_anti = float(np.linalg.svd(anti, compute_uv=False).sum())
-    norm_comm = float(np.linalg.svd(comm, compute_uv=False).sum())
+    theta_a, theta_b = theta[spec.a], theta[spec.b]
+    P = 0.5 * (theta_a[:, None] * G_A + G_A * theta_a[None, :])
+    Q = 0.5 * (theta_b[:, None] * G_B + G_B * theta_b[None, :])
+    norm_anti = 2.0 * _trace_norm(P @ X - X @ Q)
+    norm_comm = sum(
+        _trace_norm(G * t[None, :] - t[:, None] * G) for G, t in ((G_A, theta_a), (G_B, theta_b))
+    )
     return norm_anti, norm_comm
+
+
+def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
+    """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    return min(float(np.linalg.eigvalsh(G).min()) for G in _filter_blocks(eigh(H), delta))
 
 
 def entrywise_trace_bound(M: np.ndarray) -> float:

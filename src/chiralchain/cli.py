@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -32,6 +33,7 @@ from .bounds import (
     anticommutator_trace_norms,
     correlation_length,
     edge_filter_decay_check,
+    gap_filter_min_eigenvalue,
     lieb_robinson_check,
 )
 from .hamiltonian import (
@@ -55,7 +57,7 @@ from .indices import (
     resolve_delta,
 )
 from .lattice import Convention, SwitchError, make_geometry, switch_function
-from .spectral import NumericalError, gap_filter
+from .spectral import NumericalError
 from .svgplot import PlotKind, emit_plot
 
 DENSITY_CSV_HEADER = ["cell", "value", "kind"]
@@ -307,6 +309,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         value = _number(d, "value", "delta")
         if mode is DeltaMode.MANUAL:
             _expect(value is not None and value > 0, "delta.value", "must be > 0 for manual mode")
+        else:
+            # Only manual mode reads (and to_dict writes) a value.
+            value = None
         decay_length = _number(d, "decay_length", "delta", default=1.0)
         _expect(decay_length > 0, "delta.decay_length", "must be > 0")
         delta = DeltaPolicy(mode, value=value, decay_length=decay_length)
@@ -328,8 +333,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 "a seed is required when disorder amplitude is > 0")
     for v in length if length_is_list else (length,):
         _expect(v >= 2, "geometry.length", f"lengths must be >= 2, got {v}")
-    if isinstance(t1, tuple) or isinstance(t2, tuple):
-        _expect(not length_is_list, "model.t1",
+    for path, coupling in (("model.t1", t1), ("model.t2", t2)):
+        _expect(not (length_is_list and isinstance(coupling, tuple)), path,
                 "per-cell coupling lists cannot be combined with a length scan")
 
     return ExperimentConfig(
@@ -481,11 +486,20 @@ def _evaluate_point(
 
 
 def run(config: ExperimentConfig) -> ResultTable:
-    """Evaluate every scan point into one CSV row, in scan-axis order."""
+    """Evaluate every scan point into one CSV row, in scan-axis order.
+
+    Only a length scan changes the model between points.  Every other scan
+    builds the profile and H once, so its points share one spectrum.  A
+    length scan builds each point's H as a temporary, so at most one point's
+    H (and spectrum) is alive at a time.
+    """
     seed = config.seed
     table = ResultTable(list(INDEX_CSV_HEADER), provenance=_provenance(config, seed))
+    shared = None if config.scan is ScanAxis.LENGTH else _point_model(config, {}, seed)
     for point in _scan_points(config):
-        report = _evaluate_point(config, point, *_point_model(config, point, seed))
+        report = _evaluate_point(
+            config, point, *(shared if shared is not None else _point_model(config, point, seed))
+        )
         # The finite-size correspondence is exact algebra; a visible residual
         # means the numerics are broken and the row must not be emitted.
         if report.correspondence_residual >= 1e-10:
@@ -594,10 +608,14 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
         switch = switch_function(geom, point.get("switch", config.switch))
     except SwitchError as exc:
         raise ConfigError(f"switch: {exc}") from exc
-    delta = resolve_delta(_delta_policy_for(config, point, profile, H), length)
+    policy = _delta_policy_for(config, point, profile, H)
+    delta = resolve_delta(policy, length)
 
     d = config.delta.decay_length
-    coupling_norm = short_range_constant(H, d)
+    # The theorem policy measured K at this decay length already.
+    coupling_norm = policy.coupling_norm
+    if coupling_norm is None:
+        coupling_norm = short_range_constant(H, d)
     half_gap = bulk_gap(profile)
     corr_len = correlation_length(delta, d, coupling_norm)
 
@@ -648,8 +666,7 @@ def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
         report.correspondence_residual < 1e-10,
         f"|edge - bulk - imbalance| = {report.correspondence_residual:.3e}",
     ))
-    G = gap_filter(H, report.delta)
-    min_eig = float(np.linalg.eigvalsh(G).min())
+    min_eig = gap_filter_min_eigenvalue(H, report.delta)
     results.append(("gap_filter_psd", min_eig >= -1e-12, f"min eigenvalue = {min_eig:.3e}"))
     return results
 
@@ -666,6 +683,25 @@ def _writing(path: str | Path):
         yield
     except OSError as exc:
         raise ConfigError(f"output: cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str | Path | None) -> None:
+    """Fail before any work when ``path`` cannot be written; creates nothing.
+
+    ``_writing`` still reports a failure of the write itself.
+    """
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        reason = "is a directory"
+    elif not target.parent.is_dir():
+        reason = f"{target.parent} is not a directory"
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"output: cannot write {path}: {reason}")
 
 
 def _emit(table: ResultTable, path: str | Path | None, reproducible: bool) -> None:
@@ -688,21 +724,27 @@ def _load(args) -> ExperimentConfig:
 def _cmd_index(args) -> int:
     config = _load(args)
     _expect(config.scan is ScanAxis.NONE, "scan", "'index' command needs a config without a scan axis")
-    _emit(run(config), args.out or config.output, args.reproducible)
+    out = args.out or config.output
+    _check_writable(out)
+    _emit(run(config), out, args.reproducible)
     return 0
 
 
 def _cmd_scan(args) -> int:
     config = _load(args)
     _expect(config.scan is not ScanAxis.NONE, "scan", "'scan' command needs a config with a scan axis")
-    _emit(run(config), args.out or config.output, args.reproducible)
+    out = args.out or config.output
+    _check_writable(out)
+    _emit(run(config), out, args.reproducible)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     # The config's output path belongs to the index scan; certificates go to
     # stdout unless --out says otherwise.
-    _emit(bound_table(_load(args)), args.out, args.reproducible)
+    config = _load(args)
+    _check_writable(args.out)
+    _emit(bound_table(config), args.out, args.reproducible)
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,10 +138,16 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class ChiralHamiltonian:
-    """Dense Hermitian matrix with structurally exact chiral symmetry."""
+    """Dense Hermitian matrix with structurally exact chiral symmetry.
+
+    The matrix is made read-only and must not change afterwards: the first
+    ``spectral.eigh(H)`` stores the spectrum in ``_spectrum``, so it lives
+    and dies with H.  ``dataclasses.replace`` starts with no spectrum.
+    """
 
     matrix: np.ndarray
     geometry: ChainGeometry
+    _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)

@@ -5,9 +5,13 @@ one Hermitian matrix: the flattened sign S = tanh(H / delta), the gap filter
 1 - S^2, and the propagator exp(i t H).  In sublattice order a chiral
 Hamiltonian is H = [[0, T], [T^dag, 0]], so the production path is one SVD
 of the A->B block T = U Sigma W^dag: the spectrum is +-sigma, and every
-function of H is assembled from L x L blocks.  The dense eigendecomposition
-of a plain array and ``tanh_oracle``, an eigendecomposition-free route to S,
-are cross-checks.
+function of H is assembled from L x L blocks.  Each ``ChiralHamiltonian``
+is diagonalized once: ``eigh`` keeps its spectrum on H, and every later
+function of that H reuses it.  Callers that need only part of a function of
+H (the trace norms of the bound certificates, the gap filter's smallest
+eigenvalue) read its L x L blocks from ``chiral_blocks`` instead of the
+assembled 2L x 2L matrix.  The dense eigendecomposition of a plain array and
+``tanh_oracle``, an eigendecomposition-free route to S, are cross-checks.
 """
 
 from __future__ import annotations
@@ -59,6 +63,11 @@ class ChiralSpectrum:
     sigma: np.ndarray
     W: np.ndarray
 
+    def __post_init__(self):
+        # One spectrum serves every caller of its Hamiltonian, so none may edit it.
+        for name in ("a", "b", "U", "sigma", "W"):
+            getattr(self, name).setflags(write=False)
+
     @property
     def dim(self) -> int:
         return int(self.a.size + self.b.size)
@@ -93,18 +102,28 @@ def eigh(H: ChiralHamiltonian | np.ndarray) -> ChiralSpectrum | SpectralData:
 
     The input must be Hermitian within 1e-12 relative.  A ``ChiralHamiltonian``
     gets a ``ChiralSpectrum`` from one SVD of its A->B block; its A-A and B-B
-    blocks must be exactly zero.  A plain array gets the dense
-    eigendecomposition of its symmetrized form.
+    blocks must be exactly zero.  The first call checks and solves, and the
+    spectrum is kept on H: later calls with the same H return it as is.  A
+    plain array gets the dense eigendecomposition of its symmetrized form,
+    on every call.
     """
-    M = _as_matrix(H)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NumericalError(f"expected a square matrix, got shape {M.shape}")
     if isinstance(H, ChiralHamiltonian):
-        return _chiral_svd(M, H.geometry.sublattice_signs)
+        if H._spectrum is None:
+            _check_square(H.matrix)
+            # H is frozen; its spectrum is derived data, set once.
+            object.__setattr__(H, "_spectrum", _chiral_svd(H.matrix, H.geometry.sublattice_signs))
+        return H._spectrum
+    M = np.asarray(H)
+    _check_square(M)
     _check_hermitian(M, M)
     # Halve before adding: M + M^dag overflows for entries above ~9e307.
     w, V = np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
     return SpectralData(w, V)
+
+
+def _check_square(M: np.ndarray) -> None:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {M.shape}")
 
 
 def _check_hermitian(X: np.ndarray, Y: np.ndarray) -> None:
@@ -155,21 +174,18 @@ def _sandwich(X: np.ndarray, d: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X * d) @ Y.conj().T
 
 
-def matrix_function(
-    spec: ChiralSpectrum | SpectralData, f: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """f(H) in the original basis; Hermitian (symmetrized) when f is real on the spectrum.
+def chiral_blocks(
+    spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sublattice blocks (f(H)_AA, f(H)_BB, f(H)_AB, f(H)_BA) of f(H).
 
-    On a ``ChiralSpectrum``, with f_e/o = (f(sigma) +- f(-sigma)) / 2 and
-    f(0) on the zero-mode columns: f(H)_AA = U f_e U^dag,
-    f(H)_BB = W f_e W^dag, f(H)_AB = U f_o W^dag and f(H)_BA = W f_o U^dag.
+    With f_e/o = (f(sigma) +- f(-sigma)) / 2 and f(0) on the zero-mode
+    columns: f(H)_AA = U f_e U^dag, f(H)_BB = W f_e W^dag,
+    f(H)_AB = U f_o W^dag and f(H)_BA = W f_o U^dag.  An even f (such as
+    sech^2) has zero A-B blocks and an odd f (such as tanh) zero A-A and B-B
+    blocks; those come back as zero matrices without a product.  The
+    diagonal blocks are symmetrized when f is real on the spectrum.
     """
-    if isinstance(spec, SpectralData):
-        values = _checked_values(f, spec.eigenvalues)
-        V = spec.eigenvectors
-        out = (V * values) @ V.conj().T
-        return out if np.iscomplexobj(values) else _hermitian_part(out)
-
     U, W, k = spec.U, spec.W, spec.sigma.size
     s = spec.column_sigma(max(U.shape[1], W.shape[1]))
     values = _checked_values(f, np.concatenate([s, -s]))
@@ -180,9 +196,24 @@ def matrix_function(
     BB = _sandwich(W, even[: W.shape[1]], W)
     AB = _sandwich(U[:, :k], odd, W[:, :k])
     if not np.iscomplexobj(values):
-        AA, BB, BA = _hermitian_part(AA), _hermitian_part(BB), AB.conj().T
-    else:
-        BA = _sandwich(W[:, :k], odd, U[:, :k])
+        return _hermitian_part(AA), _hermitian_part(BB), AB, AB.conj().T
+    return AA, BB, AB, _sandwich(W[:, :k], odd, U[:, :k])
+
+
+def matrix_function(
+    spec: ChiralSpectrum | SpectralData, f: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """f(H) in the original basis; Hermitian (symmetrized) when f is real on the spectrum.
+
+    A ``ChiralSpectrum`` places the four blocks of ``chiral_blocks``.
+    """
+    if isinstance(spec, SpectralData):
+        values = _checked_values(f, spec.eigenvalues)
+        V = spec.eigenvectors
+        out = (V * values) @ V.conj().T
+        return out if np.iscomplexobj(values) else _hermitian_part(out)
+
+    AA, BB, AB, BA = chiral_blocks(spec, f)
     a, b = spec.a, spec.b
     out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(AA, BB, AB, BA))
     out[np.ix_(a, a)] = AA

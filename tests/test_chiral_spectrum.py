@@ -6,13 +6,16 @@ diagonals below are the formulas the package used before the chiral path,
 kept as the reference.
 """
 
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralchain.bounds import anticommutator_trace_norms, gap_filter_min_eigenvalue
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
     CouplingProfile,
@@ -191,3 +194,45 @@ def test_index_report_memory_stays_below_dense():
         tracemalloc.stop()
     assert report.correspondence_residual < 1e-10
     assert peak < 48e6
+
+
+def test_spectrum_lives_and_dies_with_its_hamiltonian():
+    H = build_ssh(make_geometry(8), CouplingProfile.constant(8, 0.5, 1.0))
+    spec = eigh(H)
+    assert eigh(H) is spec
+    with pytest.raises(ValueError):
+        spec.U[0, 0] = 0.0
+    scaled = dataclasses.replace(H, matrix=2.0 * H.matrix)
+    assert eigh(scaled) is not spec
+    assert np.allclose(eigh(scaled).sigma, 2.0 * spec.sigma, rtol=1e-14, atol=0.0)
+    ref = weakref.ref(spec)
+    del spec
+    assert ref() is not None
+    del H
+    assert ref() is None
+
+
+def dense_trace_norms(H, delta, switch):
+    """The trace norms as first written: SVDs of 2L x 2L matrices assembled from the spectrum."""
+    spec = eigh(H)
+    S = matrix_function(spec, lambda e: np.tanh(e / delta))
+    G = matrix_function(spec, lambda e: _sech_sq(e / delta))
+    signs = H.geometry.sublattice_signs
+    theta = switch.basis_values()
+    A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
+    anti = A @ S + S @ A
+    comm = G * theta[None, :] - theta[:, None] * G
+    return tuple(float(np.linalg.svd(M, compute_uv=False).sum()) for M in (anti, comm))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), H=_cell_chains() | _site_chains(), log_delta=st.floats(-3.0, 1.0))
+def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
+    delta = 10.0**log_delta
+    switch = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1)))
+    n = H.dim
+    for got, want in zip(anticommutator_trace_norms(H, delta, switch),
+                         dense_trace_norms(H, delta, switch)):
+        assert abs(got - want) <= 1e-13 * n * max(1.0, want)
+    min_eig = float(np.linalg.eigvalsh(matrix_function(eigh(H), lambda e: _sech_sq(e / delta))).min())
+    assert abs(gap_filter_min_eigenvalue(H, delta) - min_eig) <= 1e-14 * n

@@ -68,6 +68,15 @@ def test_config_round_trip_idempotent():
     assert again.config_hash() == config.config_hash()
 
 
+@pytest.mark.parametrize("mode", ["empirical", "theorem"])
+def test_parse_drops_delta_value_outside_manual_mode(mode):
+    # Only manual mode reads a value, and to_dict never writes one elsewhere.
+    config = parse_config(base_config(delta={"mode": mode, "value": 0.3}))
+    assert config.delta.value is None
+    assert parse_config(config.to_dict()) == config
+    assert config.config_hash() == parse_config(base_config(delta={"mode": mode})).config_hash()
+
+
 @pytest.mark.parametrize(
     "raw,expected",
     [
@@ -228,6 +237,9 @@ def _set(**fields):
         (_set(geometry={"length": [10, 1]}, scan="length"),
          "geometry.length: lengths must be >= 2, got 1"),
         (lambda r: r["model"].update(t2=[1.0] * 20) or r.update(
+            geometry={"length": [10, 20]}, scan="length"),
+         "model.t2: per-cell coupling lists cannot be combined with a length scan"),
+        (lambda r: r["model"].update(t1=[0.5] * 20, t2=[1.0] * 20) or r.update(
             geometry={"length": [10, 20]}, scan="length"),
          "model.t1: per-cell coupling lists cannot be combined with a length scan"),
         (_set(scan="sideways", switch="left"),
@@ -695,6 +707,112 @@ def test_main_unwritable_output_is_config_error(tmp_path, capsys):
     assert main(["reproduce", "fig3", "--out", str(existing)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(existing) in err
+
+
+@pytest.mark.parametrize("where", ["--out", "config"])
+def test_unwritable_output_fails_before_any_scan_point(tmp_path, capsys, monkeypatch, where):
+    import chiralchain.cli as cli_module
+
+    def not_called(config):
+        raise AssertionError("run must not start when the output cannot be written")
+
+    monkeypatch.setattr(cli_module, "run", not_called)
+    missing = tmp_path / "missing" / "x.csv"
+    raw = base_config(scan="length", geometry={"length": [10, 20], "convention": "cell"})
+    argv = ["scan", "--config"]
+    if where == "config":
+        raw["output"] = str(missing)
+        argv.append(str(write_config(tmp_path, raw)))
+    else:
+        argv += [str(write_config(tmp_path, raw)), "--out", str(missing)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: output: cannot write {missing}: ")
+    assert not missing.parent.exists()
+
+
+def test_unwritable_bounds_output_fails_before_certificates(tmp_path, capsys, monkeypatch):
+    import chiralchain.cli as cli_module
+
+    def not_called(config):
+        raise AssertionError("bound_table must not start when the output cannot be written")
+
+    monkeypatch.setattr(cli_module, "bound_table", not_called)
+    cfg = write_config(tmp_path, base_config())
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output: cannot write {tmp_path}: is a directory")
+
+
+def _count_svds(monkeypatch) -> list:
+    """Count the SVDs of A->B blocks, the one solve of the chiral path."""
+    from chiralchain import spectral
+
+    calls = []
+    solve = spectral._chiral_svd
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(spectral, "_chiral_svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["bounds", "check"])
+def test_certify_commands_diagonalize_once(tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(tmp_path, disordered_config(
+        geometry={"length": 40, "convention": "cell"}, delta={"mode": "theorem"}))
+    svds = _count_svds(monkeypatch)
+    assert main([command, "--config", str(cfg), "--reproducible"]) == 0
+    assert len(svds) == 1
+
+
+def test_figures_diagonalize_each_model_once(monkeypatch):
+    # fig4's switch and delta scans share one model each; fig3 solves each
+    # of its 10 lengths once, plus the density table's L = 30 chain.
+    import chiralchain.cli as cli_module
+
+    svds = _count_svds(monkeypatch)
+    per_run = []
+    run_tables = cli_module.run
+
+    def counted_run(config):
+        before = len(svds)
+        table = run_tables(config)
+        per_run.append(len(svds) - before)
+        return table
+
+    monkeypatch.setattr(cli_module, "run", counted_run)
+    reproduce_fig4(1)
+    assert per_run == [1, 1]
+    svds.clear()
+    reproduce_fig3(1)
+    assert len(svds) == 11
+
+
+def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
+    # Importing scipy.linalg costs about 23 MB of resident memory; only the
+    # theorem delta (bulk_gap) and the test oracle need scipy.
+    cfg = write_config(tmp_path, disordered_config(
+        scan="length", geometry={"length": [10, 20], "convention": "cell"}))
+    commands = [
+        ["reproduce", "fig3", "--out", str(tmp_path), "--reproducible"],
+        ["reproduce", "fig4", "--out", str(tmp_path), "--reproducible"],
+        ["scan", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from chiralchain.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False]
 
 
 def test_cli_import_leaves_scipy_unloaded():
