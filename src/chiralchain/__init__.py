@@ -64,7 +64,6 @@ from .bounds import (
     correlation_length,
     decay_profile,
     edge_filter_decay_check,
-    entrywise_trace_bound,
     lieb_robinson_check,
     restriction_discrepancy,
 )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, CouplingProfile, block_norms, build_ssh
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
-from .spectral import ChiralSpectrum, _ratio, _sech_sq, chiral_blocks, eigh, gap_filter, propagator
+from .spectral import ChiralSpectrum, _as_delta, _ratio, _sech_sq, chiral_blocks, eigh, gap_filter, propagator
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
 NOISE_FLOOR = 1e-14
@@ -70,8 +70,7 @@ def correlation_length(delta: float, decay_length: float, coupling_norm: float) 
     The length governing the off-diagonal decay of tanh(H / delta) for a
     Hamiltonian with short-range constant ``coupling_norm`` at ``decay_length``.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    delta = _as_delta(delta)
     return decay_length * max(1.0, 4.0 * coupling_norm / (math.pi * delta))
 
 
@@ -205,8 +204,7 @@ def restriction_discrepancy(
     start, stop = cells
     if not 0 <= start < stop <= length:
         raise ValueError(f"cell range {cells} outside [0, {length})")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    delta = _as_delta(delta)
 
     geom = make_geometry(length, Convention.CELL_C2)
     H_open = build_ssh(geom, profile)
@@ -247,8 +245,7 @@ def anticommutator_trace_norms(
     """
     geom = H.geometry
     check_switch_compatible(geom, switch)
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    delta = _as_delta(delta)
     spec = eigh(H)
     G_A, G_B = _filter_blocks(spec, delta)
     X = chiral_blocks(spec, lambda e: np.tanh(_ratio(e, delta)))[2]
@@ -265,11 +262,6 @@ def anticommutator_trace_norms(
 
 def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
     """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    delta = _as_delta(delta)
     return min(float(np.linalg.eigvalsh(G).min()) for G in _filter_blocks(eigh(H), delta))
 
-
-def entrywise_trace_bound(M: np.ndarray) -> float:
-    """sum |M_{ij}|, the elementary upper bound on the trace norm."""
-    return float(np.abs(np.asarray(M)).sum())

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BOUND_CSV_HEADER,
-    BoundCertificate,
     anticommutator_trace_norms,
     correlation_length,
     edge_filter_decay_check,
@@ -51,12 +50,11 @@ from .indices import (
     DeltaMode,
     DeltaPolicy,
     IndexKind,
-    IndexReport,
     index_density,
     index_report,
     resolve_delta,
 )
-from .lattice import Convention, SwitchError, make_geometry, switch_function
+from .lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
 from .spectral import NumericalError
 from .svgplot import PlotKind, emit_plot
 
@@ -440,28 +438,45 @@ def _as_cells(value, length: int, path: str) -> np.ndarray:
     return np.full(length, float(value))
 
 
-def _point_model(
-    config: ExperimentConfig, point: dict, seed: int | None
-) -> tuple[CouplingProfile, ChiralHamiltonian]:
-    """Coupling profile and open-chain Hamiltonian of one scan point."""
-    geom = make_geometry(point.get("length", config.length), config.convention)
-    profile = build_profile(config.model, geom.cells, seed)
-    return profile, build_ssh(geom, profile)
+def _model(
+    config: ExperimentConfig, length: int
+) -> tuple[CouplingProfile, ChiralHamiltonian, DeltaPolicy]:
+    """Profile, open-chain H and delta policy of one model.
 
-
-def _delta_policy_for(
-    config: ExperimentConfig, point: dict, profile: CouplingProfile, H: ChiralHamiltonian
-) -> DeltaPolicy:
-    if "delta" in point:
-        return DeltaPolicy.manual(point["delta"])
+    The theorem policy's bulk gap and short-range constant depend on the
+    model alone, so they are measured here, once per model.  A delta scan
+    skips them: its points use a manual delta.
+    """
+    geom = make_geometry(length, config.convention)
+    profile = build_profile(config.model, geom.cells, config.seed)
+    H = build_ssh(geom, profile)
     policy = config.delta
-    if policy.mode is not DeltaMode.THEOREM:
-        return policy
-    return dataclasses.replace(
-        policy,
-        half_gap=bulk_gap(profile),
-        coupling_norm=short_range_constant(H, policy.decay_length),
-    )
+    if policy.mode is DeltaMode.THEOREM and config.scan is not ScanAxis.DELTA:
+        policy = dataclasses.replace(
+            policy,
+            half_gap=bulk_gap(profile),
+            coupling_norm=short_range_constant(H, policy.decay_length),
+        )
+    return profile, H, policy
+
+
+def _point(
+    config: ExperimentConfig, point: dict, model: tuple | None = None
+) -> tuple[tuple, SwitchFunction, float]:
+    """Model, switch function and delta of one scan point.
+
+    The model is built at the point's length unless a shared one is given.
+    """
+    if model is None:
+        model = _model(config, point.get("length", config.length))
+    _, H, policy = model
+    try:
+        switch = switch_function(H.geometry, point.get("switch", config.switch))
+    except SwitchError as exc:
+        raise ConfigError(f"switch: {exc}") from exc
+    if "delta" in point:
+        policy = DeltaPolicy.manual(point["delta"])
+    return model, switch, resolve_delta(policy, H.geometry.length)
 
 
 def _scan_points(config: ExperimentConfig) -> list[dict]:
@@ -475,31 +490,22 @@ def _scan_points(config: ExperimentConfig) -> list[dict]:
     return [{}]
 
 
-def _evaluate_point(
-    config: ExperimentConfig, point: dict, profile: CouplingProfile, H: ChiralHamiltonian
-) -> IndexReport:
-    policy = _delta_policy_for(config, point, profile, H)
-    try:
-        return index_report(H, policy, point.get("switch", config.switch))
-    except SwitchError as exc:
-        raise ConfigError(f"switch: {exc}") from exc
-
-
 def run(config: ExperimentConfig) -> ResultTable:
     """Evaluate every scan point into one CSV row, in scan-axis order.
 
     Only a length scan changes the model between points.  Every other scan
-    builds the profile and H once, so its points share one spectrum.  A
-    length scan builds each point's H as a temporary, so at most one point's
-    H (and spectrum) is alive at a time.
+    builds the model once, so its points share one spectrum and one set of
+    theorem constants.  A length scan drops each point's model before it
+    builds the next, so at most one point's H (and spectrum) is alive at a
+    time.
     """
     seed = config.seed
     table = ResultTable(list(INDEX_CSV_HEADER), provenance=_provenance(config, seed))
-    shared = None if config.scan is ScanAxis.LENGTH else _point_model(config, {}, seed)
+    shared = None if config.scan is ScanAxis.LENGTH else _model(config, config.length)
     for point in _scan_points(config):
-        report = _evaluate_point(
-            config, point, *(shared if shared is not None else _point_model(config, point, seed))
-        )
+        (_, H, _), switch, delta = _point(config, point, shared)
+        report = index_report(H, delta, switch.transition)
+        del H  # before a length scan builds the next point's
         # The finite-size correspondence is exact algebra; a visible residual
         # means the numerics are broken and the row must not be emitted.
         if report.correspondence_residual >= 1e-10:
@@ -531,10 +537,9 @@ def disordered_defect_model(seed: int) -> ModelConfig:
 
 
 def _density_table(config: ExperimentConfig, delta: float) -> ResultTable:
-    _, H = _point_model(config, {}, config.seed)
-    switch = switch_function(H.geometry, "middle")
+    (_, H, _), switch, delta = _point(config, {"delta": delta})
     table = ResultTable(list(DENSITY_CSV_HEADER), provenance=_provenance(config, config.seed))
-    table.provenance["delta"] = repr(float(delta))
+    table.provenance["delta"] = repr(delta)
     for kind in (IndexKind.EDGE, IndexKind.BULK):
         density = index_density(H, delta, switch, kind)
         for cell, value in enumerate(density):
@@ -599,18 +604,8 @@ def reproduce_fig4(seed: int = 1) -> tuple[ResultTable, ResultTable]:
 
 def bound_table(config: ExperimentConfig) -> ResultTable:
     """Certificates for one scan point: propagator bound, filter decay, trace norms."""
-    seed = config.seed
-    point = _scan_points(config)[0]
-    profile, H = _point_model(config, point, seed)
-    geom = H.geometry
-    length = geom.length
-    try:
-        switch = switch_function(geom, point.get("switch", config.switch))
-    except SwitchError as exc:
-        raise ConfigError(f"switch: {exc}") from exc
-    policy = _delta_policy_for(config, point, profile, H)
-    delta = resolve_delta(policy, length)
-
+    (profile, H, policy), switch, delta = _point(config, _scan_points(config)[0])
+    length = H.geometry.length
     d = config.delta.decay_length
     # The theorem policy measured K at this decay length already.
     coupling_norm = policy.coupling_norm
@@ -619,13 +614,10 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
     half_gap = bulk_gap(profile)
     corr_len = correlation_length(delta, d, coupling_norm)
 
-    table = ResultTable(list(BOUND_CSV_HEADER), provenance=_provenance(config, seed))
+    table = ResultTable(list(BOUND_CSV_HEADER), provenance=_provenance(config, config.seed))
     for t in BOUNDS_TIMES:
         cert = lieb_robinson_check(H, t, d, coupling_norm)
-        cert = BoundCertificate(
-            f"lieb_robinson_t{t:g}", cert.lhs, cert.rhs, cert.margin, cert.passed,
-            noise_floor=cert.noise_floor,
-        )
+        cert = dataclasses.replace(cert, bound_name=f"lieb_robinson_t{t:g}")
         table.rows.append(cert.csv_row(length, delta))
     table.rows.append(
         edge_filter_decay_check(H, delta, half_gap, corr_len).csv_row(length, delta)
@@ -651,8 +643,7 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
 
 def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """Structural checks on the configured model at its first scan point."""
-    point = _scan_points(config)[0]
-    profile, H = _point_model(config, point, config.seed)
+    (_, H, _), switch, delta = _point(config, _scan_points(config)[0])
 
     results = []
     herm = float(np.abs(H.matrix - H.matrix.conj().T).max())
@@ -660,13 +651,13 @@ def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     chir = verify_chiral(H)
     results.append(("chirality", chir == 0.0, f"max |HC + CH| = {chir:.3e}"))
 
-    report = _evaluate_point(config, point, profile, H)
+    report = index_report(H, delta, switch.transition)
     results.append((
         "bulk_edge_identity",
         report.correspondence_residual < 1e-10,
         f"|edge - bulk - imbalance| = {report.correspondence_residual:.3e}",
     ))
-    min_eig = gap_filter_min_eigenvalue(H, report.delta)
+    min_eig = gap_filter_min_eigenvalue(H, delta)
     results.append(("gap_filter_psd", min_eig >= -1e-12, f"min eigenvalue = {min_eig:.3e}"))
     return results
 
@@ -763,16 +754,15 @@ def _cmd_reproduce(args) -> int:
         table_a, table_b = reproduce_fig3(args.seed)
         names = ("fig3_length_scan", "fig3_density")
         plots = (
-            emit_plot(table_a, PlotKind.LINE, y_column="q_error", log_y=True),
-            emit_plot(table_b, PlotKind.PER_SITE),
+            emit_plot(table_a, PlotKind.LINE, "L", "q_error", log_y=True),
+            emit_plot(table_b, PlotKind.PER_SITE, "cell", "value"),
         )
     else:
         table_a, table_b = reproduce_fig4(args.seed)
         names = ("fig4_switch_scan", "fig4_delta_scan")
         plots = (
-            emit_plot(table_a, PlotKind.LINE, x_column="ell", y_column="I_edge"),
-            emit_plot(table_b, PlotKind.LINE, x_column="delta", y_column="q_error",
-                      log_x=True, log_y=True),
+            emit_plot(table_a, PlotKind.LINE, "ell", "I_edge"),
+            emit_plot(table_b, PlotKind.LINE, "delta", "q_error", log_x=True, log_y=True),
         )
     for table, name, svg in zip((table_a, table_b), names, plots):
         _emit(table, out_dir / f"{name}.csv", args.reproducible)

@@ -33,7 +33,7 @@ from .lattice import (
     make_geometry,
     switch_function,
 )
-from .spectral import _ratio, _sech_sq, eigh
+from .spectral import _as_delta, _ratio, _sech_sq, eigh
 
 INDEX_CSV_HEADER = [
     "L", "seed", "delta", "ell",
@@ -148,8 +148,7 @@ def _index_diagonals(
     (S [theta, S])_ii = sum_j |X_ij|^2 (theta_j - theta_i) over the other
     sublattice: only pairs that straddle the switch contribute.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    delta = _as_delta(delta)
     geom = H.geometry
     check_switch_compatible(geom, switch)
     theta = switch.basis_values()
@@ -195,9 +194,7 @@ def index_report(
     if isinstance(delta_policy, DeltaPolicy):
         delta = resolve_delta(delta_policy, geom.length)
     else:
-        delta = float(delta_policy)
-        if delta <= 0:
-            raise ValueError(f"delta must be > 0, got {delta}")
+        delta = _as_delta(delta_policy)
     switch = switch_function(geom, transition)
     edge_diag, bulk_diag = _index_diagonals(H, delta, switch)
     edge = float(edge_diag.sum())

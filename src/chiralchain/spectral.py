@@ -91,9 +91,10 @@ def _as_matrix(H: ChiralHamiltonian | np.ndarray) -> np.ndarray:
 
 
 def _as_delta(delta: float) -> float:
+    """``delta`` as a float; every smoothing scale must be finite and > 0."""
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     return delta
 
 
@@ -265,8 +266,7 @@ def tanh_oracle(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """
     import scipy.linalg
 
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    delta = _as_delta(delta)
     M = _as_matrix(H)
     n = M.shape[0]
     ratio = float(np.linalg.norm(M, 2)) / delta

@@ -84,31 +84,17 @@ def _text_column(table, name: str) -> list[str]:
     return [str(row[i]) for row in table.rows]
 
 
-def _infer_columns(table, kind: PlotKind) -> tuple[str, str]:
-    if kind is PlotKind.PER_SITE:
-        return "cell", "value"
-    for cand in ("L", "delta", "ell"):
-        if cand in table.header:
-            vals = _column(table, cand)
-            if len(set(vals)) > 1 or len(vals) == 1:
-                return cand, "q_error" if "q_error" in table.header else table.header[-1]
-    return table.header[0], table.header[-1]
-
-
 def emit_plot(
     table,
     kind: PlotKind,
-    x_column: str | None = None,
-    y_column: str | None = None,
+    x_column: str,
+    y_column: str,
     log_x: bool = False,
     log_y: bool = False,
 ) -> str:
-    """Render a result table as a standalone SVG document string."""
+    """Render column ``y_column`` against ``x_column`` as a standalone SVG document string."""
     if not table.rows:
         raise ValueError("cannot plot an empty table")
-    default_x, default_y = _infer_columns(table, kind)
-    x_col = x_column or default_x
-    y_col = y_column or default_y
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -121,7 +107,7 @@ def emit_plot(
     else:
         kinds = [""] * len(table.rows)
     groups = {}
-    for k, x, y in zip(kinds, _column(table, x_col), _column(table, y_col)):
+    for k, x, y in zip(kinds, _column(table, x_column), _column(table, y_column)):
         # A value <= 0 has no place on a log axis; its point is left out.
         if (log_x and x <= 0) or (log_y and y <= 0):
             groups.setdefault(k, [])
@@ -167,11 +153,11 @@ def emit_plot(
         )
     parts.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.0f}" y="{HEIGHT - 8}" font-size="12" '
-        f'text-anchor="middle">{x_col}{" (log)" if log_x else ""}</text>'
+        f'text-anchor="middle">{x_column}{" (log)" if log_x else ""}</text>'
     )
     parts.append(
         f'<text x="14" y="{(MARGIN_T + ax_y) / 2:.0f}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(MARGIN_T + ax_y) / 2:.0f})">{y_col}'
+        f'transform="rotate(-90 14 {(MARGIN_T + ax_y) / 2:.0f})">{y_column}'
         f'{" (log)" if log_y else ""}</text>'
     )
 

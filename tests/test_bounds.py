@@ -8,7 +8,6 @@ from chiralchain.bounds import (
     correlation_length,
     decay_profile,
     edge_filter_decay_check,
-    entrywise_trace_bound,
     lieb_robinson_check,
     restriction_discrepancy,
 )
@@ -155,11 +154,6 @@ def test_correlation_length():
     assert correlation_length(1e6, 2.0, 1.0) == 2.0
 
 
-def test_correlation_length_requires_positive_delta():
-    with pytest.raises(ValueError):
-        correlation_length(0.0, 1.0, 1.0)
-
-
 def test_edge_filter_decay_dimerized_trivial():
     H = ssh(20, 1.0, 0.0)
     delta = 0.05
@@ -277,7 +271,7 @@ def test_trace_norm_dominates_absolute_trace():
     anti = A @ S + S @ A
     anti_norm, _ = anticommutator_trace_norms(H, delta, sw)
     assert abs(np.trace(anti)) <= anti_norm + 1e-10
-    assert anti_norm <= entrywise_trace_bound(anti) + 1e-10
+    assert anti_norm <= np.abs(anti).sum() + 1e-10
 
 
 def test_edge_index_error_tracks_trace_norm():

@@ -424,7 +424,7 @@ def test_render_formats():
 
 def test_emit_plot_single_point():
     table = ResultTable(INDEX_CSV_HEADER, [[20, 1, 0.1, 10, 1.0, 1.0, 0, 0.0, 1, 0.01]], {})
-    svg = emit_plot(table, PlotKind.LINE)
+    svg = emit_plot(table, PlotKind.LINE, "L", "q_error")
     assert svg.startswith("<svg ")
     assert svg.count("<circle") == 1
 
@@ -432,7 +432,7 @@ def test_emit_plot_single_point():
 def test_emit_plot_line_and_log_scale():
     rows = [[L, 1, 0.1, L // 2, 1.0, 1.0, 0, 0.0, 1, 10.0 ** (-L / 10)] for L in (10, 20, 30)]
     table = ResultTable(INDEX_CSV_HEADER, rows, {})
-    svg = emit_plot(table, PlotKind.LINE, y_column="q_error", log_y=True)
+    svg = emit_plot(table, PlotKind.LINE, "L", "q_error", log_y=True)
     assert "<polyline" in svg
     assert "q_error (log)" in svg
 
@@ -454,14 +454,14 @@ def test_emit_plot_log_scale_omits_non_positive_points():
 def test_emit_plot_per_site():
     rows = [[c, 0.1 * c, "edge"] for c in range(5)] + [[c, -0.05 * c, "bulk"] for c in range(5)]
     table = ResultTable(["cell", "value", "kind"], rows, {})
-    svg = emit_plot(table, PlotKind.PER_SITE)
+    svg = emit_plot(table, PlotKind.PER_SITE, "cell", "value")
     assert svg.count("<rect") >= 10  # background + bars
     assert "edge" in svg and "bulk" in svg
 
 
 def test_emit_plot_empty_table_rejected():
     with pytest.raises(ValueError):
-        emit_plot(ResultTable(["a"], [], {}), PlotKind.LINE)
+        emit_plot(ResultTable(["a"], [], {}), PlotKind.LINE, "a", "a")
 
 
 # --- figure pipelines ----------------------------------------------------------------
@@ -837,3 +837,48 @@ def test_run_sorts_scan_axis_ascending():
     )
     table = run(parse_config(raw))
     assert [r[0] for r in table.rows] == [10, 20, 40]
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_theorem_switch_scan_measures_constants_once(monkeypatch):
+    # The gap and the short-range constant depend on the model, not on the switch.
+    import chiralchain.cli as cli_module
+
+    gaps = _count_calls(monkeypatch, cli_module, "bulk_gap")
+    norms = _count_calls(monkeypatch, cli_module, "short_range_constant")
+    table = run(parse_config(disordered_config(
+        scan="switch", switch=[6, 12, 18], geometry={"length": 24, "convention": "cell"},
+        delta={"mode": "theorem"})))
+    assert len(table.rows) == 3
+    assert (len(gaps), len(norms)) == (1, 1)
+
+
+def test_length_scan_holds_one_hamiltonian_at_a_time(monkeypatch):
+    import weakref
+
+    import chiralchain.cli as cli_module
+
+    built = []
+    build = cli_module.build_ssh
+
+    def recorded(*args):
+        assert all(ref() is None for ref in built), "an earlier point's H is still alive"
+        H = build(*args)
+        built.append(weakref.ref(H))
+        return H
+
+    monkeypatch.setattr(cli_module, "build_ssh", recorded)
+    run(parse_config(disordered_config(
+        scan="length", geometry={"length": [10, 20, 30], "convention": "cell"})))
+    assert len(built) == 3

@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from chiralchain.bounds import (
+    anticommutator_trace_norms,
+    correlation_length,
+    gap_filter_min_eigenvalue,
+    restriction_discrepancy,
+)
 from chiralchain.hamiltonian import (
     CouplingProfile,
     ExtraCoupling,
@@ -22,6 +28,7 @@ from chiralchain.indices import (
     windowed_edge_index,
 )
 from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
+from chiralchain.spectral import flattened_sign, gap_filter, tanh_oracle
 
 
 def ssh(L, t1, t2, convention=Convention.CELL_C2):
@@ -309,7 +316,26 @@ def test_windowed_rejects_tiny_window():
 # --- guards ---------------------------------------------------------------------
 
 
-def test_nonpositive_delta_rejected():
+# Every public function that takes a delta, called as f(H, switch, delta).
+DELTA_TAKERS = {
+    "edge_index": lambda H, sw, d: edge_index(H, d, sw),
+    "bulk_index": lambda H, sw, d: bulk_index(H, d, sw),
+    "index_density": lambda H, sw, d: index_density(H, d, sw, IndexKind.EDGE),
+    "index_report": lambda H, sw, d: index_report(H, d, sw.transition),
+    "correlation_length": lambda H, sw, d: correlation_length(d, 1.0, 1.0),
+    "restriction_discrepancy": lambda H, sw, d: restriction_discrepancy(
+        CouplingProfile.constant(6, 0.5, 1.0), 6, 6, (2, 4), gap_filter, d),
+    "anticommutator_trace_norms": lambda H, sw, d: anticommutator_trace_norms(H, d, sw),
+    "gap_filter_min_eigenvalue": lambda H, sw, d: gap_filter_min_eigenvalue(H, d),
+    "flattened_sign": lambda H, sw, d: flattened_sign(H, d),
+    "gap_filter": lambda H, sw, d: gap_filter(H, d),
+    "tanh_oracle": lambda H, sw, d: tanh_oracle(H, d),
+}
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(DELTA_TAKERS))
+def test_delta_must_be_finite_and_positive(name, delta):
     H = ssh(6, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        edge_index(H, 0.0, switch_function(H.geometry, 3))
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        DELTA_TAKERS[name](H, switch_function(H.geometry, 3), delta)
