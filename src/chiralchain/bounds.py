@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, CouplingProfile, block_norms, build_ssh
+from .hamiltonian import ChiralHamiltonian, CouplingProfile, _as_positive, block_norms, build_ssh
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
-from .spectral import ChiralSpectrum, _as_delta, _ratio, _sech_sq, chiral_blocks, eigh, gap_filter, propagator
+from .spectral import ChiralSpectrum, _ratio, _sech_sq, chiral_blocks, eigh, matrix_function
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
 NOISE_FLOOR = 1e-14
@@ -70,7 +70,9 @@ def correlation_length(delta: float, decay_length: float, coupling_norm: float) 
     The length governing the off-diagonal decay of tanh(H / delta) for a
     Hamiltonian with short-range constant ``coupling_norm`` at ``decay_length``.
     """
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
+    decay_length = _as_positive("decay_length", decay_length)
+    coupling_norm = _as_positive("coupling_norm", coupling_norm, zero_ok=True)
     return decay_length * max(1.0, 4.0 * coupling_norm / (math.pi * delta))
 
 
@@ -105,6 +107,15 @@ def decay_profile(
     return DecayProfile(maxima, rate, (int(lo), int(hi)))
 
 
+def _function_block_norms(H: ChiralHamiltonian, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Block norms of f(H); under CELL_C2 from its L x L blocks, never assembled."""
+    spec = eigh(H)
+    if H.geometry.convention is not Convention.CELL_C2:
+        return block_norms(matrix_function(spec, f), H.geometry)
+    AA, BB, AB, BA = chiral_blocks(spec, f)
+    return block_norms((AA, AB, BA, BB), H.geometry)
+
+
 def lieb_robinson_check(
     H: ChiralHamiltonian,
     t: float,
@@ -118,11 +129,14 @@ def lieb_robinson_check(
     the inequality is proven, so with a correct K a failure beyond the
     numerical floor signals an implementation bug.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t}")
+    decay_length = _as_positive("decay_length", decay_length)
+    coupling_norm = _as_positive("coupling_norm", coupling_norm, zero_ok=True)
     geom = H.geometry
     if noise_floor is None:
         noise_floor = geom.total_dim * float(np.finfo(float).eps)
-    U = propagator(H, t)
-    lhs_all = block_norms(U, geom)
+    lhs_all = _function_block_norms(H, lambda w: np.exp(1j * float(t) * w))
     dist = _distances(lhs_all.shape[0])
     mask = dist >= decay_length
     lhs = lhs_all[mask]
@@ -154,12 +168,13 @@ def edge_filter_decay_check(
     passes when it stays under the threshold (default 10 L^2, the polynomial
     allowance of the quantization statement).
     """
+    delta = _as_positive("delta", delta)
+    half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
+    correlation_length = _as_positive("correlation_length", correlation_length)
     geom = H.geometry
     L = geom.length
-    if threshold is None:
-        threshold = 10.0 * L * L
-    G = gap_filter(H, delta)
-    lhs = block_norms(G, geom)
+    threshold = _as_positive("threshold", 10.0 * L * L if threshold is None else threshold)
+    lhs = _function_block_norms(H, lambda w: _sech_sq(_ratio(w, delta)))
     P = lhs.shape[0]
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
@@ -177,7 +192,7 @@ def edge_filter_decay_check(
         margin,
         margin >= 0.0,
         gamma_star=gamma_star,
-        threshold=float(threshold),
+        threshold=threshold,
     )
 
 
@@ -204,7 +219,7 @@ def restriction_discrepancy(
     start, stop = cells
     if not 0 <= start < stop <= length:
         raise ValueError(f"cell range {cells} outside [0, {length})")
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
 
     geom = make_geometry(length, Convention.CELL_C2)
     H_open = build_ssh(geom, profile)
@@ -245,12 +260,12 @@ def anticommutator_trace_norms(
     """
     geom = H.geometry
     check_switch_compatible(geom, switch)
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
     spec = eigh(H)
     G_A, G_B = _filter_blocks(spec, delta)
     X = chiral_blocks(spec, lambda e: np.tanh(_ratio(e, delta)))[2]
     theta = switch.basis_values()
-    theta_a, theta_b = theta[spec.a], theta[spec.b]
+    theta_a, theta_b = theta[0::2], theta[1::2]
     P = 0.5 * (theta_a[:, None] * G_A + G_A * theta_a[None, :])
     Q = 0.5 * (theta_b[:, None] * G_B + G_B * theta_b[None, :])
     norm_anti = 2.0 * _trace_norm(P @ X - X @ Q)
@@ -262,6 +277,6 @@ def anticommutator_trace_norms(
 
 def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
     """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
     return min(float(np.linalg.eigvalsh(G).min()) for G in _filter_blocks(eigh(H), delta))
 

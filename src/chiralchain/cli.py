@@ -646,9 +646,11 @@ def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     (_, H, _), switch, delta = _point(config, _scan_points(config)[0])
 
     results = []
-    herm = float(np.abs(H.matrix - H.matrix.conj().T).max())
+    # H holds only T; these two lines measure the matrix assembled from it.
+    M = H.matrix
+    herm = float(np.abs(M - M.conj().T).max())
     results.append(("hermiticity", herm == 0.0, f"max |H - H^dag| = {herm:.3e}"))
-    chir = verify_chiral(H)
+    chir = verify_chiral(M, H.geometry)
     results.append(("chirality", chir == 0.0, f"max |HC + CH| = {chir:.3e}"))
 
     report = index_report(H, delta, switch.transition)

@@ -7,16 +7,18 @@ estimates, and measures the short-range constant that controls all the
 locality bounds.
 
 One builder places every bond, as (row, col, value) triplets of the upper
-triangle.  The open chain and ``periodic_closure`` scatter them into dense
-matrices; ``bulk_gap`` assembles them into a sparse ring, so its cost grows
-with L * coupling_range.  The ring is the open chain of the periodically
-tiled profile plus the wrap bonds x -> (x + k) mod L, and the ``sites``
-chain of L sites is the cell chain of (L + 1) // 2 cells cropped to its
-first L basis states.
+triangle.  The open chain scatters them into its A->B block T, the only
+array a ``ChiralHamiltonian`` stores (L x L, where the 2L x 2L matrix would
+be four times larger); ``periodic_closure`` scatters the ring's into a
+dense matrix, and ``bulk_gap`` assembles them into a sparse ring, so its
+cost grows with L * coupling_range.  The ring is the open chain of the
+periodically tiled profile plus the wrap bonds x -> (x + k) mod L, and the
+``sites`` chain of L sites is the cell chain of (L + 1) // 2 cells cropped
+to its first L basis states.
 
-Chirality is structural here: every constructed matrix has nonzero entries
-only between A and B basis vectors, so ``H C + C H = 0`` holds with exact
-zeros, not cancellation.
+Chirality and Hermiticity are structural here: H = [[0, T], [T^dag, 0]] in
+sublattice order, so ``H C + C H = 0`` and ``H = H^dag`` hold exactly.  A
+matrix from elsewhere is checked once, by ``ChiralHamiltonian.from_matrix``.
 """
 
 from __future__ import annotations
@@ -138,32 +140,83 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class ChiralHamiltonian:
-    """Dense Hermitian matrix with structurally exact chiral symmetry.
+    """H = [[0, T], [T^dag, 0]], stored as its |A| x |B| block T = H[A, B].
 
-    The matrix is made read-only and must not change afterwards: the first
-    ``spectral.eigh(H)`` stores the spectrum in ``_spectrum``, so it lives
-    and dies with H.  ``dataclasses.replace`` starts with no spectrum.
+    A is on the even and B on the odd basis vectors in both conventions, so
+    H is Hermitian and chiral by construction.  ``from_matrix`` validates an
+    n x n matrix; ``matrix`` assembles one on each read.  T is read-only: the
+    first ``spectral.eigh(H)`` stores the spectrum in ``_spectrum``, so it
+    lives and dies with H.  ``dataclasses.replace`` starts with no spectrum.
     """
 
-    matrix: np.ndarray
+    T: np.ndarray
     geometry: ChainGeometry
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        n = self.geometry.total_dim
+        if self.T.shape != ((n + 1) // 2, n // 2):
+            raise ValueError(f"block shape {self.T.shape} does not match geometry dim {n}")
+        self.T.setflags(write=False)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, geometry: ChainGeometry) -> "ChiralHamiltonian":
+        """The Hamiltonian of an n x n matrix: exactly zero A-A and B-B blocks, Hermitian within 1e-12."""
+        M = np.asarray(matrix)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise NumericalError(f"expected a square matrix, got shape {M.shape}")
+        if M.shape[0] != geometry.total_dim:
+            raise NumericalError(f"matrix shape {M.shape} does not match {geometry.total_dim} sublattice signs")
+        if np.any(M[0::2, 0::2]) or np.any(M[1::2, 1::2]):
+            raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
+        # With zero A-A and B-B blocks, M = M^dag exactly when T = (M_BA)^dag.
+        T = M[0::2, 1::2]
+        _check_hermitian(T, M[1::2, 0::2])
+        return cls(T.copy(), geometry)
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(sum(self.T.shape))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x n matrix of H, assembled on every read."""
+        M = np.zeros((self.dim, self.dim), dtype=self.T.dtype)
+        M[0::2, 1::2] = self.T
+        # Added to zeros, as a symmetrized sum adds it: no -0.0 entries.
+        M[1::2, 0::2] += self.T.conj().T
+        return M
 
 
 class NumericalError(RuntimeError):
     """A numerical contract was violated (non-Hermitian input, NaN values, solver failure, ...)."""
 
 
+# Relative Hermiticity defect tolerated on input matrices.
+HERMITICITY_RTOL = 1e-12
+
+
+def _check_hermitian(X: np.ndarray, Y: np.ndarray) -> None:
+    """Raise unless X = Y^dag within HERMITICITY_RTOL of the largest entry (and of 1)."""
+    defect = float(np.abs(X - Y.conj().T).max())
+    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
+    if defect > HERMITICITY_RTOL * scale:
+        raise NumericalError(
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
+        )
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+
+
+def _as_positive(name: str, value: float, zero_ok: bool = False) -> float:
+    """``value`` as a float; it must be finite and > 0 (>= 0 when ``zero_ok``)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+    return value
 
 
 def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonian:
@@ -172,7 +225,9 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
     CELL_C2: t1[x] couples (x,A)-(x,B) and t2[x] couples (x,B)-(x+1,A).
     ALTERNATING_SITES: bond x-(x+1) carries t1[x//2] on even x and t2[x//2]
     on odd x (the same chain, one state per site); extra blocks and boundary
-    perturbations are CELL_C2-only features.
+    perturbations are CELL_C2-only features.  A bond (x,A)->(y,B) lands at
+    T[x, y] and a bond (x,B)->(y,A) at T[y, x], conjugated; the two kinds
+    never share an entry, so T is bit-identical to the symmetrized sum.
     """
     if profile.length != geom.cells:
         raise ValueError(
@@ -185,9 +240,14 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
             "extra couplings and boundary perturbations are only supported "
             "under the CELL_C2 convention"
         )
-    n = geom.total_dim
-    H = _dense(_chain_bonds(profile, ring=False), 2 * profile.length)[:n, :n]
-    return ChiralHamiltonian(H, geom)
+    rows, cols, values = _chain_bonds(profile, ring=False)
+    from_a = rows % 2 == 0
+    a = np.where(from_a, rows, cols) // 2
+    b = np.where(from_a, cols, rows) // 2
+    T = np.zeros((profile.length, profile.length), dtype=values.dtype)
+    np.add.at(T, (a, b), np.where(from_a, values, values.conj()))
+    # The sites chain of odd length drops the last cell's B state.
+    return ChiralHamiltonian(np.ascontiguousarray(T[:, : geom.total_dim // 2]), geom)
 
 
 _Bonds = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -337,24 +397,35 @@ def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:
     return float(w[0])
 
 
-def block_norms(matrix: np.ndarray, geom: ChainGeometry) -> np.ndarray:
+def block_norms(
+    matrix: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    geom: ChainGeometry,
+) -> np.ndarray:
     """Operator norms of the position-space blocks, one per position pair.
 
     Exact 2x2 spectral norms under CELL_C2 (largest singular value, in
-    closed form), absolute entries under ALTERNATING_SITES.
+    closed form), absolute entries under ALTERNATING_SITES.  Under CELL_C2
+    the matrix may also be given as its four L x L sublattice blocks
+    (M_AA, M_AB, M_BA, M_BB), so that it is never assembled.
     """
     n = geom.total_dim
-    if matrix.shape != (n, n):
+    if isinstance(matrix, tuple):
+        entries = matrix
+        if geom.convention is not Convention.CELL_C2 or {e.shape for e in entries} != {(n // 2,) * 2}:
+            raise ValueError(f"sublattice blocks must be four {n // 2} x {n // 2} arrays under CELL_C2")
+    elif matrix.shape != (n, n):
         raise ValueError(f"matrix shape {matrix.shape} does not match geometry dim {n}")
-    if geom.convention is Convention.ALTERNATING_SITES:
+    elif geom.convention is Convention.ALTERNATING_SITES:
         return np.abs(matrix)
+    else:
+        entries = [matrix[0::2, 0::2], matrix[0::2, 1::2], matrix[1::2, 0::2], matrix[1::2, 1::2]]
     # Block [[a, b], [c, d]] per cell pair, scaled by its largest absolute
     # entry so that squares neither overflow nor underflow.  Its largest
     # singular value squared is the largest eigenvalue of the Gram matrix
     # [[p, q], [conj(q), r]]; every term of that closed form is non-negative,
     # so nothing cancels.
-    matrix = matrix.astype(np.result_type(matrix, float), copy=False)
-    entries = [matrix[0::2, 0::2], matrix[0::2, 1::2], matrix[1::2, 0::2], matrix[1::2, 1::2]]
+    dtype = np.result_type(*entries, float)
+    entries = [e.astype(dtype, copy=False) for e in entries]
     mags = [np.abs(e) for e in entries]
     scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
     a, b, c, d = (
@@ -373,12 +444,20 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains.
 
-    Only the nonzero blocks are weighted, so a long chain never multiplies a
-    zero block by an overflowed weight.
+    The block norms come from T: under CELL_C2 the cell block (x, y) is
+    [[0, T[x, y]], [conj(T[y, x]), 0]], and under ALTERNATING_SITES they are
+    |H|.  Only the nonzero blocks are weighted, so a long chain never
+    multiplies a zero block by an overflowed weight.
     """
-    if decay_length <= 0:
-        raise ValueError(f"decay length must be > 0, got {decay_length}")
-    norms = block_norms(np.asarray(H.matrix), H.geometry)
+    decay_length = _as_positive("decay_length", decay_length)
+    T = H.T
+    if H.geometry.convention is Convention.CELL_C2:
+        zero = np.zeros_like(T)
+        norms = block_norms((zero, T, T.conj().T, zero), H.geometry)
+    else:
+        norms = np.zeros((H.dim, H.dim))
+        norms[0::2, 1::2] = np.abs(T)
+        norms[1::2, 0::2] = np.abs(T).T
     x, y = np.nonzero(norms)
     # A weight that overflows makes the constant infinite, which is its value.
     with np.errstate(over="ignore"):
@@ -386,13 +465,12 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     return float(np.bincount(x, weights=weighted, minlength=norms.shape[0]).max())
 
 
-def verify_chiral(H: ChiralHamiltonian) -> float:
-    """Largest absolute entry of H C + C H (0 for structurally chiral matrices).
+def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:
+    """Largest absolute entry of M C + C M (0 for a chiral matrix).
 
     C is the diagonal of the geometry's sublattice signs.
     """
-    matrix = H.matrix
-    signs = H.geometry.sublattice_signs
+    signs = geom.sublattice_signs
     if matrix.shape != (signs.shape[0], signs.shape[0]):
         raise ValueError(
             f"dimension mismatch: matrix {matrix.shape}, geometry dim {signs.shape[0]}"

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, CouplingProfile, _abs2, build_ssh
+from .hamiltonian import ChiralHamiltonian, CouplingProfile, _abs2, _as_positive, build_ssh
 from .lattice import (
     Convention,
     SwitchFunction,
@@ -33,7 +33,7 @@ from .lattice import (
     make_geometry,
     switch_function,
 )
-from .spectral import _as_delta, _ratio, _sech_sq, eigh
+from .spectral import _ratio, _sech_sq, eigh
 
 INDEX_CSV_HEADER = [
     "L", "seed", "delta", "ell",
@@ -148,12 +148,14 @@ def _index_diagonals(
     (S [theta, S])_ii = sum_j |X_ij|^2 (theta_j - theta_i) over the other
     sublattice: only pairs that straddle the switch contribute.
     """
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
     geom = H.geometry
     check_switch_compatible(geom, switch)
     theta = switch.basis_values()
     spec = eigh(H)
-    a, b, U, W, k = spec.a, spec.b, spec.U, spec.W, spec.sigma.size
+    U, W, k = spec.U, spec.W, spec.sigma.size
+    # A on the even, B on the odd basis vectors.
+    a, b = slice(0, None, 2), slice(1, None, 2)
     theta_a, theta_b = theta[a], theta[b]
     x_a = _ratio(spec.column_sigma(U.shape[1]), delta)
     x_b = _ratio(spec.column_sigma(W.shape[1]), delta)
@@ -194,7 +196,7 @@ def index_report(
     if isinstance(delta_policy, DeltaPolicy):
         delta = resolve_delta(delta_policy, geom.length)
     else:
-        delta = _as_delta(delta_policy)
+        delta = _as_positive("delta", delta_policy)
     switch = switch_function(geom, transition)
     edge_diag, bulk_diag = _index_diagonals(H, delta, switch)
     edge = float(edge_diag.sum())

@@ -3,12 +3,14 @@
 Everything downstream (indices, bound certificates) runs through functions of
 one Hermitian matrix: the flattened sign S = tanh(H / delta), the gap filter
 1 - S^2, and the propagator exp(i t H).  In sublattice order a chiral
-Hamiltonian is H = [[0, T], [T^dag, 0]], so the production path is one SVD
-of the A->B block T = U Sigma W^dag: the spectrum is +-sigma, and every
-function of H is assembled from L x L blocks.  Each ``ChiralHamiltonian``
-is diagonalized once: ``eigh`` keeps its spectrum on H, and every later
-function of that H reuses it.  Callers that need only part of a function of
-H (the trace norms of the bound certificates, the gap filter's smallest
+Hamiltonian is H = [[0, T], [T^dag, 0]], and a ``ChiralHamiltonian`` stores
+only T, so the production path is one SVD of T = U Sigma W^dag, taken
+directly and with no input checks (they run once, in the constructor): the
+spectrum is +-sigma, and every function of H is assembled from L x L
+blocks.  Each ``ChiralHamiltonian`` is diagonalized once: ``eigh`` keeps
+its spectrum on H, and every later function of that H reuses it.  Callers
+that need only part of a function of H (the index diagonals, the block
+norms and trace norms of the bound certificates, the gap filter's smallest
 eigenvalue) read its L x L blocks from ``chiral_blocks`` instead of the
 assembled 2L x 2L matrix.  The dense eigendecomposition of a plain array and
 ``tanh_oracle``, an eigendecomposition-free route to S, are cross-checks.
@@ -21,10 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, NumericalError
-
-# Relative Hermiticity defect tolerated on input matrices.
-HERMITICITY_RTOL = 1e-12
+from .hamiltonian import ChiralHamiltonian, NumericalError, _as_positive, _check_hermitian
 
 # Largest ||H||_2 / delta the oracle path supports.
 ORACLE_MAX_RATIO = 50.0
@@ -41,36 +40,30 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 @dataclass(frozen=True)
 class ChiralSpectrum:
-    """H = [[0, T], [T^dag, 0]] with T = H[a][:, b] = U diag(sigma) W^dag.
+    """H = [[0, T], [T^dag, 0]] with T = U diag(sigma) W^dag.
 
-    ``a`` and ``b`` index the A and B basis vectors.  ``U`` (|A| x |A|) and
+    A is on the even and B on the odd basis vectors.  ``U`` (|A| x |A|) and
     ``W`` (|B| x |B|) are unitary and ``sigma`` holds the min(|A|, |B|)
     singular values.  Column i < len(sigma) of U and W pairs into the
     eigenvectors (u_i, +-w_i) / sqrt(2) at energies +-sigma_i; the remaining
     columns of the larger factor are exact zero modes.
     """
 
-    a: np.ndarray
-    b: np.ndarray
     U: np.ndarray
     sigma: np.ndarray
     W: np.ndarray
 
     def __post_init__(self):
         # One spectrum serves every caller of its Hamiltonian, so none may edit it.
-        for name in ("a", "b", "U", "sigma", "W"):
+        for name in ("U", "sigma", "W"):
             getattr(self, name).setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return int(self.a.size + self.b.size)
+        return int(self.U.shape[0] + self.W.shape[0])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -84,75 +77,36 @@ class ChiralSpectrum:
         return out
 
 
-def _as_matrix(H: ChiralHamiltonian | np.ndarray) -> np.ndarray:
-    if isinstance(H, ChiralHamiltonian):
-        return H.matrix
-    return np.asarray(H)
-
-
-def _as_delta(delta: float) -> float:
-    """``delta`` as a float; every smoothing scale must be finite and > 0."""
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return delta
-
-
 def eigh(H: ChiralHamiltonian | np.ndarray) -> ChiralSpectrum | SpectralData:
     """Spectrum of a Hermitian matrix.
 
-    The input must be Hermitian within 1e-12 relative.  A ``ChiralHamiltonian``
-    gets a ``ChiralSpectrum`` from one SVD of its A->B block; its A-A and B-B
-    blocks must be exactly zero.  The first call checks and solves, and the
-    spectrum is kept on H: later calls with the same H return it as is.  A
-    plain array gets the dense eigendecomposition of its symmetrized form,
-    on every call.
+    A ``ChiralHamiltonian`` gets a ``ChiralSpectrum`` from one SVD of its
+    A->B block T, with no input checks: H is Hermitian and chiral by
+    construction.  The first call solves, and the spectrum is kept on H:
+    later calls with the same H return it as is.  A plain array must be
+    Hermitian within 1e-12 relative; it gets the dense eigendecomposition of
+    its symmetrized form, on every call.
     """
     if isinstance(H, ChiralHamiltonian):
         if H._spectrum is None:
-            _check_square(H.matrix)
             # H is frozen; its spectrum is derived data, set once.
-            object.__setattr__(H, "_spectrum", _chiral_svd(H.matrix, H.geometry.sublattice_signs))
+            object.__setattr__(H, "_spectrum", _chiral_svd(H))
         return H._spectrum
     M = np.asarray(H)
-    _check_square(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {M.shape}")
     _check_hermitian(M, M)
     # Halve before adding: M + M^dag overflows for entries above ~9e307.
     w, V = np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
     return SpectralData(w, V)
 
 
-def _check_square(M: np.ndarray) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NumericalError(f"expected a square matrix, got shape {M.shape}")
-
-
-def _check_hermitian(X: np.ndarray, Y: np.ndarray) -> None:
-    """Raise unless X = Y^dag within HERMITICITY_RTOL of the largest entry (and of 1)."""
-    defect = float(np.abs(X - Y.conj().T).max())
-    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
-    if defect > HERMITICITY_RTOL * scale:
-        raise NumericalError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
-        )
-
-
-def _chiral_svd(M: np.ndarray, signs: np.ndarray) -> ChiralSpectrum:
-    if signs.shape != M.shape[:1]:
-        raise NumericalError(f"matrix shape {M.shape} does not match {signs.size} sublattice signs")
-    a = np.flatnonzero(signs > 0)
-    b = np.flatnonzero(signs < 0)
-    if np.any(M[np.ix_(a, a)]) or np.any(M[np.ix_(b, b)]):
-        raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
-    # With zero A-A and B-B blocks, H = H^dag exactly when T = (H_BA)^dag,
-    # and the largest entry of H is the largest entry of T or H_BA.
-    T = M[np.ix_(a, b)]
-    _check_hermitian(T, M[np.ix_(b, a)])
+def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
     try:
-        U, sigma, Wh = np.linalg.svd(T, full_matrices=True)
+        U, sigma, Wh = np.linalg.svd(H.T, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the A->B block failed: {exc}") from exc
-    return ChiralSpectrum(a, b, U, sigma, Wh.conj().T)
+    return ChiralSpectrum(U, sigma, Wh.conj().T)
 
 
 def _checked_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
@@ -215,12 +169,11 @@ def matrix_function(
         return out if np.iscomplexobj(values) else _hermitian_part(out)
 
     AA, BB, AB, BA = chiral_blocks(spec, f)
-    a, b = spec.a, spec.b
     out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(AA, BB, AB, BA))
-    out[np.ix_(a, a)] = AA
-    out[np.ix_(b, b)] = BB
-    out[np.ix_(a, b)] = AB
-    out[np.ix_(b, a)] = BA
+    out[0::2, 0::2] = AA
+    out[1::2, 1::2] = BB
+    out[0::2, 1::2] = AB
+    out[1::2, 0::2] = BA
     return out
 
 
@@ -238,13 +191,13 @@ def _ratio(w: np.ndarray, delta: float) -> np.ndarray:
 
 def flattened_sign(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """S = tanh(H / delta): the band-flattening smooth surrogate for sign(H)."""
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
     return matrix_function(eigh(H), lambda w: np.tanh(_ratio(w, delta)))
 
 
 def gap_filter(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """1 - S^2: positive semidefinite, concentrates weight on near-zero-energy states."""
-    delta = _as_delta(delta)
+    delta = _as_positive("delta", delta)
     return matrix_function(eigh(H), lambda w: _sech_sq(_ratio(w, delta)))
 
 
@@ -266,8 +219,8 @@ def tanh_oracle(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
     """
     import scipy.linalg
 
-    delta = _as_delta(delta)
-    M = _as_matrix(H)
+    delta = _as_positive("delta", delta)
+    M = H.matrix if isinstance(H, ChiralHamiltonian) else np.asarray(H)
     n = M.shape[0]
     ratio = float(np.linalg.norm(M, 2)) / delta
     if ratio > ORACLE_MAX_RATIO:

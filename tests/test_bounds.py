@@ -297,3 +297,49 @@ def test_bulk_gap_feeds_edge_filter_envelope():
     corr = correlation_length(delta, 1.0, short_range_constant(H, 1.0))
     cert = edge_filter_decay_check(H, delta, half_gap, corr)
     assert cert.passed
+
+
+# --- parameter validation ------------------------------------------------------------
+
+_H20 = ssh(20, 0.5, 1.0)
+_BAD = [math.nan, math.inf, -math.inf, -1.0]
+
+
+def _invalid_parameter_cases():
+    """(function, arguments) pairs that must raise ValueError: each puts one invalid
+    value into an otherwise valid call on a 20-cell chain."""
+    lr = dict(t=0.5, decay_length=1.0, coupling_norm=2.0)
+    ef = dict(delta=0.1, half_gap=0.5, correlation_length=2.0, threshold=10.0)
+    cases = []
+    for name, values in (("t", [math.nan, math.inf]), ("decay_length", _BAD + [0.0]),
+                         ("coupling_norm", _BAD)):
+        cases += [(lieb_robinson_check, {**lr, name: v}) for v in values]
+    for name, values in (("delta", _BAD + [0.0]), ("half_gap", _BAD),
+                         ("correlation_length", _BAD + [0.0]), ("threshold", _BAD + [0.0])):
+        cases += [(edge_filter_decay_check, {**ef, name: v}) for v in values]
+    cases += [(short_range_constant, {"decay_length": v}) for v in _BAD + [0.0]]
+    cl = dict(delta=0.1, decay_length=1.0, coupling_norm=2.0)
+    for name, values in (("decay_length", _BAD + [0.0]), ("coupling_norm", _BAD)):
+        cases += [(correlation_length, {**cl, name: v}) for v in values]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "fn, kwargs", _invalid_parameter_cases(),
+    ids=lambda v: v.__name__ if callable(v) else ",".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_certificate_parameters_must_be_finite_and_positive(fn, kwargs):
+    # A NaN or infinite decay length, constant, gap or threshold used to give a
+    # passing certificate (margin inf) or a NaN instead of an error.
+    args = () if fn is correlation_length else (_H20,)
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(*args, **kwargs)
+
+
+def test_certificates_accept_zero_gap_and_zero_constant():
+    # A closed gap (half_gap 0) and the zero chain's constant (K = 0) are valid inputs.
+    zero = build_ssh(make_geometry(20), CouplingProfile.constant(20, 0.0, 0.0))
+    assert short_range_constant(zero, 1.0) == 0.0
+    assert lieb_robinson_check(zero, 0.5, 1.0, 0.0).passed
+    assert edge_filter_decay_check(_H20, 0.1, 0.0, 2.0).gamma_star > 0
+    assert correlation_length(0.1, 1.0, 0.0) == 1.0

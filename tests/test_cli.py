@@ -882,3 +882,43 @@ def test_length_scan_holds_one_hamiltonian_at_a_time(monkeypatch):
     run(parse_config(disordered_config(
         scan="length", geometry={"length": [10, 20, 30], "convention": "cell"})))
     assert len(built) == 3
+
+
+def _count_matrix_reads(monkeypatch) -> list:
+    """Count the reads of ``ChiralHamiltonian.matrix``, the assembled n x n matrix."""
+    from chiralchain.hamiltonian import ChiralHamiltonian
+
+    reads = []
+    assemble = ChiralHamiltonian.matrix.fget
+
+    def counted(self):
+        reads.append(self.geometry)
+        return assemble(self)
+
+    monkeypatch.setattr(ChiralHamiltonian, "matrix", property(counted))
+    return reads
+
+
+@pytest.mark.parametrize("convention", ["cell", "sites"])
+def test_production_commands_never_assemble_the_matrix(tmp_path, capsys, monkeypatch, convention):
+    # scan, index, bounds and the figures work on T; only check measures the
+    # Hermiticity and chirality of the assembled matrix.
+    geometry = {"length": 41, "convention": convention}
+    theorem = write_config(tmp_path, disordered_config(geometry=geometry, delta={"mode": "theorem"}))
+    scan = tmp_path / "scan.json"
+    scan.write_text(json.dumps(disordered_config(
+        scan="length", geometry={"length": [20, 41], "convention": convention})))
+    reads = _count_matrix_reads(monkeypatch)
+    commands = [
+        ["scan", "--config", str(scan), "--reproducible"],
+        ["index", "--config", str(theorem), "--reproducible"],
+        ["bounds", "--config", str(theorem), "--reproducible"],
+    ]
+    if convention == "cell":
+        commands += [["reproduce", fig, "--out", str(tmp_path), "--reproducible"]
+                     for fig in ("fig3", "fig4")]
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert reads == [], argv
+    assert main(["check", "--config", str(theorem)]) == 0
+    assert len(reads) == 1

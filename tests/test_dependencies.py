@@ -1,0 +1,42 @@
+"""Every third-party module that the tests and the benchmark import is declared in pyproject.toml."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _requirement_names(requirements: list) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower().replace("-", "_") for r in requirements}
+
+
+def _top_level_imports(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_test_and_bench_imports_are_declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = _requirement_names(project["dependencies"])
+    declared |= _requirement_names(project["optional-dependencies"]["test"])
+    undeclared = {}
+    for folder in ("tests", "bench"):
+        files = sorted((ROOT / folder).glob("*.py"))
+        local = {f.stem for f in files} | {project["name"]}
+        for path in files:
+            third_party = _top_level_imports(path) - local - set(sys.stdlib_module_names)
+            missing = {name for name in third_party if name.lower() not in declared}
+            if missing:
+                undeclared[f"{folder}/{path.name}"] = sorted(missing)
+    assert undeclared == {}

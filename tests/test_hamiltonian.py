@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
+    _chain_bonds,
     CouplingProfile,
     ExtraCoupling,
     NumericalError,
@@ -58,7 +59,7 @@ def test_disordered_defect_chain_is_chiral():
     L = 30
     geom = make_geometry(L)
     H = build_ssh(geom, disordered_defect_profile(L, seed=3))
-    assert verify_chiral(H) == 0.0
+    assert verify_chiral(H.matrix, geom) == 0.0
 
 
 def test_profile_length_mismatch_rejected():
@@ -208,7 +209,7 @@ def test_verify_chiral_detects_identity_shift():
     H = ssh(6, 0.5, 1.0)
     eps = 0.1
     shifted = H.matrix + eps * np.eye(H.dim)
-    assert verify_chiral(ChiralHamiltonian(shifted, H.geometry)) == pytest.approx(
+    assert verify_chiral(shifted, H.geometry) == pytest.approx(
         2 * eps, abs=1e-15
     )
 
@@ -219,13 +220,13 @@ def test_verify_chiral_detects_sublattice_diagonal_entry():
     M = rng.normal(size=(10, 10))
     H = (M + M.T) / 2
     a = H[0, 2]  # an A-A entry
-    assert verify_chiral(ChiralHamiltonian(H, geom)) >= 2 * abs(a) - 1e-12
+    assert verify_chiral(H, geom) >= 2 * abs(a) - 1e-12
 
 
 def test_verify_chiral_dim_mismatch():
     H = ssh(6, 0.5, 1.0)
     with pytest.raises(ValueError):
-        verify_chiral(ChiralHamiltonian(H.matrix, make_geometry(4)))
+        verify_chiral(H.matrix, make_geometry(4))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -248,7 +249,7 @@ def test_extra_couplings_respect_chirality_and_band():
     profile = CouplingProfile(rng.normal(size=L), rng.normal(size=L), extra)
     geom = make_geometry(L)
     H = build_ssh(geom, profile)
-    assert verify_chiral(H) == 0.0
+    assert verify_chiral(H.matrix, geom) == 0.0
     assert profile.coupling_range == 3
     norms = block_norms(H.matrix, geom)
     x = np.arange(L)
@@ -263,7 +264,7 @@ def test_boundary_potential_stays_chiral_and_local():
     boundary[L - 1] = -0.2
     profile = CouplingProfile(np.full(L, 0.5), np.ones(L), boundary=boundary)
     H = build_ssh(make_geometry(L), profile)
-    assert verify_chiral(H) == 0.0
+    assert verify_chiral(H.matrix, H.geometry) == 0.0
     assert H.matrix[0, 1] == pytest.approx(0.8)
 
 
@@ -320,8 +321,7 @@ def reference_cells(geom, profile):
         x = np.arange(L - k)
         upper[2 * x, 2 * (x + k) + 1] += blk.a[: L - k]
         upper[2 * x + 1, 2 * (x + k)] += blk.b[: L - k]
-    H = upper + upper.conj().T
-    return ChiralHamiltonian(H, geom)
+    return upper + upper.conj().T
 
 
 def reference_alternating(geom, profile):
@@ -332,7 +332,7 @@ def reference_alternating(geom, profile):
         t = profile.t1[x // 2] if x % 2 == 0 else profile.t2[x // 2]
         H[x, x + 1] = t
         H[x + 1, x] = np.conj(t)
-    return ChiralHamiltonian(H, geom)
+    return H
 
 
 def reference_periodic_closure(profile, l_ring):
@@ -384,7 +384,7 @@ def offsets_profile(cells, offsets, complex_valued=False, seed=0):
 def test_sites_chain_is_cropped_cell_chain(sites, complex_valued):
     geom = make_geometry(sites, Convention.ALTERNATING_SITES)
     profile = offsets_profile(geom.cells, (), complex_valued, seed=sites)
-    assert_same_matrix(build_ssh(geom, profile).matrix, reference_alternating(geom, profile).matrix)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_alternating(geom, profile))
 
 
 @pytest.mark.parametrize("offsets", [(), (1,), (3,), (1, 3), (2, 6, 9)])
@@ -393,7 +393,7 @@ def test_open_cell_chain_matches_reference(offsets, complex_valued):
     # Offsets 6 and 9 reach past the 6-cell chain and place no bonds.
     profile = offsets_profile(6, offsets, complex_valued)
     geom = make_geometry(6)
-    assert_same_matrix(build_ssh(geom, profile).matrix, reference_cells(geom, profile).matrix)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_cells(geom, profile))
 
 
 @pytest.mark.parametrize("offsets", [(), (1,), (3,), (1, 3)])
@@ -457,7 +457,7 @@ def _profiles(draw, cells, complex_valued, offsets=(), coupling=_coupling):
 def test_sites_chain_property(data, sites, complex_valued):
     geom = make_geometry(sites, Convention.ALTERNATING_SITES)
     profile = data.draw(_profiles(geom.cells, complex_valued))
-    assert_same_matrix(build_ssh(geom, profile).matrix, reference_alternating(geom, profile).matrix)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_alternating(geom, profile))
 
 
 @settings(max_examples=60, deadline=None)
@@ -470,7 +470,7 @@ def test_sites_chain_property(data, sites, complex_valued):
 def test_open_cell_chain_property(data, cells, offsets, complex_valued):
     profile = data.draw(_profiles(cells, complex_valued, offsets))
     geom = make_geometry(cells)
-    assert_same_matrix(build_ssh(geom, profile).matrix, reference_cells(geom, profile).matrix)
+    assert_same_matrix(build_ssh(geom, profile).matrix, reference_cells(geom, profile))
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,3 +621,112 @@ def test_short_range_constant_finite_beyond_exp_overflow():
     values = [short_range_constant(ssh(L, 0.5, 1.0), 1.0) for L in (250, 709, 1000)]
     assert values == [values[0]] * 3
     assert values[0] == pytest.approx(5.93656365691809, rel=1e-14)
+
+
+# --- H stored as its A->B block T ---------------------------------------------------
+
+
+def dense_chain(geom, profile):
+    """The dense builder the block storage replaced: bonds scattered into a 2L x 2L
+    upper triangle, symmetrized, then cropped to the geometry."""
+    rows, cols, values = _chain_bonds(profile, ring=False)
+    n = 2 * profile.length
+    upper = np.zeros((n, n), dtype=values.dtype)
+    np.add.at(upper, (rows, cols), values)
+    m = geom.total_dim
+    return (upper + upper.conj().T)[:m, :m]
+
+
+# Signed zeros are kept here: the block path must reproduce them as the dense sum does.
+_signed_coupling = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _chains(draw):
+    """Both conventions; under CELL_C2 complex couplings, extra blocks (offsets
+    up to past L) and boundary perturbations on the first and last cell."""
+    complex_valued = draw(st.booleans())
+    if draw(st.booleans()):
+        geom = make_geometry(draw(st.integers(2, 13)), Convention.ALTERNATING_SITES)
+        offsets, with_boundary = (), False
+    else:
+        geom = make_geometry(draw(st.integers(2, 10)))
+        offsets = draw(st.lists(st.integers(1, 12), max_size=3))
+        with_boundary = geom.cells >= 5 and draw(st.booleans())
+    profile = draw(_profiles(geom.cells, complex_valued, offsets, _signed_coupling))
+    if with_boundary:
+        boundary = np.zeros(geom.cells, dtype=profile.t1.dtype)
+        boundary[0], boundary[-1] = draw(_signed_coupling), draw(_signed_coupling)
+        profile = CouplingProfile(profile.t1, profile.t2, profile.extra, boundary)
+    return geom, profile
+
+
+def assert_block_round_trip(geom, profile):
+    H = build_ssh(geom, profile)
+    M = H.matrix
+    want = dense_chain(geom, profile)
+    assert M.dtype == want.dtype and M.tobytes() == want.tobytes()
+    assert H.T.shape == ((geom.total_dim + 1) // 2, geom.total_dim // 2)
+    again = ChiralHamiltonian.from_matrix(M, geom)
+    assert again.T.dtype == H.T.dtype and again.T.tobytes() == H.T.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=_chains())
+def test_block_storage_round_trip(chain):
+    assert_block_round_trip(*chain)
+
+
+@pytest.mark.parametrize("sites", [2, 3, 5])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_block_storage_round_trip_small_sites_chains(sites, complex_valued):
+    # Odd L: T is (L+1)/2 x (L-1)/2, the last cell's B state is cropped.
+    geom = make_geometry(sites, Convention.ALTERNATING_SITES)
+    assert_block_round_trip(geom, offsets_profile(geom.cells, (), complex_valued, seed=sites))
+
+
+def test_block_storage_is_read_only_and_sized_by_geometry():
+    H = ssh(6, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        H.T[0, 0] = 1.0
+    with pytest.raises(ValueError, match="does not match geometry dim"):
+        ChiralHamiltonian(np.zeros((6, 6)), make_geometry(5))
+    # The assembled matrix is a fresh array on every read, never a cache.
+    assert H.matrix is not H.matrix
+
+
+@pytest.mark.parametrize(
+    "matrix, geom, message",
+    [
+        (np.zeros((4, 3)), make_geometry(2), "expected a square matrix"),
+        (np.zeros((6, 6)), make_geometry(2), "does not match 4 sublattice signs"),
+        (np.eye(4), make_geometry(2), "not chiral"),
+        (np.diag([1.0, 0.0, 0.0], 1), make_geometry(2), "not Hermitian"),
+    ],
+)
+def test_from_matrix_rejects_invalid_input(matrix, geom, message):
+    with pytest.raises(NumericalError, match=message):
+        ChiralHamiltonian.from_matrix(matrix, geom)
+
+
+def test_from_matrix_accepts_rounding_level_hermiticity_defect():
+    H = ssh(6, 0.5, 1.0)
+    M = H.matrix
+    M[1, 0] += 1e-14
+    assert ChiralHamiltonian.from_matrix(M, H.geometry).T.tobytes() == H.T.tobytes()
+
+
+def test_build_ssh_memory_is_one_block():
+    import tracemalloc
+
+    # The dense 2L x 2L builder peaked at 64 MB here; T alone is 8 MB.
+    profile = disordered_defect_profile(1000, 1)
+    geom = make_geometry(1000)
+    tracemalloc.start()
+    try:
+        H = build_ssh(geom, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.T.shape == (1000, 1000)
+    assert peak < 16e6
