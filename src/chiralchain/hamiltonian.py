@@ -419,13 +419,17 @@ def block_norms(
         return np.abs(matrix)
     else:
         entries = [matrix[0::2, 0::2], matrix[0::2, 1::2], matrix[1::2, 0::2], matrix[1::2, 1::2]]
-    # Block [[a, b], [c, d]] per cell pair, scaled by its largest absolute
-    # entry so that squares neither overflow nor underflow.  Its largest
-    # singular value squared is the largest eigenvalue of the Gram matrix
-    # [[p, q], [conj(q), r]]; every term of that closed form is non-negative,
-    # so nothing cancels.
-    dtype = np.result_type(*entries, float)
-    entries = [e.astype(dtype, copy=False) for e in entries]
+    return _cell_block_norms(*entries)
+
+
+def _cell_block_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2x2 block [[a, b], [c, d]] of four equal-shape arrays."""
+    # Each block is scaled by its largest absolute entry so that squares
+    # neither overflow nor underflow.  Its largest singular value squared is
+    # the largest eigenvalue of the Gram matrix [[p, q], [conj(q), r]]; every
+    # term of that closed form is non-negative, so nothing cancels.
+    dtype = np.result_type(a, b, c, d, float)
+    entries = [e.astype(dtype, copy=False) for e in (a, b, c, d)]
     mags = [np.abs(e) for e in entries]
     scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
     a, b, c, d = (
@@ -444,25 +448,51 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains.
 
-    The block norms come from T: under CELL_C2 the cell block (x, y) is
-    [[0, T[x, y]], [conj(T[y, x]), 0]], and under ALTERNATING_SITES they are
-    |H|.  Only the nonzero blocks are weighted, so a long chain never
-    multiplies a zero block by an overflowed weight.
+    Only the diagonals T[i, i + k] with |k| up to the farthest nonzero one
+    are read, so the cost grows with L times the coupling range.  Under
+    CELL_C2 the cell block (x, x + k) is [[0, T[x, x + k]], [conj(T[x + k, x]), 0]],
+    through the closed form of ``block_norms``; under ALTERNATING_SITES
+    T[a, b] is the entry of the site pairs (2a, 2b + 1) and (2b + 1, 2a).
+    Only the nonzero blocks are weighted, so a long chain never multiplies a
+    zero block by an overflowed weight.
     """
     decay_length = _as_positive("decay_length", decay_length)
     T = H.T
-    if H.geometry.convention is Convention.CELL_C2:
-        zero = np.zeros_like(T)
-        norms = block_norms((zero, T, T.conj().T, zero), H.geometry)
-    else:
-        norms = np.zeros((H.dim, H.dim))
-        norms[0::2, 1::2] = np.abs(T)
-        norms[1::2, 0::2] = np.abs(T).T
-    x, y = np.nonzero(norms)
+    cells = H.geometry.convention is Convention.CELL_C2
+    xs, ys, norms = [], [], []
+    for k in _band_offsets(T):
+        forward = np.diagonal(T, k)
+        a = np.arange(forward.size) + max(0, -k)
+        if cells:
+            zero = np.zeros_like(forward)
+            xs.append(a)
+            ys.append(a + k)
+            norms.append(_cell_block_norms(zero, forward, np.diagonal(T, -k).conj(), zero))
+        else:
+            b = a + k
+            xs += [2 * a, 2 * b + 1]
+            ys += [2 * b + 1, 2 * a]
+            norms += [np.abs(forward)] * 2
+    x, y, norms = (np.concatenate(v) for v in (xs, ys, norms))
+    # np.bincount adds each row's weights in list order.  Diagonals listed by
+    # ascending k put each CELL_C2 row in ascending y, as the full grid sums
+    # it; an ALTERNATING_SITES row has at most two blocks, so order is moot.
+    nonzero = norms != 0
+    x, y, norms = x[nonzero], y[nonzero], norms[nonzero]
     # A weight that overflows makes the constant infinite, which is its value.
     with np.errstate(over="ignore"):
-        weighted = norms[x, y] * np.exp(np.abs(x - y) / decay_length)
-    return float(np.bincount(x, weights=weighted, minlength=norms.shape[0]).max())
+        weighted = norms * np.exp(np.abs(x - y) / decay_length)
+    return float(np.bincount(x, weights=weighted, minlength=T.shape[0] if cells else H.dim).max())
+
+
+def _band_offsets(T: np.ndarray) -> range:
+    """Offsets -r..r of the diagonals of T, where r is the farthest one with a nonzero entry."""
+    r = 0
+    remaining = np.count_nonzero(T) - np.count_nonzero(np.diagonal(T))
+    while remaining:
+        r += 1
+        remaining -= np.count_nonzero(np.diagonal(T, r)) + np.count_nonzero(np.diagonal(T, -r))
+    return range(-r, r + 1)
 
 
 def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:

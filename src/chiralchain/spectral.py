@@ -7,17 +7,26 @@ Hamiltonian is H = [[0, T], [T^dag, 0]], and a ``ChiralHamiltonian`` stores
 only T, so the production path is one SVD of T = U Sigma W^dag, taken
 directly and with no input checks (they run once, in the constructor): the
 spectrum is +-sigma, and every function of H is assembled from L x L
-blocks.  Each ``ChiralHamiltonian`` is diagonalized once: ``eigh`` keeps
-its spectrum on H, and every later function of that H reuses it.  Callers
-that need only part of a function of H (the index diagonals, the block
-norms and trace norms of the bound certificates, the gap filter's smallest
-eigenvalue) read its L x L blocks from ``chiral_blocks`` instead of the
-assembled 2L x 2L matrix.  The dense eigendecomposition of a plain array and
-``tanh_oracle``, an eigendecomposition-free route to S, are cross-checks.
+blocks.  A real, square, lower-bidiagonal T (every chain the CLI builds
+except an odd-length ``sites`` chain) goes to LAPACK's bidiagonal
+divide-and-conquer SVD ``dbdsdc``, taken through ctypes from the OpenBLAS
+that numpy.linalg has loaded and resolved on first use; T is first scaled
+by a power of two, as ``gesdd`` scales and ``dbdsdc`` does not below 26
+rows.  Every other T, and a numpy whose LAPACK lacks that symbol, takes
+``np.linalg.svd``.  Each ``ChiralHamiltonian`` is diagonalized once:
+``eigh`` keeps its spectrum on H, and every later function of that H
+reuses it.  Callers that need only part of a function of H (the index
+diagonals, the block norms and trace norms of the bound certificates, the
+gap filter's smallest eigenvalue) read its L x L blocks from
+``chiral_blocks`` instead of the assembled 2L x 2L matrix.  The dense
+eigendecomposition of a plain array and ``tanh_oracle``, an
+eigendecomposition-free route to S, are cross-checks.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,11 +111,74 @@ def eigh(H: ChiralHamiltonian | np.ndarray) -> ChiralSpectrum | SpectralData:
 
 
 def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
+    T = H.T
+    d, e = np.diagonal(T), np.diagonal(T, -1)
+    # Counting the nonzeros of T and of its two bands copies nothing.
+    if (
+        T.dtype == np.float64
+        and T.shape[0] == T.shape[1]
+        and np.count_nonzero(T) == np.count_nonzero(d) + np.count_nonzero(e)
+        and (kernel := _dbdsdc()) is not None
+    ):
+        return _bidiagonal_svd(kernel, d, e)
     try:
-        U, sigma, Wh = np.linalg.svd(H.T, full_matrices=True)
+        U, sigma, Wh = np.linalg.svd(T, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the A->B block failed: {exc}") from exc
     return ChiralSpectrum(U, sigma, Wh.conj().T)
+
+
+# LAPACK's bidiagonal divide-and-conquer SVD as the OpenBLAS of numpy's
+# wheels exports it: 64-bit integers and, after the declared arguments, the
+# hidden lengths of the two character arguments.
+_DBDSDC_SYMBOL = "scipy_dbdsdc_64_"
+
+
+@functools.cache
+def _dbdsdc():
+    """numpy's own LAPACK ``dbdsdc``, or None where its LAPACK does not export it."""
+    try:
+        kernel = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _DBDSDC_SYMBOL)
+    except (AttributeError, OSError):
+        return None
+    kernel.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+    kernel.restype = None
+    return kernel
+
+
+def _bidiagonal_svd(kernel, diag: np.ndarray, sub: np.ndarray) -> ChiralSpectrum:
+    """The SVD of the real lower-bidiagonal T with diagonal ``diag`` and subdiagonal ``sub``.
+
+    ``dbdsdc`` scales only matrices of more than 25 rows, so T is first scaled
+    here, by the power of two at or below its largest entry: exact, unless
+    entries underflow, and it keeps every scaled entry below 2.
+    """
+    n = diag.size
+    largest = np.maximum(np.abs(diag).max(), np.abs(sub).max(initial=0.0))
+    if not np.isfinite(largest):
+        raise NumericalError("SVD of the A->B block failed: it has non-finite entries")
+    scale = 2.0 ** (np.frexp(largest)[1] - 1) if largest > 0 else 1.0
+    # dbdsdc overwrites d with sigma (descending) and uses e as workspace;
+    # e is declared with n - 1 entries, so give the 1 x 1 block one as well.
+    d = diag / scale
+    e = np.zeros(n)
+    e[: n - 1] = sub / scale
+    # A column-major n x n factor read back row-major is its transpose: Ut
+    # holds U^T, and W, the buffer of the right factor W^T, holds W.
+    Ut, W = np.empty((n, n)), np.empty((n, n))
+    work = np.empty(3 * n * n + 4 * n)
+    iwork = np.empty(8 * n, dtype=np.int64)
+    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+    unused = np.zeros(1)  # Q and IQ are not referenced when COMPQ = 'I'
+    kernel(
+        b"L", b"I", ctypes.byref(size), d.ctypes.data, e.ctypes.data,
+        Ut.ctypes.data, ctypes.byref(size), W.ctypes.data, ctypes.byref(size),
+        unused.ctypes.data, unused.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+        ctypes.byref(info), 1, 1,
+    )
+    if info.value != 0:
+        raise NumericalError(f"bidiagonal SVD of the A->B block failed: dbdsdc info = {info.value}")
+    return ChiralSpectrum(Ut.T, d * scale, W)
 
 
 def _checked_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralchain import spectral
 from chiralchain.bounds import anticommutator_trace_norms, gap_filter_min_eigenvalue
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
@@ -237,3 +238,165 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
         assert abs(got - want) <= 1e-13 * n * max(1.0, want)
     min_eig = float(np.linalg.eigvalsh(matrix_function(eigh(H), lambda e: _sech_sq(e / delta))).min())
     assert abs(gap_filter_min_eigenvalue(H, delta) - min_eig) <= 1e-14 * n
+
+
+# --- the bidiagonal route: LAPACK dbdsdc for a real lower-bidiagonal T ---------------
+
+
+def test_numpy_lapack_exports_dbdsdc():
+    # Without the symbol every chain silently takes the slower dense SVD.
+    assert spectral._dbdsdc() is not None
+
+
+def assert_bidiagonal_svd(d, e):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    T = np.diag(d) + np.diag(e, -1)
+    spec = spectral._bidiagonal_svd(spectral._dbdsdc(), d, e)
+    n, largest = d.size, float(np.abs(T).max())
+    assert spec.U.shape == spec.W.shape == (n, n) and spec.sigma.shape == (n,)
+    assert np.all(spec.sigma >= 0.0) and np.all(np.diff(spec.sigma) <= 0.0)
+    # Relative to the largest entry, so that subnormal blocks are held to the same digits.
+    sigma = spec.sigma / largest
+    assert np.abs(sigma - np.linalg.svd(T, compute_uv=False) / largest).max() <= 1e-13
+    assert np.abs((spec.U * sigma) @ spec.W.T - T / largest).max() <= 1e-13
+    for Q in (spec.U, spec.W):
+        assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-13
+    return spec
+
+
+_bidiagonal_entry = st.floats(-1.0, 1.0) | st.just(0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 59),
+    exponent=st.integers(-310, 307) | st.integers(-310, -290) | st.sampled_from([0, 300, 307]),
+)
+def test_bidiagonal_svd_matches_dense_svd(data, n, exponent):
+    # dbdsdc scales only above 25 rows; unscaled, entries below about 1e-293
+    # gave relative reconstruction errors from 5e-7 to 1 below that size.
+    d, e = (
+        np.array(data.draw(st.lists(_bidiagonal_entry, min_size=m, max_size=m))) * 10.0**exponent
+        for m in (n, n - 1)
+    )
+    if np.any(d) or np.any(e):
+        assert_bidiagonal_svd(d, e)
+
+
+@pytest.mark.parametrize("d, e, zeros", [
+    ([0.7], [], 0),  # the 2-site chain: T is 1 x 1 and e is empty
+    ([-3e-300], [], 0),
+    ([0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.5], 1),  # all-zero diagonal: the first row is zero
+    ([1.0, 0.0, 2.0, 0.0, 3.0], [0.5, 0.5, 0.5, 0.5], 1),  # the last two columns are parallel
+    ([1e308, 1.0, 1e308], [1e307, 1e307], 1),  # sigma near 1 is below rounding here
+    ([1e-310, 2e-310, 0.0], [3e-310, 0.0], 1),  # subnormal entries and a zero last row
+])
+def test_bidiagonal_svd_edge_cases(d, e, zeros):
+    spec = assert_bidiagonal_svd(d, e)
+    assert np.count_nonzero(spec.sigma <= 1e-15 * spec.sigma[0]) == zeros
+
+
+def test_bidiagonal_svd_of_zero_block_is_identity():
+    spec = spectral._bidiagonal_svd(spectral._dbdsdc(), np.zeros(4), np.zeros(3))
+    assert np.array_equal(spec.sigma, np.zeros(4))
+    assert np.array_equal(spec.U, np.eye(4)) and np.array_equal(spec.W, np.eye(4))
+
+
+class _Routes:
+    """Counts of the A->B block SVDs by route: LAPACK dbdsdc or np.linalg.svd."""
+
+    def __init__(self, monkeypatch):
+        self.dbdsdc = self.svd = 0
+        kernel, svd = spectral._dbdsdc(), np.linalg.svd
+
+        def counted_kernel(*args):
+            self.dbdsdc += 1
+            return kernel(*args)
+
+        def counted_svd(*args, **kwargs):
+            self.svd += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_dbdsdc", lambda: counted_kernel if kernel else None)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+
+    def solve(self, H):
+        """The route eigh(H) takes, checked against the dense oracle."""
+        before = (self.dbdsdc, self.svd)
+        eigh(H)
+        taken = (self.dbdsdc - before[0], self.svd - before[1])
+        assert taken in {(1, 0), (0, 1)}
+        assert_matches_dense(H, 0.3, switch_function(H.geometry, "middle"))
+        return "dbdsdc" if taken == (1, 0) else "svd"
+
+
+def _chain(length, convention=Convention.CELL_C2, complex_valued=False, offsets=(), boundary=False):
+    geom = make_geometry(length, convention)
+    rng = np.random.default_rng(length)
+
+    def values():
+        v = rng.uniform(-1.5, 1.5, geom.cells)
+        return v + 1j * rng.uniform(-1.5, 1.5, geom.cells) if complex_valued else v
+
+    edge = None
+    if boundary:
+        edge = np.zeros(geom.cells)
+        edge[0], edge[-1] = 0.3, -0.2
+    extra = tuple(ExtraCoupling(k, values(), values()) for k in offsets)
+    return build_ssh(geom, CouplingProfile(values(), values(), extra, edge))
+
+
+@pytest.mark.parametrize("H, route", [
+    (_chain(2), "dbdsdc"),
+    (_chain(3), "dbdsdc"),
+    (_chain(40), "dbdsdc"),
+    (_chain(40, boundary=True), "dbdsdc"),
+    (_chain(5, offsets=(5, 9)), "dbdsdc"),  # offsets of at least L add no bond
+    (_chain(2, Convention.ALTERNATING_SITES), "dbdsdc"),
+    (_chain(12, Convention.ALTERNATING_SITES), "dbdsdc"),
+    (_chain(3, Convention.ALTERNATING_SITES), "svd"),  # odd length: T is not square
+    (_chain(13, Convention.ALTERNATING_SITES), "svd"),
+    (_chain(12, offsets=(2,)), "svd"),
+    (_chain(12, complex_valued=True), "svd"),
+    (ChiralHamiltonian.from_matrix(_chain(12, offsets=(3,)).matrix, make_geometry(12)), "svd"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_solver_route(monkeypatch, H, route):
+    assert _Routes(monkeypatch).solve(H) == route
+
+
+def test_disordered_defect_chain_takes_dbdsdc(monkeypatch):
+    profile = apply_defect(apply_disorder(CouplingProfile.constant(250, 0.5, 1.0), 1, 0.1), 0.2)
+    assert _Routes(monkeypatch).solve(build_ssh(make_geometry(250), profile)) == "dbdsdc"
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=_cell_chains() | _site_chains())
+def test_route_follows_the_band_structure(H):
+    T = H.T
+    bidiagonal = (
+        T.dtype == np.float64 and T.shape[0] == T.shape[1]
+        and not np.any(np.triu(T, 1)) and not np.any(np.tril(T, -2))
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        assert _Routes(mp).solve(H) == ("dbdsdc" if bidiagonal else "svd")
+
+
+def test_missing_kernel_falls_back_to_dense_svd(monkeypatch):
+    resolve = spectral._dbdsdc
+    monkeypatch.setattr(spectral, "_DBDSDC_SYMBOL", "no_such_lapack_symbol")
+    resolve.cache_clear()
+    try:
+        assert resolve() is None
+        assert _Routes(monkeypatch).solve(_chain(40)) == "svd"
+    finally:
+        resolve.cache_clear()
+
+
+def test_non_finite_band_is_numerical_error():
+    # from_matrix lets NaN through (its Hermiticity defect compares as False).
+    M = _chain(4).matrix
+    M[2, 3] = M[3, 2] = np.nan
+    H = ChiralHamiltonian.from_matrix(M, make_geometry(4))
+    with pytest.raises(NumericalError, match="non-finite"):
+        eigh(H)

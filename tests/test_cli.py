@@ -792,7 +792,8 @@ def test_figures_diagonalize_each_model_once(monkeypatch):
 
 def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
     # Importing scipy.linalg costs about 23 MB of resident memory; only the
-    # theorem delta (bulk_gap) and the test oracle need scipy.
+    # theorem delta (bulk_gap) and the test oracle need scipy.  The bidiagonal
+    # SVD comes from numpy's own LAPACK, and these commands resolve it.
     cfg = write_config(tmp_path, disordered_config(
         scan="length", geometry={"length": [10, 20], "convention": "cell"}))
     commands = [
@@ -803,8 +804,10 @@ def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
     script = (
         "import json, sys\n"
         "from chiralchain.cli import main\n"
+        "from chiralchain import spectral\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+        "resolved = spectral._dbdsdc.cache_info().currsize == 1\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules, resolved]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -812,7 +815,22 @@ def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False, True]
+
+
+def test_bidiagonal_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
+    from chiralchain import spectral
+
+    def failing_kernel(*args):
+        args[13]._obj.value = 3  # INFO: a singular value did not converge
+
+    monkeypatch.setattr(spectral, "_dbdsdc", lambda: failing_kernel)
+    cfg = write_config(tmp_path, disordered_config(
+        scan="length", geometry={"length": [10, 20], "convention": "cell"}))
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: bidiagonal SVD of the A->B block failed: dbdsdc info = 3\n"
+    )
 
 
 def test_cli_import_leaves_scipy_unloaded():

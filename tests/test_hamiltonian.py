@@ -730,3 +730,53 @@ def test_build_ssh_memory_is_one_block():
         tracemalloc.stop()
     assert H.T.shape == (1000, 1000)
     assert peak < 16e6
+
+
+# --- the banded short-range constant ------------------------------------------------
+
+
+def full_grid_short_range_constant(H, decay_length):
+    """The constant over the whole L x L grid of blocks, as first written."""
+    T = H.T
+    if H.geometry.convention is Convention.CELL_C2:
+        zero = np.zeros_like(T)
+        norms = block_norms((zero, T, T.conj().T, zero), H.geometry)
+    else:
+        norms = np.zeros((H.dim, H.dim))
+        norms[0::2, 1::2] = np.abs(T)
+        norms[1::2, 0::2] = np.abs(T).T
+    x, y = np.nonzero(norms)
+    with np.errstate(over="ignore"):
+        weighted = norms[x, y] * np.exp(np.abs(x - y) / decay_length)
+    return float(np.bincount(x, weights=weighted, minlength=norms.shape[0]).max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=_chains(), decay_length=st.floats(1e-3, 1e3))
+def test_banded_short_range_constant_is_the_full_grid_sum(chain, decay_length):
+    # Same block norms, weights and summation order: equal to the last bit.
+    H = build_ssh(*chain)
+    assert short_range_constant(H, decay_length) == full_grid_short_range_constant(H, decay_length)
+
+
+@pytest.mark.parametrize("L", [3, 250])
+@pytest.mark.parametrize("offsets", [(), (2,), (3, 17), (250, 400)])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_banded_short_range_constant_on_long_range_chains(L, offsets, complex_valued):
+    H = build_ssh(make_geometry(L), offsets_profile(L, offsets, complex_valued, seed=L))
+    for decay_length in (0.1, 1.0, 40.0):
+        assert short_range_constant(H, decay_length) == full_grid_short_range_constant(H, decay_length)
+
+
+def test_banded_short_range_constant_memory_is_linear():
+    import tracemalloc
+
+    # The full grid peaked at 512 MB here; the band is 3 diagonals of 2000 cells.
+    H = build_ssh(make_geometry(2000), disordered_defect_profile(2000, 1))
+    tracemalloc.start()
+    try:
+        value = short_range_constant(H, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value) and peak < 2e6
