@@ -29,29 +29,23 @@ from .hamiltonian import (
     block_norms,
     build_ssh,
     bulk_gap,
-    periodic_closure,
     short_range_constant,
     verify_chiral,
 )
 from .spectral import (
     ChiralSpectrum,
     NumericalError,
-    OracleRangeError,
-    SpectralData,
     eigh,
     flattened_sign,
     gap_filter,
     matrix_function,
     propagator,
-    tanh_oracle,
 )
 from .indices import (
     DeltaMode,
     DeltaPolicy,
     IndexKind,
     IndexReport,
-    bulk_index,
-    edge_index,
     index_density,
     index_report,
     resolve_delta,

@@ -9,12 +9,11 @@ locality bounds.
 One builder places every bond, as (row, col, value) triplets of the upper
 triangle.  The open chain scatters them into its A->B block T, the only
 array a ``ChiralHamiltonian`` stores (L x L, where the 2L x 2L matrix would
-be four times larger); ``periodic_closure`` scatters the ring's into a
-dense matrix, and ``bulk_gap`` assembles them into a sparse ring, so its
-cost grows with L * coupling_range.  The ring is the open chain of the
-periodically tiled profile plus the wrap bonds x -> (x + k) mod L, and the
-``sites`` chain of L sites is the cell chain of (L + 1) // 2 cells cropped
-to its first L basis states.
+be four times larger), and ``bulk_gap`` assembles the ring's into a sparse
+matrix, so its cost grows with L * coupling_range.  The ring is the open
+chain of the periodically tiled profile plus the wrap bonds
+x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell chain
+of (L + 1) // 2 cells cropped to its first L basis states.
 
 Chirality and Hermiticity are structural here: H = [[0, T], [T^dag, 0]] in
 sublattice order, so ``H C + C H = 0`` and ``H = H^dag`` hold exactly.  A
@@ -167,6 +166,9 @@ class ChiralHamiltonian:
             raise NumericalError(f"expected a square matrix, got shape {M.shape}")
         if M.shape[0] != geometry.total_dim:
             raise NumericalError(f"matrix shape {M.shape} does not match {geometry.total_dim} sublattice signs")
+        # NaN compares False with every tolerance below, and inf - inf is NaN.
+        if not np.all(np.isfinite(M)):
+            raise NumericalError("matrix has non-finite entries")
         if np.any(M[0::2, 0::2]) or np.any(M[1::2, 1::2]):
             raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
         # With zero A-A and B-B blocks, M = M^dag exactly when T = (M_BA)^dag.
@@ -286,14 +288,6 @@ def _chain_bonds(profile: CouplingProfile, ring: bool) -> _Bonds:
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values).astype(dtype)
 
 
-def _dense(bonds: _Bonds, n: int) -> np.ndarray:
-    """The n x n Hermitian matrix of the bonds, symmetrized once."""
-    rows, cols, values = bonds
-    upper = np.zeros((n, n), dtype=values.dtype)
-    np.add.at(upper, (rows, cols), values)
-    return upper + upper.conj().T
-
-
 def _uniform_stream(seed: int, kind: int, count: int, amplitude: float) -> np.ndarray:
     key = np.array([int(seed) % (1 << 64), kind], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
@@ -344,24 +338,14 @@ def _ring_bonds(profile: CouplingProfile, l_ring: int) -> _Bonds:
     return _chain_bonds(profile.tiled(l_ring), ring=True)
 
 
-def periodic_closure(profile: CouplingProfile, l_ring: int) -> np.ndarray:
-    """Ring Hamiltonian with the same bulk blocks and wrap-around bonds.
-
-    The profile is tiled periodically when ``l_ring`` differs from its
-    length; boundary perturbations are an open-chain feature and excluded.
-    Returns a plain Hermitian matrix of dimension 2 * l_ring.
-    """
-    return _dense(_ring_bonds(profile, l_ring), 2 * l_ring)
-
-
 def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:
     """Half-width of the spectral gap around zero, estimated on a periodic ring.
 
     A finite-ring estimate of the true bulk gap; defaults to a ring of four
     times the profile length.  The ring is assembled as a sparse matrix from
-    the bonds of ``periodic_closure`` and solved by ARPACK shift-invert about
-    zero, so time and memory grow with l_ring * coupling_range.  Chirality
-    makes the spectrum symmetric about zero, so the half gap is the smallest
+    its bonds (``_ring_bonds``) and solved by ARPACK shift-invert about zero,
+    so time and memory grow with l_ring * coupling_range.  Chirality makes
+    the spectrum symmetric about zero, so the half gap is the smallest
     positive eigenvalue: the algebraically largest eigenvalue of the inverse.
     The start vector is a fixed-seed Gaussian (a constant vector lies in one
     symmetry sector of a clean ring).  An exactly singular ring (a closed

@@ -169,18 +169,6 @@ def _index_diagonals(
     return edge_diag, bulk_diag
 
 
-def edge_index(H: ChiralHamiltonian, delta: float, switch: SwitchFunction) -> float:
-    """Tr(C theta(X) (1 - S^2)): chiral density of low-energy states left of the switch."""
-    edge_diag, _ = _index_diagonals(H, delta, switch)
-    return float(edge_diag.sum())
-
-
-def bulk_index(H: ChiralHamiltonian, delta: float, switch: SwitchFunction) -> float:
-    """(1/2) Tr(C S [theta(X), S]): the finite-size analogue of the winding number."""
-    _, bulk_diag = _index_diagonals(H, delta, switch)
-    return float(bulk_diag.sum())
-
-
 def _nearest_integer(value: float) -> int:
     # Round half away from zero, deterministically.
     return int(math.copysign(math.floor(abs(value) + 0.5), value))
@@ -241,7 +229,5 @@ def windowed_edge_index(
     """
     if window < 4:
         raise ValueError(f"window must be at least 4 cells, got {window}")
-    truncated = profile.truncate(window)
-    geom = make_geometry(window, Convention.CELL_C2)
-    H = build_ssh(geom, truncated)
-    return edge_index(H, delta, switch_function(geom, window // 2))
+    H = build_ssh(make_geometry(window, Convention.CELL_C2), profile.truncate(window))
+    return index_report(H, delta, window // 2).edge_index

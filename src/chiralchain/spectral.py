@@ -4,11 +4,11 @@ Everything downstream (indices, bound certificates) runs through functions of
 one Hermitian matrix: the flattened sign S = tanh(H / delta), the gap filter
 1 - S^2, and the propagator exp(i t H).  In sublattice order a chiral
 Hamiltonian is H = [[0, T], [T^dag, 0]], and a ``ChiralHamiltonian`` stores
-only T, so the production path is one SVD of T = U Sigma W^dag, taken
-directly and with no input checks (they run once, in the constructor): the
-spectrum is +-sigma, and every function of H is assembled from L x L
-blocks.  A real, square, lower-bidiagonal T (every chain the CLI builds
-except an odd-length ``sites`` chain) goes to LAPACK's bidiagonal
+only T, so ``eigh`` takes one SVD of T = U Sigma W^dag, directly and with
+no input checks (they run once, in the constructor): the spectrum is
++-sigma, and every function of H is assembled from L x L blocks.  A real,
+square, lower-bidiagonal T (every chain the CLI builds except an
+odd-length ``sites`` chain) goes to LAPACK's bidiagonal
 divide-and-conquer SVD ``dbdsdc``, taken through ctypes from the OpenBLAS
 that numpy.linalg has loaded and resolved on first use; T is first scaled
 by a power of two, as ``gesdd`` scales and ``dbdsdc`` does not below 26
@@ -18,9 +18,10 @@ rows.  Every other T, and a numpy whose LAPACK lacks that symbol, takes
 reuses it.  Callers that need only part of a function of H (the index
 diagonals, the block norms and trace norms of the bound certificates, the
 gap filter's smallest eigenvalue) read its L x L blocks from
-``chiral_blocks`` instead of the assembled 2L x 2L matrix.  The dense
-eigendecomposition of a plain array and ``tanh_oracle``, an
-eigendecomposition-free route to S, are cross-checks.
+``chiral_blocks`` instead of the assembled 2L x 2L matrix.  A plain matrix
+enters through ``ChiralHamiltonian.from_matrix``.  The tests check this
+route against a dense eigendecomposition and the eigendecomposition-free
+``tanh_oracle`` (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -32,22 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, NumericalError, _as_positive, _check_hermitian
-
-# Largest ||H||_2 / delta the oracle path supports.
-ORACLE_MAX_RATIO = 50.0
-
-
-class OracleRangeError(NumericalError):
-    """tanh_oracle called outside its supported conditioning range."""
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Full eigenpairs of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+from .hamiltonian import ChiralHamiltonian, NumericalError, _as_positive
 
 
 @dataclass(frozen=True)
@@ -86,28 +72,22 @@ class ChiralSpectrum:
         return out
 
 
-def eigh(H: ChiralHamiltonian | np.ndarray) -> ChiralSpectrum | SpectralData:
-    """Spectrum of a Hermitian matrix.
+def eigh(H: ChiralHamiltonian) -> ChiralSpectrum:
+    """The spectrum of H from one SVD of its A->B block T.
 
-    A ``ChiralHamiltonian`` gets a ``ChiralSpectrum`` from one SVD of its
-    A->B block T, with no input checks: H is Hermitian and chiral by
-    construction.  The first call solves, and the spectrum is kept on H:
-    later calls with the same H return it as is.  A plain array must be
-    Hermitian within 1e-12 relative; it gets the dense eigendecomposition of
-    its symmetrized form, on every call.
+    There are no input checks: H is Hermitian and chiral by construction.
+    The first call solves, and the spectrum is kept on H: later calls with
+    the same H return it as is.
     """
-    if isinstance(H, ChiralHamiltonian):
-        if H._spectrum is None:
-            # H is frozen; its spectrum is derived data, set once.
-            object.__setattr__(H, "_spectrum", _chiral_svd(H))
-        return H._spectrum
-    M = np.asarray(H)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NumericalError(f"expected a square matrix, got shape {M.shape}")
-    _check_hermitian(M, M)
-    # Halve before adding: M + M^dag overflows for entries above ~9e307.
-    w, V = np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
-    return SpectralData(w, V)
+    if not isinstance(H, ChiralHamiltonian):
+        raise TypeError(
+            f"eigh takes a ChiralHamiltonian, got {type(H).__name__}; "
+            "build one from a matrix with ChiralHamiltonian.from_matrix"
+        )
+    if H._spectrum is None:
+        # H is frozen; its spectrum is derived data, set once.
+        object.__setattr__(H, "_spectrum", _chiral_svd(H))
+    return H._spectrum
 
 
 def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
@@ -227,19 +207,8 @@ def chiral_blocks(
     return AA, BB, AB, _sandwich(W[:, :k], odd, U[:, :k])
 
 
-def matrix_function(
-    spec: ChiralSpectrum | SpectralData, f: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """f(H) in the original basis; Hermitian (symmetrized) when f is real on the spectrum.
-
-    A ``ChiralSpectrum`` places the four blocks of ``chiral_blocks``.
-    """
-    if isinstance(spec, SpectralData):
-        values = _checked_values(f, spec.eigenvalues)
-        V = spec.eigenvectors
-        out = (V * values) @ V.conj().T
-        return out if np.iscomplexobj(values) else _hermitian_part(out)
-
+def matrix_function(spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(H) in the original basis, placed from the four blocks of ``chiral_blocks``."""
     AA, BB, AB, BA = chiral_blocks(spec, f)
     out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(AA, BB, AB, BA))
     out[0::2, 0::2] = AA
@@ -261,51 +230,20 @@ def _ratio(w: np.ndarray, delta: float) -> np.ndarray:
         return w / delta
 
 
-def flattened_sign(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
+def flattened_sign(H: ChiralHamiltonian, delta: float) -> np.ndarray:
     """S = tanh(H / delta): the band-flattening smooth surrogate for sign(H)."""
     delta = _as_positive("delta", delta)
     return matrix_function(eigh(H), lambda w: np.tanh(_ratio(w, delta)))
 
 
-def gap_filter(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
+def gap_filter(H: ChiralHamiltonian, delta: float) -> np.ndarray:
     """1 - S^2: positive semidefinite, concentrates weight on near-zero-energy states."""
     delta = _as_positive("delta", delta)
     return matrix_function(eigh(H), lambda w: _sech_sq(_ratio(w, delta)))
 
 
-def propagator(H: ChiralHamiltonian | np.ndarray, t: float) -> np.ndarray:
+def propagator(H: ChiralHamiltonian, t: float) -> np.ndarray:
     """Unitary exp(i t H)."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     return matrix_function(eigh(H), lambda w: np.exp(1j * float(t) * w))
-
-
-def tanh_oracle(H: ChiralHamiltonian | np.ndarray, delta: float) -> np.ndarray:
-    """tanh(H / delta) without an eigendecomposition, as an independent check.
-
-    Uses tanh(y) = (e^{2y} - 1)(e^{2y} + 1)^{-1} on an argument scaled down
-    by 2^k so that its norm is at most 1 (scaling-and-squaring expm plus a
-    positive-definite solve), then k doubling steps
-    tanh(2y) = 2 tanh(y) (1 + tanh(y)^2)^{-1}, each a solve with condition
-    number at most 2.  Supported for ||H||_2 / delta <= 50.
-    """
-    import scipy.linalg
-
-    delta = _as_positive("delta", delta)
-    M = H.matrix if isinstance(H, ChiralHamiltonian) else np.asarray(H)
-    n = M.shape[0]
-    ratio = float(np.linalg.norm(M, 2)) / delta
-    if ratio > ORACLE_MAX_RATIO:
-        raise OracleRangeError(
-            f"||H||/delta = {ratio:.3g} exceeds the supported range {ORACLE_MAX_RATIO:g}"
-        )
-    identity = np.eye(n, dtype=M.dtype if np.iscomplexobj(M) else float)
-    k = 0 if ratio <= 1.0 else int(np.ceil(np.log2(ratio)))
-    E = scipy.linalg.expm(2.0 * M / (delta * 2.0**k))
-    E = (E + E.conj().T) / 2.0
-    T = scipy.linalg.solve(E + identity, E - identity, assume_a="pos")
-    for _ in range(k):
-        denom = identity + T @ T
-        denom = (denom + denom.conj().T) / 2.0
-        T = scipy.linalg.solve(denom, 2.0 * T, assume_a="pos")
-    return (T + T.conj().T) / 2.0

@@ -1,0 +1,79 @@
+"""Dense reference routes that the package's chiral route is checked against.
+
+The package diagonalizes a ``ChiralHamiltonian`` through one SVD of its
+A->B block.  The oracles here take the assembled matrix instead:
+
+- ``dense_eigh`` and ``dense_function``: the full eigendecomposition of a
+  Hermitian array and f(M) from it;
+- ``tanh_oracle``: tanh(M / delta) with no eigendecomposition at all;
+- ``dense_ring``: the ring that ``bulk_gap`` solves, as a dense matrix.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from chiralchain.hamiltonian import NumericalError, _as_positive, _check_hermitian, _ring_bonds
+
+# Largest ||M||_2 / delta that tanh_oracle supports.
+ORACLE_MAX_RATIO = 50.0
+
+
+class OracleRangeError(NumericalError):
+    """tanh_oracle called outside its supported conditioning range."""
+
+
+def dense_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, eigenvectors) of a matrix Hermitian within 1e-12 relative."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NumericalError(f"expected a square matrix, got shape {M.shape}")
+    _check_hermitian(M, M)
+    # Halve before adding: M + M^dag overflows for entries above ~9e307.
+    return np.linalg.eigh(M / 2.0 + M.conj().T / 2.0)
+
+
+def dense_function(eig: tuple[np.ndarray, np.ndarray], f) -> np.ndarray:
+    """f(M) from ``dense_eigh(M)``; Hermitian (symmetrized) when f is real on the spectrum."""
+    w, V = eig
+    values = np.broadcast_to(f(w), w.shape)
+    if np.any(np.isnan(values)):
+        raise NumericalError("scalar function produced NaN on an eigenvalue")
+    out = (V * values) @ V.conj().T
+    return out if np.iscomplexobj(values) else out / 2.0 + out.conj().T / 2.0
+
+
+def tanh_oracle(M: np.ndarray, delta: float) -> np.ndarray:
+    """tanh(M / delta) of a Hermitian array, without an eigendecomposition.
+
+    Uses tanh(y) = (e^{2y} - 1)(e^{2y} + 1)^{-1} on an argument scaled down
+    by 2^k so that its norm is at most 1 (scaling-and-squaring expm plus a
+    positive-definite solve), then k doubling steps
+    tanh(2y) = 2 tanh(y) (1 + tanh(y)^2)^{-1}, each a solve with condition
+    number at most 2.  Supported for ||M||_2 / delta <= 50.
+    """
+    delta = _as_positive("delta", delta)
+    M = np.asarray(M)
+    n = M.shape[0]
+    ratio = float(np.linalg.norm(M, 2)) / delta
+    if ratio > ORACLE_MAX_RATIO:
+        raise OracleRangeError(
+            f"||M||/delta = {ratio:.3g} exceeds the supported range {ORACLE_MAX_RATIO:g}"
+        )
+    identity = np.eye(n, dtype=M.dtype if np.iscomplexobj(M) else float)
+    k = 0 if ratio <= 1.0 else int(np.ceil(np.log2(ratio)))
+    E = scipy.linalg.expm(2.0 * M / (delta * 2.0**k))
+    E = (E + E.conj().T) / 2.0
+    T = scipy.linalg.solve(E + identity, E - identity, assume_a="pos")
+    for _ in range(k):
+        denom = identity + T @ T
+        denom = (denom + denom.conj().T) / 2.0
+        T = scipy.linalg.solve(denom, 2.0 * T, assume_a="pos")
+    return (T + T.conj().T) / 2.0
+
+
+def dense_ring(profile, l_ring: int) -> np.ndarray:
+    """The ring that ``bulk_gap`` solves, as a dense matrix symmetrized once."""
+    rows, cols, values = _ring_bonds(profile, l_ring)
+    upper = np.zeros((2 * l_ring, 2 * l_ring), dtype=values.dtype)
+    np.add.at(upper, (rows, cols), values)
+    return upper + upper.conj().T

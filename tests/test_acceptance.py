@@ -10,6 +10,7 @@ import numpy as np
 
 from chiralchain.bounds import anticommutator_trace_norms, lieb_robinson_check
 from chiralchain.hamiltonian import (
+    ChiralHamiltonian,
     CouplingProfile,
     ExtraCoupling,
     apply_defect,
@@ -20,15 +21,14 @@ from chiralchain.hamiltonian import (
 from chiralchain.indices import (
     DeltaPolicy,
     IndexKind,
-    bulk_index,
-    edge_index,
     index_density,
     index_report,
     windowed_edge_index,
 )
 from chiralchain.lattice import Convention, chiral_polarization, make_geometry, switch_function
-from chiralchain.spectral import flattened_sign, tanh_oracle
+from chiralchain.spectral import flattened_sign
 from chiralchain.cli import reproduce_fig3, reproduce_fig4
+from oracles import tanh_oracle
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str) -> None:
@@ -76,11 +76,8 @@ def test_criterion_01_exact_bulk_edge_identity():
         delta = float(10.0 ** rng.uniform(-3, 1))
         ell = int(rng.integers(1, geom.length))
         sw = switch_function(geom, ell)
-        residual = abs(
-            edge_index(H, delta, sw)
-            - bulk_index(H, delta, sw)
-            - chiral_polarization(geom, sw)
-        )
+        report = index_report(H, delta, ell)
+        residual = abs(report.edge_index - report.bulk_index - chiral_polarization(geom, sw))
         worst = max(worst, residual)
     _criterion(
         1,
@@ -91,8 +88,8 @@ def test_criterion_01_exact_bulk_edge_identity():
 
 
 def test_criterion_02_dimerized_limits():
-    topo = edge_index(ssh(20, 0.0, 1.0), 0.05, switch_function(make_geometry(20), 10))
-    trivial = edge_index(ssh(20, 1.0, 0.0), 0.05, switch_function(make_geometry(20), 10))
+    topo = index_report(ssh(20, 0.0, 1.0), 0.05, 10).edge_index
+    trivial = index_report(ssh(20, 1.0, 0.0), 0.05, 10).edge_index
     ok = abs(topo - 1.0) < 1e-9 and abs(trivial) < 1e-9
     _criterion(
         2,
@@ -157,7 +154,7 @@ def test_criterion_05_localization_profiles():
 def test_criterion_06_switch_position_robustness():
     H = ssh(30, 0.5, 1.0)
     values = [
-        edge_index(H, 1.0 / 20.0, switch_function(H.geometry, ell))
+        index_report(H, 1.0 / 20.0, ell).edge_index
         for ell in range(10, 21)
     ]
     spread = max(values) - min(values)
@@ -238,7 +235,7 @@ def test_criterion_10_windowed_evaluation():
     L = 120
     profile = CouplingProfile.constant(L, 0.5, 1.0)
     H = build_ssh(make_geometry(L), profile)
-    full = edge_index(H, 0.1, switch_function(H.geometry, "middle"))
+    full = index_report(H, 0.1).edge_index
     err60 = abs(windowed_edge_index(profile, 0.1, 60) - full)
     err30 = abs(windowed_edge_index(profile, 0.1, 30) - full)
     ok = err60 < 1e-6 and err60 < err30
@@ -255,15 +252,18 @@ def test_criterion_11_oracle_equivalence():
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(4, 40))
-        M = rng.normal(size=(n, n))
-        H = (M + M.T) / 2
+        # A dense random A->B block, one site per basis vector.
+        M = np.zeros((n, n))
+        M[0::2, 1::2] = rng.normal(size=((n + 1) // 2, n // 2))
+        M[1::2, 0::2] = M[0::2, 1::2].T
+        H = ChiralHamiltonian.from_matrix(M, make_geometry(n, Convention.ALTERNATING_SITES))
         ratio = float(rng.uniform(0.5, 50.0))
-        delta = float(np.linalg.norm(H, 2)) / ratio
-        diff = float(np.abs(tanh_oracle(H, delta) - flattened_sign(H, delta)).max())
+        delta = float(np.linalg.norm(M, 2)) / ratio
+        diff = float(np.abs(tanh_oracle(M, delta) - flattened_sign(H, delta)).max())
         worst = max(worst, diff)
     _criterion(
         11,
-        "flattened sign matches the expm-based oracle on 20 random matrices",
+        "flattened sign matches the expm-based oracle on 20 random chiral matrices",
         worst < 1e-8,
         f"worst max-abs difference {worst:.3e} < 1e-8",
     )

@@ -19,7 +19,7 @@ from chiralchain.hamiltonian import (
     bulk_gap,
     short_range_constant,
 )
-from chiralchain.indices import edge_index
+from chiralchain.indices import index_report
 from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
 from chiralchain.spectral import flattened_sign, gap_filter
 
@@ -281,7 +281,7 @@ def test_edge_index_error_tracks_trace_norm():
     for L in (20, 40):
         H = ssh(L, 0.5, 1.0)
         sw = switch_function(H.geometry, "middle")
-        errs.append(abs(edge_index(H, 1.0 / 20.0, sw) - 1.0))
+        errs.append(abs(index_report(H, 1.0 / 20.0, sw.transition).edge_index - 1.0))
         norms.append(anticommutator_trace_norms(H, 1.0 / 20.0, sw)[0])
     assert errs[1] < errs[0]
     assert norms[1] < norms[0]

@@ -1,9 +1,8 @@
 """The chiral spectrum (one SVD of the A->B block) against the dense eigendecomposition.
 
-``eigh(H.matrix)`` takes the dense route of a plain array, so it is the
-oracle for every function of H and for both index diagonals.  The dense
-diagonals below are the formulas the package used before the chiral path,
-kept as the reference.
+``oracles.dense_eigh(H.matrix)`` is the oracle for every function of H and
+for both index diagonals.  The dense diagonals below are the formulas the
+package used before the chiral path, kept as the reference.
 """
 
 import dataclasses
@@ -30,20 +29,21 @@ from chiralchain.lattice import Convention, make_geometry, switch_function
 from chiralchain.spectral import (
     ChiralSpectrum,
     NumericalError,
-    SpectralData,
     _sech_sq,
     eigh,
+    flattened_sign,
     matrix_function,
 )
+from oracles import dense_eigh, dense_function, tanh_oracle
 
 
 def dense_index_diagonals(H, delta, switch):
     signs = H.geometry.sublattice_signs
     theta = switch.basis_values()
-    spec = eigh(H.matrix)
-    w, V = spec.eigenvalues, spec.eigenvectors
+    eig = dense_eigh(H.matrix)
+    w, V = eig
     edge = signs * theta * ((np.abs(V) ** 2) @ _sech_sq(w / delta))
-    S = matrix_function(spec, lambda e: np.tanh(e / delta))
+    S = dense_function(eig, lambda e: np.tanh(e / delta))
     comm = theta[:, None] * S - S * theta[None, :]
     bulk = 0.5 * signs * np.einsum("ij,ji->i", S, comm)
     assert np.abs(np.imag(bulk)).max() < 1e-12
@@ -63,13 +63,12 @@ def assert_matches_dense(H, delta, switch, t=0.7):
     M = H.matrix
     spec = eigh(H)
     assert isinstance(spec, ChiralSpectrum)
-    dense = eigh(M)
-    assert isinstance(dense, SpectralData)
+    dense = dense_eigh(M)
     norm = float(np.linalg.norm(M, 2))
-    assert np.abs(spec.eigenvalues - dense.eigenvalues).max() <= 1e-12 * max(1.0, norm)
+    assert np.abs(spec.eigenvalues - dense[0]).max() <= 1e-12 * max(1.0, norm)
     for name, f, lipschitz in functions(delta, t):
         tol = 1e-12 * max(1.0, lipschitz * norm)
-        diff = np.abs(matrix_function(spec, f) - matrix_function(dense, f)).max()
+        diff = np.abs(matrix_function(spec, f) - dense_function(dense, f)).max()
         assert diff <= tol, name
     edge, bulk = _index_diagonals(H, delta, switch)
     edge_ref, bulk_ref = dense_index_diagonals(H, delta, switch)
@@ -125,6 +124,15 @@ def test_chiral_path_matches_dense_property(data, H, delta, t):
     assert_matches_dense(H, delta, switch_function(H.geometry, transition), t)
 
 
+@settings(max_examples=80, deadline=None)
+@given(H=_cell_chains() | _site_chains(), ratio=st.floats(0.5, 50.0))
+def test_flattened_sign_matches_tanh_oracle(H, ratio):
+    # Real bidiagonal chains take dbdsdc, every other one np.linalg.svd.
+    M = H.matrix
+    delta = max(float(np.linalg.norm(M, 2)), 1e-6) / ratio
+    assert np.abs(flattened_sign(H, delta) - tanh_oracle(M, delta)).max() < 1e-8
+
+
 @pytest.mark.parametrize("sites", [2, 3, 5])
 def test_sites_zero_modes(sites):
     # Odd L: T is (L+1)/2 x (L-1)/2, and the extra column of U is an exact zero mode.
@@ -177,6 +185,17 @@ def test_from_matrix_rejects_non_hermitian_matrix():
     skewed[0, 1] += 1.0
     with pytest.raises(NumericalError, match="not Hermitian"):
         ChiralHamiltonian.from_matrix(skewed, H.geometry)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_from_matrix_rejects_non_finite_bond(bad):
+    # NaN passed the Hermiticity check (its defect compares as False); inf
+    # passed it too, with an inf - inf warning.
+    H = build_ssh(make_geometry(4), CouplingProfile.constant(4, 0.5, 1.0))
+    M = H.matrix.astype(type(bad))
+    M[2, 3], M[3, 2] = bad, np.conj(bad)
+    with pytest.raises(NumericalError, match="non-finite entries"):
+        ChiralHamiltonian.from_matrix(M, H.geometry)
 
 
 def test_index_report_memory_stays_below_dense():
@@ -394,9 +413,8 @@ def test_missing_kernel_falls_back_to_dense_svd(monkeypatch):
 
 
 def test_non_finite_band_is_numerical_error():
-    # from_matrix lets NaN through (its Hermiticity defect compares as False).
-    M = _chain(4).matrix
-    M[2, 3] = M[3, 2] = np.nan
-    H = ChiralHamiltonian.from_matrix(M, make_geometry(4))
+    # from_matrix rejects such a matrix; the constructor takes T unchecked.
+    T = _chain(4).T.copy()
+    T[1, 1] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
-        eigh(H)
+        eigh(ChiralHamiltonian(T, make_geometry(4)))

@@ -16,11 +16,11 @@ from chiralchain.hamiltonian import (
     block_norms,
     build_ssh,
     bulk_gap,
-    periodic_closure,
     short_range_constant,
     verify_chiral,
 )
 from chiralchain.lattice import Convention, make_geometry
+from oracles import dense_ring
 
 E = math.e
 
@@ -140,7 +140,7 @@ def test_defect_width_must_be_positive():
 
 
 def test_ring_spectrum_symmetric():
-    ring = periodic_closure(CouplingProfile.constant(20, 0.7, 1.0), 20)
+    ring = dense_ring(CouplingProfile.constant(20, 0.7, 1.0), 20)
     w = np.linalg.eigvalsh(ring)
     assert np.allclose(w, -w[::-1], atol=1e-10)
 
@@ -171,12 +171,12 @@ def test_bulk_gap_converges_with_ring_size():
 def test_ring_too_small_for_range():
     extra = (ExtraCoupling(3, np.ones(8) * 0.1, np.zeros(8)),)
     profile = CouplingProfile(np.full(8, 0.5), np.ones(8), extra)
-    with pytest.raises(ValueError):
-        periodic_closure(profile, 5)
+    with pytest.raises(ValueError, match="too small"):
+        bulk_gap(profile, l_ring=5)
 
 
 def test_ring_wrap_bond_present():
-    ring = periodic_closure(CouplingProfile.constant(6, 0.5, 1.0), 6)
+    ring = dense_ring(CouplingProfile.constant(6, 0.5, 1.0), 6)
     # (5, B) couples back to (0, A) with t2.
     assert ring[11, 0] == 1.0
 
@@ -405,7 +405,7 @@ def test_ring_is_open_chain_plus_wrap_bonds(offsets, ring, complex_valued):
     profile = offsets_profile(L, offsets, complex_valued)
     r = profile.coupling_range
     l_ring = {"2r": 2 * r, "L": L, "4L": 4 * L, "L+5": L + 5}[ring]
-    assert_same_matrix(periodic_closure(profile, l_ring), reference_periodic_closure(profile, l_ring))
+    assert_same_matrix(dense_ring(profile, l_ring), reference_periodic_closure(profile, l_ring))
 
 
 def test_complex_boundary_perturbation_keeps_its_phase():
@@ -422,7 +422,7 @@ def test_ring_ignores_boundary_perturbation():
     boundary[0] = 0.3
     plain = CouplingProfile.constant(12, 0.5, 1.0)
     perturbed = CouplingProfile(plain.t1, plain.t2, boundary=boundary)
-    assert_same_matrix(periodic_closure(perturbed, 24), periodic_closure(plain, 24))
+    assert_same_matrix(dense_ring(perturbed, 24), dense_ring(plain, 24))
 
 
 def test_tiled_profile_shifts_and_drops_boundary():
@@ -485,14 +485,14 @@ def test_ring_property(data, cells, offsets, complex_valued):
     r = profile.coupling_range
     l_ring = data.draw(st.sampled_from([2 * r, max(cells, 2 * r), 4 * cells + 2 * r])
                        | st.integers(max(2, 2 * r), 4 * cells + 2 * r))
-    assert_same_matrix(periodic_closure(profile, l_ring), reference_periodic_closure(profile, l_ring))
+    assert_same_matrix(dense_ring(profile, l_ring), reference_periodic_closure(profile, l_ring))
 
 
 # --- the sparse ring gap against the dense ring spectrum ---------------------------
 
 
 def dense_gap(profile, l_ring):
-    return float(np.abs(np.linalg.eigvalsh(periodic_closure(profile, l_ring))).min())
+    return float(np.abs(np.linalg.eigvalsh(dense_ring(profile, l_ring))).min())
 
 
 # Couplings within four decades of each other, or exactly zero.  Couplings

@@ -20,15 +20,13 @@ from chiralchain.indices import (
     DeltaMode,
     DeltaPolicy,
     IndexKind,
-    bulk_index,
-    edge_index,
     index_density,
     index_report,
     resolve_delta,
     windowed_edge_index,
 )
 from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
-from chiralchain.spectral import flattened_sign, gap_filter, tanh_oracle
+from chiralchain.spectral import flattened_sign, gap_filter
 
 
 def ssh(L, t1, t2, convention=Convention.CELL_C2):
@@ -55,21 +53,21 @@ def random_chiral(L, seed, offsets=(2,)):
 
 def test_edge_index_dimerized_topological():
     H = ssh(20, 0.0, 1.0)
-    value = edge_index(H, 0.05, switch_function(H.geometry, 10))
+    value = index_report(H, 0.05, 10).edge_index
     assert abs(value - 1.0) < 1e-10
 
 
 def test_edge_index_dimerized_trivial():
     L = 20
     H = ssh(L, 1.0, 0.0)
-    value = edge_index(H, 0.05, switch_function(H.geometry, 10))
+    value = index_report(H, 0.05, 10).edge_index
     assert abs(value) < 4 * 2 * L * math.exp(-2 / 0.05)
 
 
 def test_edge_index_disordered_defect_chain():
     L = 30
     H = build_ssh(make_geometry(L), disordered_defect_profile(L, seed=1))
-    value = edge_index(H, 1.0 / 20.0, switch_function(H.geometry, "middle"))
+    value = index_report(H, 1.0 / 20.0).edge_index
     assert abs(value - 1.0) < 0.05
     # Frozen from this seeded run; guards against silent drift.
     assert value == pytest.approx(0.9999938632150185, abs=1e-6)
@@ -80,23 +78,23 @@ def test_edge_index_disordered_defect_chain():
 
 def test_bulk_equals_edge_under_cell_convention():
     H = random_chiral(16, seed=0)
-    sw = switch_function(H.geometry, 5)
     for delta in (1e-3, 0.1, 5.0):
-        assert abs(edge_index(H, delta, sw) - bulk_index(H, delta, sw)) < 1e-10
+        report = index_report(H, delta, 5)
+        assert abs(report.edge_index - report.bulk_index) < 1e-10
 
 
 def test_bulk_index_vanishes_for_constant_switch():
     H = random_chiral(10, seed=1)
     geom = H.geometry
     full = SwitchFunction(np.ones(geom.length), geom.length, geom)
-    assert abs(bulk_index(H, 0.2, full)) < 1e-12
+    assert abs(index_density(H, 0.2, full, IndexKind.BULK).sum()) < 1e-12
 
 
 def test_clean_topological_chain_near_one():
     L = 60
     H = ssh(L, 0.5, 1.0)
     delta = 1.0 / math.sqrt(2 * L)
-    value = bulk_index(H, delta, switch_function(H.geometry, "middle"))
+    value = index_report(H, delta).bulk_index
     assert abs(value - 1.0) < 0.01
 
 
@@ -131,7 +129,7 @@ def test_edge_index_matches_sector_oracle(seed):
     H = random_chiral(14, seed=seed, offsets=(2, 3))
     sw = switch_function(H.geometry, 4 + seed)
     delta = 0.31
-    assert edge_index(H, delta, sw) == pytest.approx(
+    assert index_report(H, delta, sw.transition).edge_index == pytest.approx(
         sector_oracle_edge_index(H, delta, sw), abs=1e-9
     )
 
@@ -141,7 +139,7 @@ def test_sector_oracle_on_physical_chain():
     H = build_ssh(make_geometry(L), disordered_defect_profile(L, seed=2))
     sw = switch_function(H.geometry, "middle")
     delta = 1.0 / 20.0
-    assert edge_index(H, delta, sw) == pytest.approx(
+    assert index_report(H, delta, sw.transition).edge_index == pytest.approx(
         sector_oracle_edge_index(H, delta, sw), abs=1e-9
     )
 
@@ -257,8 +255,9 @@ def test_density_sums_to_index():
     delta = 1.0 / 20.0
     edge_density = index_density(H, delta, sw, IndexKind.EDGE)
     bulk_density = index_density(H, delta, sw, IndexKind.BULK)
-    assert edge_density.sum() == pytest.approx(edge_index(H, delta, sw), abs=1e-10)
-    assert bulk_density.sum() == pytest.approx(bulk_index(H, delta, sw), abs=1e-10)
+    report = index_report(H, delta, sw.transition)
+    assert edge_density.sum() == pytest.approx(report.edge_index, abs=1e-10)
+    assert bulk_density.sum() == pytest.approx(report.bulk_index, abs=1e-10)
 
 
 def test_density_localization_clean_chain():
@@ -279,7 +278,7 @@ def test_index_insensitive_to_switch_position():
     L = 60
     H = ssh(L, 0.5, 1.0)
     values = [
-        edge_index(H, 0.1, switch_function(H.geometry, ell))
+        index_report(H, 0.1, ell).edge_index
         for ell in range(L // 3, 2 * L // 3 + 1)
     ]
     assert max(values) - min(values) < 1e-3
@@ -292,7 +291,7 @@ def test_windowed_full_window_is_exact():
     L = 40
     profile = CouplingProfile.constant(L, 0.5, 1.0)
     H = build_ssh(make_geometry(L), profile)
-    full = edge_index(H, 0.1, switch_function(H.geometry, "middle"))
+    full = index_report(H, 0.1).edge_index
     assert windowed_edge_index(profile, 0.1, L) == full
 
 
@@ -300,7 +299,7 @@ def test_windowed_agreement_and_monotone_improvement():
     L = 120
     profile = CouplingProfile.constant(L, 0.5, 1.0)
     H = build_ssh(make_geometry(L), profile)
-    full = edge_index(H, 0.1, switch_function(H.geometry, "middle"))
+    full = index_report(H, 0.1).edge_index
     err60 = abs(windowed_edge_index(profile, 0.1, 60) - full)
     err30 = abs(windowed_edge_index(profile, 0.1, 30) - full)
     assert err60 < 1e-6
@@ -318,8 +317,6 @@ def test_windowed_rejects_tiny_window():
 
 # Every public function that takes a delta, called as f(H, switch, delta).
 DELTA_TAKERS = {
-    "edge_index": lambda H, sw, d: edge_index(H, d, sw),
-    "bulk_index": lambda H, sw, d: bulk_index(H, d, sw),
     "index_density": lambda H, sw, d: index_density(H, d, sw, IndexKind.EDGE),
     "index_report": lambda H, sw, d: index_report(H, d, sw.transition),
     "correlation_length": lambda H, sw, d: correlation_length(d, 1.0, 1.0),
@@ -329,7 +326,6 @@ DELTA_TAKERS = {
     "gap_filter_min_eigenvalue": lambda H, sw, d: gap_filter_min_eigenvalue(H, d),
     "flattened_sign": lambda H, sw, d: flattened_sign(H, d),
     "gap_filter": lambda H, sw, d: gap_filter(H, d),
-    "tanh_oracle": lambda H, sw, d: tanh_oracle(H, d),
 }
 
 

@@ -3,36 +3,46 @@ import math
 import numpy as np
 import pytest
 
-from chiralchain.hamiltonian import CouplingProfile, build_ssh
-from chiralchain.lattice import make_geometry
+from chiralchain.hamiltonian import ChiralHamiltonian, CouplingProfile, build_ssh
+from chiralchain.lattice import Convention, make_geometry
 from chiralchain.spectral import (
     NumericalError,
-    OracleRangeError,
     eigh,
     flattened_sign,
     gap_filter,
     matrix_function,
     propagator,
-    tanh_oracle,
 )
+from oracles import OracleRangeError, dense_eigh, dense_function, tanh_oracle
 
 
 def ssh(L, t1, t2):
     return build_ssh(make_geometry(L), CouplingProfile.constant(L, t1, t2))
 
 
-def random_hermitian(n, seed, complex_valued=False):
+def chiral(M):
+    """The Hamiltonian of a chiral n x n matrix, one site per basis vector."""
+    M = np.asarray(M)
+    return ChiralHamiltonian.from_matrix(M, make_geometry(M.shape[0], Convention.ALTERNATING_SITES))
+
+
+def random_chiral(n, seed, complex_valued=False):
+    """A random chiral n x n Hamiltonian with a dense A->B block."""
     rng = np.random.default_rng(seed)
-    M = rng.normal(size=(n, n))
+    T = rng.normal(size=((n + 1) // 2, n // 2))
     if complex_valued:
-        M = M + 1j * rng.normal(size=(n, n))
-    return (M + M.conj().T) / 2
+        T = T + 1j * rng.normal(size=T.shape)
+    M = np.zeros((n, n), dtype=T.dtype)
+    M[0::2, 1::2] = T
+    M[1::2, 0::2] = T.conj().T
+    return chiral(M)
 
 
-def test_eigh_diagonal_two_level():
-    spec = eigh(np.diag([1.0, -1.0]))
+def test_eigh_two_level():
+    spec = eigh(chiral([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
-    assert np.allclose(np.abs(spec.eigenvectors), np.eye(2)[:, ::-1])
+    assert np.allclose(spec.sigma, [1.0])
+    assert np.allclose(np.abs(spec.U), 1.0) and np.allclose(np.abs(spec.W), 1.0)
 
 
 def test_eigh_ssh_chiral_pairs():
@@ -43,55 +53,64 @@ def test_eigh_ssh_chiral_pairs():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_eigh_reconstruction_and_orthonormality(seed):
-    H = random_hermitian(20, seed, complex_valued=seed % 2 == 1)
+    H = random_chiral(20, seed, complex_valued=seed % 2 == 1)
     spec = eigh(H)
-    assert np.abs(matrix_function(spec, lambda w: w) - H).max() < 1e-10
-    V = spec.eigenvectors
-    assert np.abs(V.conj().T @ V - np.eye(20)).max() < 1e-10
+    assert np.abs(matrix_function(spec, lambda w: w) - H.matrix).max() < 1e-10
+    for Q in (spec.U, spec.W):
+        assert np.abs(Q.conj().T @ Q - np.eye(10)).max() < 1e-10
 
 
-def test_eigh_of_entries_near_float_max():
-    # M + M^dag overflows here; the solve must neither warn nor lose the spectrum.
-    H = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e307], [0.0, 1e307, -1e308]])
+@pytest.mark.parametrize("M", [
+    # T is 2 x 1: np.linalg.svd.
+    [[0.0, 1e308, 0.0], [1e308, 0.0, 1e307], [0.0, 1e307, 0.0]],
+    # T = [[1e308, 0], [1e307, -1e308]] is lower bidiagonal: dbdsdc.
+    [[0.0, 1e308, 0.0, 0.0], [1e308, 0.0, 1e307, 0.0],
+     [0.0, 1e307, 0.0, -1e308], [0.0, 0.0, -1e308, 0.0]],
+])
+def test_eigh_of_entries_near_float_max(M):
+    # Sums of two entries overflow here; the solve must neither warn nor lose the spectrum.
+    H = chiral(M)
     spec = eigh(H)
     assert np.all(np.isfinite(spec.eigenvalues))
-    assert np.abs(matrix_function(spec, lambda w: w) - H).max() < 1e-12 * 1e308
+    assert np.abs(matrix_function(spec, lambda w: w) - H.matrix).max() < 1e-12 * 1e308
 
 
-def test_eigh_rejects_non_hermitian():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NumericalError):
-        eigh(M)
+@pytest.mark.parametrize("f", [eigh, lambda M: flattened_sign(M, 0.5),
+                               lambda M: gap_filter(M, 0.5), lambda M: propagator(M, 0.5)],
+                         ids=["eigh", "flattened_sign", "gap_filter", "propagator"])
+def test_plain_array_is_type_error(f):
+    with pytest.raises(TypeError, match="ChiralHamiltonian.from_matrix"):
+        f(np.eye(2))
 
 
 def test_matrix_function_identity_and_constant():
-    H = random_hermitian(12, 3)
+    H = random_chiral(12, 3)
     spec = eigh(H)
-    assert np.abs(matrix_function(spec, lambda w: w) - H).max() < 1e-10
+    assert np.abs(matrix_function(spec, lambda w: w) - H.matrix).max() < 1e-10
     assert np.abs(matrix_function(spec, lambda w: np.ones_like(w)) - np.eye(12)).max() < 1e-10
 
 
 def test_matrix_function_square_matches_matmul():
-    H = random_hermitian(15, 4)
-    spec = eigh(H)
-    assert np.abs(matrix_function(spec, lambda w: w**2) - H @ H).max() < 1e-10
+    H = random_chiral(15, 4)
+    M = H.matrix
+    assert np.abs(matrix_function(eigh(H), lambda w: w**2) - M @ M).max() < 1e-10
 
 
 def test_matrix_function_rejects_nan():
-    spec = eigh(np.diag([1.0, -1.0]))
+    spec = eigh(chiral([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NumericalError):
         matrix_function(spec, lambda w: np.where(w > 0, w, np.nan))
 
 
 def test_flattened_sign_scalar_values():
     gap = 0.7
-    S = flattened_sign(np.diag([gap, -gap]), gap)
-    assert S[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-12)
-    assert S[1, 1] == pytest.approx(-math.tanh(1.0), abs=1e-12)
+    S = flattened_sign(chiral([[0.0, gap], [gap, 0.0]]), gap)
+    assert S[0, 1] == S[1, 0] == pytest.approx(math.tanh(1.0), abs=1e-12)
+    assert S[0, 0] == S[1, 1] == 0.0
 
 
 def test_flattened_sign_of_zero_matrix():
-    assert np.all(flattened_sign(np.zeros((4, 4)), 0.3) == 0.0)
+    assert np.all(flattened_sign(chiral(np.zeros((4, 4))), 0.3) == 0.0)
 
 
 def test_flattened_sign_norm_below_one():
@@ -113,14 +132,13 @@ def test_chiral_conjugation_flips_sign():
 
 
 def test_flattened_sign_commutes_with_hamiltonian():
-    H = ssh(14, 0.5, 1.0).matrix
-    S = flattened_sign(H, 0.1)
-    scale = np.abs(H).max()
-    assert np.abs(S @ H - H @ S).max() < 1e-9 * scale
+    H = ssh(14, 0.5, 1.0)
+    S, M = flattened_sign(H, 0.1), H.matrix
+    assert np.abs(S @ M - M @ S).max() < 1e-9 * np.abs(M).max()
 
 
 def test_spectrum_mapping_under_tanh():
-    H = random_hermitian(18, 5)
+    H = random_chiral(18, 5)
     delta = 0.3
     S = flattened_sign(H, delta)
     mapped = np.sort(np.tanh(eigh(H).eigenvalues / delta))
@@ -128,8 +146,9 @@ def test_spectrum_mapping_under_tanh():
 
 
 def test_gap_filter_small_when_gapped():
-    # All eigenvalues at |1|, delta a tenth of the gap.
-    H = np.diag([1.0, -1.0, 1.0, -1.0])
+    # All eigenvalues at |1| (T is the identity), delta a tenth of the gap.
+    H = chiral([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
     G = gap_filter(H, 0.1)
     assert np.linalg.norm(G, 2) <= 4 * math.exp(-2 / 0.1)
 
@@ -143,7 +162,7 @@ def test_gap_filter_keeps_zero_modes():
 
 
 def test_gap_filter_trace_matches_eigenvalue_sum():
-    H = random_hermitian(16, 6)
+    H = random_chiral(16, 6)
     delta = 0.2
     G = gap_filter(H, delta)
     expected = float(np.sum(1.0 - np.tanh(eigh(H).eigenvalues / delta) ** 2))
@@ -151,23 +170,22 @@ def test_gap_filter_trace_matches_eigenvalue_sum():
 
 
 def test_gap_filter_positive_semidefinite():
-    H = random_hermitian(20, 7)
-    G = gap_filter(H, 0.05)
+    G = gap_filter(random_chiral(20, 7), 0.05)
     assert np.linalg.eigvalsh(G).min() >= -1e-12
 
 
 def test_propagator_at_zero_time():
-    H = random_hermitian(8, 8)
-    assert np.abs(propagator(H, 0.0) - np.eye(8)).max() < 1e-12
+    assert np.abs(propagator(random_chiral(8, 8), 0.0) - np.eye(8)).max() < 1e-12
 
 
 def test_propagator_pi_rotation():
-    U = propagator(np.diag([math.pi]), 1.0)
-    assert U[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    # Energies +-pi: exp(i pi H) = -1.
+    U = propagator(chiral([[0.0, math.pi], [math.pi, 0.0]]), 1.0)
+    assert np.abs(U + np.eye(2)).max() < 1e-12
 
 
 def test_propagator_unitary_and_group_law():
-    H = random_hermitian(14, 9)
+    H = random_chiral(14, 9, complex_valued=True)
     U1 = propagator(H, 0.7)
     U2 = propagator(H, 1.1)
     U12 = propagator(H, 1.8)
@@ -177,7 +195,40 @@ def test_propagator_unitary_and_group_law():
 
 def test_propagator_requires_finite_time():
     with pytest.raises(ValueError):
-        propagator(np.eye(2), math.inf)
+        propagator(ssh(2, 0.5, 1.0), math.inf)
+
+
+# --- the oracles (tests/oracles.py) --------------------------------------------
+
+
+def random_hermitian(n, seed, complex_valued=False):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    if complex_valued:
+        M = M + 1j * rng.normal(size=(n, n))
+    return (M + M.conj().T) / 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_eigh_reconstruction_and_orthonormality(seed):
+    M = random_hermitian(20, seed, complex_valued=seed % 2 == 1)
+    eig = dense_eigh(M)
+    assert np.abs(dense_function(eig, lambda w: w) - M).max() < 1e-10
+    V = eig[1]
+    assert np.abs(V.conj().T @ V - np.eye(20)).max() < 1e-10
+
+
+def test_dense_eigh_of_entries_near_float_max():
+    # M + M^dag overflows here; the solve must neither warn nor lose the spectrum.
+    M = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e307], [0.0, 1e307, -1e308]])
+    eig = dense_eigh(M)
+    assert np.all(np.isfinite(eig[0]))
+    assert np.abs(dense_function(eig, lambda w: w) - M).max() < 1e-12 * 1e308
+
+
+def test_dense_eigh_rejects_non_hermitian():
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        dense_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_tanh_oracle_scalar_case():
@@ -188,19 +239,19 @@ def test_tanh_oracle_scalar_case():
 def test_tanh_oracle_matches_flattened_sign_on_ssh():
     H = ssh(8, 0.5, 1.0)
     delta = 0.5
-    diff = np.abs(tanh_oracle(H, delta) - flattened_sign(H, delta)).max()
+    diff = np.abs(tanh_oracle(H.matrix, delta) - flattened_sign(H, delta)).max()
     assert diff < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tanh_oracle_near_conditioning_limit(seed):
-    H = random_hermitian(24, 10 + seed)
-    delta = float(np.linalg.norm(H, 2)) / 50.0
-    diff = np.abs(tanh_oracle(H, delta) - flattened_sign(H, delta)).max()
+    H = random_chiral(24, 10 + seed)
+    M = H.matrix
+    delta = float(np.linalg.norm(M, 2)) / 50.0
+    diff = np.abs(tanh_oracle(M, delta) - flattened_sign(H, delta)).max()
     assert diff < 1e-8
 
 
 def test_tanh_oracle_range_guard():
-    H = np.diag([1.0, -1.0])
     with pytest.raises(OracleRangeError):
-        tanh_oracle(H, 1.0 / 500.0)
+        tanh_oracle(np.diag([1.0, -1.0]), 1.0 / 500.0)
