@@ -60,6 +60,7 @@ from .bounds import (
     edge_filter_decay_check,
     lieb_robinson_check,
     restriction_discrepancy,
+    trace_norm_checks,
 )
 from .svgplot import PlotKind, emit_plot
 from .cli import (

@@ -1,14 +1,17 @@
 """Numerical certificates for the locality estimates behind the indices.
 
-Each check compares measured block norms against a proven envelope and
-reports the margin honestly: a certificate that fails is reported failing.
-The big-O style statements are certified as "a polynomially bounded constant
-exists", with caller-configurable thresholds (default 10 L^2).
+Each check reads a function of H only as its four sublattice blocks
+(``spectral.chiral_blocks``), compares measured norms against a proven
+envelope and reports the margin honestly: a certificate that fails is
+reported failing.  The big-O style statements are certified as "a
+polynomially bounded constant exists": gamma_star, the largest ratio of a
+norm to its envelope (floored at 1e-300), must stay under a threshold, by
+default 10 L^2, the polynomial allowance of the quantization statement.
 
 Floating point caveat, documented rather than hidden: the propagator bound
 is an exact-arithmetic theorem, so at position pairs where the envelope
 drops below the eigensolver's rounding noise (~1e-16) the comparison uses a
-noise floor (default dim * machine epsilon).  The floor is recorded in the
+noise floor, fixed at dim * machine epsilon.  The floor is recorded in the
 certificate.
 """
 
@@ -20,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, CouplingProfile, _as_positive, block_norms, build_ssh
+from .hamiltonian import (
+    ChiralHamiltonian, CouplingProfile, _as_positive, _sublattice_blocks, block_norms, build_ssh,
+)
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
-from .spectral import ChiralSpectrum, _ratio, _sech_sq, chiral_blocks, eigh, matrix_function
+from .spectral import _ratio, _sech_sq, chiral_blocks, eigh
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
 NOISE_FLOOR = 1e-14
@@ -50,11 +55,9 @@ class BoundCertificate:
 
     bound_name: str
     lhs: np.ndarray
-    rhs: np.ndarray
     margin: float
     passed: bool
     gamma_star: float | None = None
-    threshold: float | None = None
     noise_floor: float | None = None
 
     def csv_row(self, length: int, delta: float | None) -> list:
@@ -87,7 +90,7 @@ def decay_profile(
     fit_window: tuple[int, int] | None = None,
 ) -> DecayProfile:
     """Distance-resolved maxima of ||M_{x,y}|| and their fitted log-slope."""
-    norms = block_norms(np.asarray(M), geom)
+    norms = block_norms(_sublattice_blocks(np.asarray(M)), geom)
     P = norms.shape[0]
     dist = _distances(P)
     maxima = np.zeros(P)
@@ -107,98 +110,70 @@ def decay_profile(
     return DecayProfile(maxima, rate, (int(lo), int(hi)))
 
 
-def _function_block_norms(H: ChiralHamiltonian, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Block norms of f(H); under CELL_C2 from its L x L blocks, never assembled."""
-    spec = eigh(H)
-    if H.geometry.convention is not Convention.CELL_C2:
-        return block_norms(matrix_function(spec, f), H.geometry)
-    AA, BB, AB, BA = chiral_blocks(spec, f)
-    return block_norms((AA, AB, BA, BB), H.geometry)
+def _envelope_certificate(
+    name: str, lhs: np.ndarray, envelope, length: int, threshold: float | None = None
+) -> BoundCertificate:
+    """Passes when gamma_star = max(lhs / envelope) stays under ``threshold`` (default 10 L^2)."""
+    threshold = 10.0 * length * length if threshold is None else threshold
+    gamma_star = float((lhs / np.maximum(envelope, 1e-300)).max())
+    margin = float(threshold - gamma_star)
+    return BoundCertificate(name, lhs, margin, margin >= 0.0, gamma_star=gamma_star)
 
 
 def lieb_robinson_check(
-    H: ChiralHamiltonian,
-    t: float,
-    decay_length: float,
-    coupling_norm: float,
-    noise_floor: float | None = None,
+    H: ChiralHamiltonian, t: float, decay_length: float, coupling_norm: float
 ) -> BoundCertificate:
     """Check ||exp(itH)_{x,y}|| <= 2 |t| K exp(|t| K - |x-y|/d) at all pairs |x-y| >= d.
 
     K must be the short-range constant measured at the same decay length d;
     the inequality is proven, so with a correct K a failure beyond the
-    numerical floor signals an implementation bug.
+    numerical floor signals an implementation bug.  The certificate is
+    named ``lieb_robinson_t{t:g}``.
     """
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     decay_length = _as_positive("decay_length", decay_length)
     coupling_norm = _as_positive("coupling_norm", coupling_norm, zero_ok=True)
     geom = H.geometry
-    if noise_floor is None:
-        noise_floor = geom.total_dim * float(np.finfo(float).eps)
-    lhs_all = _function_block_norms(H, lambda w: np.exp(1j * float(t) * w))
+    noise_floor = geom.total_dim * float(np.finfo(float).eps)
+    lhs_all = block_norms(chiral_blocks(eigh(H), lambda w: np.exp(1j * float(t) * w)), geom)
     dist = _distances(lhs_all.shape[0])
     mask = dist >= decay_length
     lhs = lhs_all[mask]
     with np.errstate(over="ignore"):
-        rhs = (
-            2.0 * abs(t) * coupling_norm
-            * np.exp(abs(t) * coupling_norm - dist[mask] / decay_length)
-        )
-    if lhs.size == 0:
-        return BoundCertificate(
-            "lieb_robinson", lhs, rhs, float("inf"), True, noise_floor=noise_floor
-        )
-    margin = float((rhs - np.maximum(lhs - noise_floor, 0.0)).min())
+        rhs = 2.0 * abs(t) * coupling_norm * np.exp(abs(t) * coupling_norm - dist[mask] / decay_length)
+    # No pair at distance d or more leaves nothing to check: margin inf.
+    margin = float((rhs - np.maximum(lhs - noise_floor, 0.0)).min(initial=np.inf))
     return BoundCertificate(
-        "lieb_robinson", lhs, rhs, margin, margin >= 0.0, noise_floor=noise_floor
+        f"lieb_robinson_t{t:g}", lhs, margin, margin >= 0.0, noise_floor=noise_floor
     )
 
 
 def edge_filter_decay_check(
-    H: ChiralHamiltonian,
-    delta: float,
-    half_gap: float,
-    correlation_length: float,
+    H: ChiralHamiltonian, delta: float, half_gap: float, correlation_length: float,
     threshold: float | None = None,
 ) -> BoundCertificate:
     """Certify ||(1-S^2)_{x,y}|| <= gamma * (e^{-max(d_x,d_y)/(2 d')} + e^{-2 Delta/delta}).
 
     Reports gamma_star, the largest measured ratio against the envelope, and
-    passes when it stays under the threshold (default 10 L^2, the polynomial
-    allowance of the quantization statement).
+    passes when it stays under the threshold (default 10 L^2).
     """
     delta = _as_positive("delta", delta)
     half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
     correlation_length = _as_positive("correlation_length", correlation_length)
+    threshold = None if threshold is None else _as_positive("threshold", threshold)
     geom = H.geometry
-    L = geom.length
-    threshold = _as_positive("threshold", 10.0 * L * L if threshold is None else threshold)
-    lhs = _function_block_norms(H, lambda w: _sech_sq(_ratio(w, delta)))
+    lhs = block_norms(chiral_blocks(eigh(H), lambda w: _sech_sq(_ratio(w, delta))), geom)
     P = lhs.shape[0]
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
     pair_dist = np.maximum(edge_dist[:, None], edge_dist[None, :])
-    envelope = np.exp(-pair_dist / (2.0 * correlation_length)) + np.exp(
-        -2.0 * half_gap / delta
-    )
-    envelope = np.maximum(envelope, 1e-300)
-    gamma_star = float((lhs / envelope).max())
-    margin = float(threshold - gamma_star)
-    return BoundCertificate(
-        "edge_filter_decay",
-        lhs,
-        threshold * envelope,
-        margin,
-        margin >= 0.0,
-        gamma_star=gamma_star,
-        threshold=threshold,
-    )
+    envelope = np.exp(-pair_dist / (2.0 * correlation_length)) + np.exp(-2.0 * half_gap / delta)
+    return _envelope_certificate("edge_filter_decay", lhs, envelope, geom.length, threshold)
 
 
 def restriction_discrepancy(
     profile: CouplingProfile,
-    length: int,
     pad: int,
     cells: tuple[int, int],
     kind: Callable[[ChiralHamiltonian, float], np.ndarray],
@@ -210,12 +185,11 @@ def restriction_discrepancy(
     infinite bulk is emulated by the periodic extension of the profile,
     padded by ``pad`` cells on each side, then truncated back to the window.
     ``cells`` = (start, stop) selects the rows Omega.  Exponentially small in
-    the distance between Omega and the edges once pad >= length.
+    the distance between Omega and the edges once pad >= L.
     """
+    length = profile.length
     if pad < length:
         raise ValueError(f"pad must be at least the chain length, got pad={pad} < L={length}")
-    if length != profile.length:
-        profile = profile.truncate(length)
     start, stop = cells
     if not 0 <= start < stop <= length:
         raise ValueError(f"cell range {cells} outside [0, {length})")
@@ -233,12 +207,6 @@ def restriction_discrepancy(
     row_mask = np.repeat((np.arange(length) >= start) & (np.arange(length) < stop), 2)
     masked = (F_open - F_bulk) * row_mask[:, None]
     return float(np.linalg.norm(masked, 2))
-
-
-def _filter_blocks(spec: ChiralSpectrum, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The A-A and B-B blocks of 1 - S^2; its A-B blocks are zero."""
-    G_A, G_B, _, _ = chiral_blocks(spec, lambda e: _sech_sq(_ratio(e, delta)))
-    return G_A, G_B
 
 
 def _trace_norm(M: np.ndarray) -> float:
@@ -262,8 +230,8 @@ def anticommutator_trace_norms(
     check_switch_compatible(geom, switch)
     delta = _as_positive("delta", delta)
     spec = eigh(H)
-    G_A, G_B = _filter_blocks(spec, delta)
-    X = chiral_blocks(spec, lambda e: np.tanh(_ratio(e, delta)))[2]
+    G_A, _, _, G_B = chiral_blocks(spec, lambda e: _sech_sq(_ratio(e, delta)))
+    X = chiral_blocks(spec, lambda e: np.tanh(_ratio(e, delta)))[1]
     theta = switch.basis_values()
     theta_a, theta_b = theta[0::2], theta[1::2]
     P = 0.5 * (theta_a[:, None] * G_A + G_A * theta_a[None, :])
@@ -275,8 +243,25 @@ def anticommutator_trace_norms(
     return norm_anti, norm_comm
 
 
+def trace_norm_checks(
+    H: ChiralHamiltonian, delta: float, switch: SwitchFunction,
+    half_gap: float, correlation_length: float,
+) -> tuple[BoundCertificate, BoundCertificate]:
+    """Certify both ``anticommutator_trace_norms`` against e^{-2 Delta/delta} + e^{-L/(48 d')}."""
+    half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
+    correlation_length = _as_positive("correlation_length", correlation_length)
+    norms = anticommutator_trace_norms(H, delta, switch)  # checks delta and the switch
+    L = H.geometry.length
+    envelope = float(np.exp(-2.0 * half_gap / delta) + np.exp(-L / (48.0 * correlation_length)))
+    names = ("anticommutator_trace_norm", "filter_switch_commutator_trace_norm")
+    return tuple(
+        _envelope_certificate(name, np.asarray(norm), envelope, L) for name, norm in zip(names, norms)
+    )
+
+
 def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
     """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
     delta = _as_positive("delta", delta)
-    return min(float(np.linalg.eigvalsh(G).min()) for G in _filter_blocks(eigh(H), delta))
+    G_A, _, _, G_B = chiral_blocks(eigh(H), lambda e: _sech_sq(_ratio(e, delta)))
+    return min(float(np.linalg.eigvalsh(G).min()) for G in (G_A, G_B))
 

@@ -169,11 +169,11 @@ class ChiralHamiltonian:
         # NaN compares False with every tolerance below, and inf - inf is NaN.
         if not np.all(np.isfinite(M)):
             raise NumericalError("matrix has non-finite entries")
-        if np.any(M[0::2, 0::2]) or np.any(M[1::2, 1::2]):
+        AA, T, BA, BB = _sublattice_blocks(M)
+        if np.any(AA) or np.any(BB):
             raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
         # With zero A-A and B-B blocks, M = M^dag exactly when T = (M_BA)^dag.
-        T = M[0::2, 1::2]
-        _check_hermitian(T, M[1::2, 0::2])
+        _check_hermitian(T, BA)
         return cls(T.copy(), geometry)
 
     @property
@@ -188,6 +188,11 @@ class ChiralHamiltonian:
         # Added to zeros, as a symmetrized sum adds it: no -0.0 entries.
         M[1::2, 0::2] += self.T.conj().T
         return M
+
+
+def _sublattice_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the blocks (M_AA, M_AB, M_BA, M_BB) of M; A on the even, B on the odd basis vectors."""
+    return M[0::2, 0::2], M[0::2, 1::2], M[1::2, 0::2], M[1::2, 1::2]
 
 
 class NumericalError(RuntimeError):
@@ -381,29 +386,26 @@ def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:
     return float(w[0])
 
 
-def block_norms(
-    matrix: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    geom: ChainGeometry,
-) -> np.ndarray:
-    """Operator norms of the position-space blocks, one per position pair.
+def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarray:
+    """Operator norms of the position-space blocks of M, one per position pair.
 
+    M is given as its four sublattice blocks (M_AA, M_AB, M_BA, M_BB), A on
+    the even and B on the odd basis vectors, so it is never assembled.
     Exact 2x2 spectral norms under CELL_C2 (largest singular value, in
-    closed form), absolute entries under ALTERNATING_SITES.  Under CELL_C2
-    the matrix may also be given as its four L x L sublattice blocks
-    (M_AA, M_AB, M_BA, M_BB), so that it is never assembled.
+    closed form), absolute entries placed by basis parity under
+    ALTERNATING_SITES.
     """
     n = geom.total_dim
-    if isinstance(matrix, tuple):
-        entries = matrix
-        if geom.convention is not Convention.CELL_C2 or {e.shape for e in entries} != {(n // 2,) * 2}:
-            raise ValueError(f"sublattice blocks must be four {n // 2} x {n // 2} arrays under CELL_C2")
-    elif matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not match geometry dim {n}")
-    elif geom.convention is Convention.ALTERNATING_SITES:
-        return np.abs(matrix)
-    else:
-        entries = [matrix[0::2, 0::2], matrix[0::2, 1::2], matrix[1::2, 0::2], matrix[1::2, 1::2]]
-    return _cell_block_norms(*entries)
+    a, b = (n + 1) // 2, n // 2
+    shapes = [np.shape(m) for m in blocks]
+    if shapes != [(a, a), (a, b), (b, a), (b, b)]:
+        raise ValueError(f"sublattice blocks of shapes {shapes} do not match geometry dim {n}")
+    if geom.convention is Convention.CELL_C2:
+        return _cell_block_norms(*blocks)
+    mags = [np.abs(m) for m in blocks]
+    out = np.empty((n, n), dtype=np.result_type(*mags))
+    out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = mags
+    return out
 
 
 def _cell_block_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -416,13 +418,19 @@ def _cell_block_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
     entries = [e.astype(dtype, copy=False) for e in (a, b, c, d)]
     mags = [np.abs(e) for e in entries]
     scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
+    tiny = np.finfo(float).tiny
     a, b, c, d = (
-        np.divide(e, scale, out=np.zeros_like(e), where=scale > 0) for e in entries
+        np.divide(e, scale, out=np.zeros_like(e), where=scale >= tiny) for e in entries
     )
     p = _abs2(a) + _abs2(c)
     r = _abs2(b) + _abs2(d)
     q = np.abs(a.conj() * b + c.conj() * d)
-    return scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+    norms = scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+    subnormal = (scale > 0) & (scale < tiny)
+    if subnormal.any():
+        # numpy divides complex by real through 1 / scale, which overflows: lift by an exact 2^54.
+        norms[subnormal] = _cell_block_norms(*(e[subnormal] * 2.0**54 for e in entries)) / 2.0**54
+    return norms
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:

@@ -210,10 +210,7 @@ def index_density(
     """Per-cell (or per-site) diagonal contributions; sums to the matching index."""
     edge_diag, bulk_diag = _index_diagonals(H, delta, switch)
     diag = edge_diag if kind is IndexKind.EDGE else bulk_diag
-    geom = H.geometry
-    if geom.convention is Convention.CELL_C2:
-        return diag.reshape(geom.length, 2).sum(axis=1)
-    return diag.copy()
+    return np.bincount(H.geometry.positions, weights=diag)
 
 
 def windowed_edge_index(

@@ -49,9 +49,7 @@ class ChainGeometry:
     @property
     def cells(self) -> int:
         """Cells of the coupling profile; L sites are the first L states of (L + 1) // 2 cells."""
-        if self.convention is Convention.CELL_C2:
-            return self.length
-        return (self.length + 1) // 2
+        return (self.total_dim + 1) // 2
 
     @property
     def positions(self) -> np.ndarray:
@@ -62,10 +60,8 @@ class ChainGeometry:
 
     @property
     def sublattice_signs(self) -> np.ndarray:
-        """+1 on A, -1 on B, per basis vector: the diagonal of the chiral operator C."""
-        if self.convention is Convention.CELL_C2:
-            return np.tile([1.0, -1.0], self.length)
-        return np.where(np.arange(self.length) % 2 == 0, 1.0, -1.0)
+        """+1 on A (even basis vectors), -1 on B (odd ones): the diagonal of the chiral operator C."""
+        return np.where(np.arange(self.total_dim) % 2 == 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ rows.  Every other T, and a numpy whose LAPACK lacks that symbol, takes
 ``eigh`` keeps its spectrum on H, and every later function of that H
 reuses it.  Callers that need only part of a function of H (the index
 diagonals, the block norms and trace norms of the bound certificates, the
-gap filter's smallest eigenvalue) read its L x L blocks from
-``chiral_blocks`` instead of the assembled 2L x 2L matrix.  A plain matrix
-enters through ``ChiralHamiltonian.from_matrix``.  The tests check this
-route against a dense eigendecomposition and the eigendecomposition-free
-``tanh_oracle`` (``tests/oracles.py``).
+gap filter's smallest eigenvalue) read its four sublattice blocks from
+``chiral_blocks``, in the order ``block_norms`` takes, instead of the
+assembled 2L x 2L matrix.  A plain matrix enters through
+``ChiralHamiltonian.from_matrix``.  The tests check this route against a
+dense eigendecomposition and the eigendecomposition-free ``tanh_oracle``
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _sandwich(X: np.ndarray, d: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def chiral_blocks(
     spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sublattice blocks (f(H)_AA, f(H)_BB, f(H)_AB, f(H)_BA) of f(H).
+    """The sublattice blocks (f(H)_AA, f(H)_AB, f(H)_BA, f(H)_BB) of f(H).
 
     With f_e/o = (f(sigma) +- f(-sigma)) / 2 and f(0) on the zero-mode
     columns: f(H)_AA = U f_e U^dag, f(H)_BB = W f_e W^dag,
@@ -203,18 +204,15 @@ def chiral_blocks(
     BB = _sandwich(W, even[: W.shape[1]], W)
     AB = _sandwich(U[:, :k], odd, W[:, :k])
     if not np.iscomplexobj(values):
-        return _hermitian_part(AA), _hermitian_part(BB), AB, AB.conj().T
-    return AA, BB, AB, _sandwich(W[:, :k], odd, U[:, :k])
+        return _hermitian_part(AA), AB, AB.conj().T, _hermitian_part(BB)
+    return AA, AB, _sandwich(W[:, :k], odd, U[:, :k]), BB
 
 
 def matrix_function(spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """f(H) in the original basis, placed from the four blocks of ``chiral_blocks``."""
-    AA, BB, AB, BA = chiral_blocks(spec, f)
-    out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(AA, BB, AB, BA))
-    out[0::2, 0::2] = AA
-    out[1::2, 1::2] = BB
-    out[0::2, 1::2] = AB
-    out[1::2, 0::2] = BA
+    blocks = chiral_blocks(spec, f)
+    out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(*blocks))
+    out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = blocks
     return out
 
 

@@ -10,9 +10,11 @@ from chiralchain.bounds import (
     edge_filter_decay_check,
     lieb_robinson_check,
     restriction_discrepancy,
+    trace_norm_checks,
 )
 from chiralchain.hamiltonian import (
     CouplingProfile,
+    _sublattice_blocks,
     apply_defect,
     apply_disorder,
     build_ssh,
@@ -68,7 +70,7 @@ def test_decay_profile_maxima_match_distance_loop(convention):
     rng = np.random.default_rng(4)
     M = rng.normal(size=(geom.total_dim,) * 2) + 1j * rng.normal(size=(geom.total_dim,) * 2)
     M[::3] = 0.0  # ties at zero and whole zero rows
-    norms = block_norms(M, geom)
+    norms = block_norms(_sublattice_blocks(M), geom)
     P = norms.shape[0]
     dist = np.abs(np.arange(P)[:, None] - np.arange(P)[None, :])
     loop = np.array([norms[dist == r].max() for r in range(P)])
@@ -89,7 +91,7 @@ def test_decay_profile_mirror_symmetry():
     S = flattened_sign(H, 0.1)
     from chiralchain.hamiltonian import block_norms
 
-    norms = block_norms(S, H.geometry)
+    norms = block_norms(_sublattice_blocks(S), H.geometry)
     x = np.arange(L)
     dist = np.abs(x[:, None] - x[None, :])
     half = L // 2
@@ -130,6 +132,15 @@ def test_lieb_robinson_random_chiral_chain(seed):
     for d in (1.0, 2.0):
         K = short_range_constant(H, d)
         assert lieb_robinson_check(H, 0.8, d, K).passed
+
+
+def test_lieb_robinson_names_its_time_and_passes_with_no_distant_pair():
+    H = ssh(4, 0.5, 1.0)
+    K = short_range_constant(H, 1.0)
+    assert lieb_robinson_check(H, 0.5, 1.0, K).bound_name == "lieb_robinson_t0.5"
+    # No two cells are 10 apart: nothing to check.
+    cert = lieb_robinson_check(H, 0.5, 10.0, K)
+    assert cert.lhs.size == 0 and cert.margin == math.inf and cert.passed
 
 
 def test_lieb_robinson_undersized_constant_reports_failure():
@@ -196,27 +207,27 @@ def test_edge_filter_threshold_controls_pass():
 
 def test_restriction_middle_region_close_to_bulk():
     profile = CouplingProfile.constant(60, 0.5, 1.0)
-    value = restriction_discrepancy(profile, 60, 60, (20, 40), gap_filter, 0.1)
+    value = restriction_discrepancy(profile, 60, (20, 40), gap_filter, 0.1)
     assert value < 1e-6
 
 
 def test_restriction_vacuous_at_edge():
     profile = CouplingProfile.constant(60, 0.5, 1.0)
-    value = restriction_discrepancy(profile, 60, 60, (0, 20), gap_filter, 0.1)
+    value = restriction_discrepancy(profile, 60, (0, 20), gap_filter, 0.1)
     assert value > 1e-2
 
 
 def test_restriction_decreases_with_region_distance():
     profile = CouplingProfile.constant(60, 0.5, 1.0)
-    near = restriction_discrepancy(profile, 60, 60, (10, 50), flattened_sign, 0.1)
-    far = restriction_discrepancy(profile, 60, 60, (20, 40), flattened_sign, 0.1)
+    near = restriction_discrepancy(profile, 60, (10, 50), flattened_sign, 0.1)
+    far = restriction_discrepancy(profile, 60, (20, 40), flattened_sign, 0.1)
     assert far < near
 
 
 def test_restriction_monotone_in_pad():
     profile = CouplingProfile.constant(40, 0.5, 1.0)
     values = [
-        restriction_discrepancy(profile, 40, pad, (14, 26), gap_filter, 0.1)
+        restriction_discrepancy(profile, pad, (14, 26), gap_filter, 0.1)
         for pad in (40, 60, 80)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -225,7 +236,7 @@ def test_restriction_monotone_in_pad():
 def test_restriction_requires_enough_padding():
     profile = CouplingProfile.constant(20, 0.5, 1.0)
     with pytest.raises(ValueError):
-        restriction_discrepancy(profile, 20, 10, (5, 15), gap_filter, 0.1)
+        restriction_discrepancy(profile, 10, (5, 15), gap_filter, 0.1)
 
 
 # --- trace norms -----------------------------------------------------------------
@@ -237,6 +248,20 @@ def test_trace_norms_vanish_for_constant_switch():
     full = SwitchFunction(np.ones(geom.length), geom.length, geom)
     _, comm_norm = anticommutator_trace_norms(H, 0.1, full)
     assert comm_norm < 1e-12
+
+
+def test_trace_norm_checks_certify_the_raw_norms():
+    L, delta, half_gap, corr = 30, 0.05, 0.5, 2.0
+    H = ssh(L, 0.5, 1.0)
+    sw = switch_function(H.geometry, "middle")
+    certs = trace_norm_checks(H, delta, sw, half_gap, corr)
+    envelope = math.exp(-2.0 * half_gap / delta) + math.exp(-L / (48.0 * corr))
+    names = ("anticommutator_trace_norm", "filter_switch_commutator_trace_norm")
+    for cert, name, norm in zip(certs, names, anticommutator_trace_norms(H, delta, sw)):
+        assert cert.bound_name == name
+        assert cert.gamma_star == pytest.approx(norm / envelope, rel=1e-12)
+        assert cert.margin == 10.0 * L * L - cert.gamma_star
+        assert cert.passed
 
 
 def test_trace_norms_decay_with_length():
@@ -336,10 +361,21 @@ def test_certificate_parameters_must_be_finite_and_positive(fn, kwargs):
         fn(*args, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("half_gap", v) for v in _BAD] + [("correlation_length", v) for v in _BAD + [0.0]]
+)
+def test_trace_norm_checks_parameters_must_be_finite_and_positive(name, value):
+    kwargs = {"half_gap": 0.5, "correlation_length": 2.0, name: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        trace_norm_checks(_H20, 0.1, switch_function(_H20.geometry, "middle"), **kwargs)
+
+
 def test_certificates_accept_zero_gap_and_zero_constant():
     # A closed gap (half_gap 0) and the zero chain's constant (K = 0) are valid inputs.
     zero = build_ssh(make_geometry(20), CouplingProfile.constant(20, 0.0, 0.0))
     assert short_range_constant(zero, 1.0) == 0.0
     assert lieb_robinson_check(zero, 0.5, 1.0, 0.0).passed
     assert edge_filter_decay_check(_H20, 0.1, 0.0, 2.0).gamma_star > 0
+    middle = switch_function(_H20.geometry, "middle")
+    assert all(c.gamma_star >= 0 for c in trace_norm_checks(_H20, 0.1, middle, 0.0, 2.0))
     assert correlation_length(0.1, 1.0, 0.0) == 1.0

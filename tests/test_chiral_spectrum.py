@@ -129,7 +129,11 @@ def test_chiral_path_matches_dense_property(data, H, delta, t):
 def test_flattened_sign_matches_tanh_oracle(H, ratio):
     # Real bidiagonal chains take dbdsdc, every other one np.linalg.svd.
     M = H.matrix
-    delta = max(float(np.linalg.norm(M, 2)), 1e-6) / ratio
+    norm = max(float(np.linalg.norm(M, 2)), 1e-6)
+    delta = norm / ratio
+    # norm / (norm / ratio) can round above ratio, and the oracle rejects any ratio above 50.
+    while norm / delta > ratio:
+        delta = np.nextafter(delta, np.inf)
     assert np.abs(flattened_sign(H, delta) - tanh_oracle(M, delta)).max() < 1e-8
 
 

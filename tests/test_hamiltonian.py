@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralchain.hamiltonian import (
@@ -11,6 +11,7 @@ from chiralchain.hamiltonian import (
     CouplingProfile,
     ExtraCoupling,
     NumericalError,
+    _sublattice_blocks,
     apply_defect,
     apply_disorder,
     block_norms,
@@ -251,7 +252,7 @@ def test_extra_couplings_respect_chirality_and_band():
     H = build_ssh(geom, profile)
     assert verify_chiral(H.matrix, geom) == 0.0
     assert profile.coupling_range == 3
-    norms = block_norms(H.matrix, geom)
+    norms = block_norms(_sublattice_blocks(H.matrix), geom)
     x = np.arange(L)
     far = np.abs(x[:, None] - x[None, :]) > 3
     assert np.all(norms[far] == 0.0)
@@ -602,7 +603,7 @@ def test_block_norms_match_svd(data, cells, complex_valued):
             M[2 * x : 2 * x + 2, 2 * y : 2 * y + 2] = data.draw(_block(complex_valued))
     blocks = M.reshape(cells, 2, cells, 2).transpose(0, 2, 1, 3)
     want = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-    got = block_norms(M, make_geometry(cells))
+    got = block_norms(_sublattice_blocks(M), make_geometry(cells))
     assert np.all((got == 0) == (want == 0))
     assert np.all(np.abs(got - want) <= 8 * _EPS * want)
 
@@ -610,7 +611,48 @@ def test_block_norms_match_svd(data, cells, complex_valued):
 def test_block_norms_of_integer_matrix():
     M = np.arange(16).reshape(4, 4)
     geom = make_geometry(2)
-    assert np.array_equal(block_norms(M, geom), block_norms(M.astype(float), geom))
+    got = block_norms(_sublattice_blocks(M), geom)
+    assert np.array_equal(got, block_norms(_sublattice_blocks(M.astype(float)), geom))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_sites_block_norms_are_the_absolute_entries(n, complex_valued):
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(n, n))
+    if complex_valued:
+        M = M + 1j * rng.normal(size=(n, n))
+    M[2] = -0.0  # signed zeros come out as the absolute value gives them
+    got = block_norms(_sublattice_blocks(M), make_geometry(n, Convention.ALTERNATING_SITES))
+    want = np.abs(M)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_block_norms_reject_blocks_that_do_not_fit_the_geometry():
+    M = np.ones((7, 7))
+    AA, AB, BA, BB = _sublattice_blocks(M)
+    sites = make_geometry(7, Convention.ALTERNATING_SITES)
+    for blocks, geom in [
+        ((AA, AB, BA, BB), make_geometry(5, Convention.ALTERNATING_SITES)),
+        ((AA, BA, AB, BB), sites),  # A-B and B-A swapped
+        ((AA, AB, BA), sites),
+        (M, sites),
+        (_sublattice_blocks(np.ones((8, 8))), make_geometry(3)),
+    ]:
+        with pytest.raises(ValueError, match="do not match geometry dim"):
+            block_norms(blocks, geom)
+
+
+def test_subnormal_complex_blocks_keep_their_norm():
+    # numpy divides a complex entry by a real scale through 1 / scale, which
+    # overflows for a subnormal scale.
+    z = 2.22507386e-309j
+    zero = np.zeros((2, 2), dtype=complex)
+    single = np.array([[0, z], [0, 0]])
+    norms = block_norms((zero, single, zero, zero), make_geometry(2))
+    assert norms.tolist() == [[0.0, abs(z)], [0.0, 0.0]]
+    H = build_ssh(make_geometry(2), CouplingProfile(t1=[0j, 0j], t2=[z, 0j]))
+    assert short_range_constant(H, 1.0) == abs(z) * np.exp(1.0)
 
 
 # --- the short-range constant on long chains ---------------------------------------
@@ -738,13 +780,9 @@ def test_build_ssh_memory_is_one_block():
 def full_grid_short_range_constant(H, decay_length):
     """The constant over the whole L x L grid of blocks, as first written."""
     T = H.T
-    if H.geometry.convention is Convention.CELL_C2:
-        zero = np.zeros_like(T)
-        norms = block_norms((zero, T, T.conj().T, zero), H.geometry)
-    else:
-        norms = np.zeros((H.dim, H.dim))
-        norms[0::2, 1::2] = np.abs(T)
-        norms[1::2, 0::2] = np.abs(T).T
+    a, b = T.shape
+    zero_a, zero_b = np.zeros((a, a), dtype=T.dtype), np.zeros((b, b), dtype=T.dtype)
+    norms = block_norms((zero_a, T, T.conj().T, zero_b), H.geometry)
     x, y = np.nonzero(norms)
     with np.errstate(over="ignore"):
         weighted = norms[x, y] * np.exp(np.abs(x - y) / decay_length)
@@ -753,6 +791,11 @@ def full_grid_short_range_constant(H, decay_length):
 
 @settings(max_examples=150, deadline=None)
 @given(chain=_chains(), decay_length=st.floats(1e-3, 1e3))
+# A complex block whose largest entry is subnormal.
+@example(
+    chain=(make_geometry(2), CouplingProfile(t1=[0j, 0j], t2=[2.22507386e-309j, 0j])),
+    decay_length=1.0,
+)
 def test_banded_short_range_constant_is_the_full_grid_sum(chain, decay_length):
     # Same block norms, weights and summation order: equal to the last bit.
     H = build_ssh(*chain)

@@ -8,6 +8,7 @@ from chiralchain.bounds import (
     correlation_length,
     gap_filter_min_eigenvalue,
     restriction_discrepancy,
+    trace_norm_checks,
 )
 from chiralchain.hamiltonian import (
     CouplingProfile,
@@ -321,8 +322,9 @@ DELTA_TAKERS = {
     "index_report": lambda H, sw, d: index_report(H, d, sw.transition),
     "correlation_length": lambda H, sw, d: correlation_length(d, 1.0, 1.0),
     "restriction_discrepancy": lambda H, sw, d: restriction_discrepancy(
-        CouplingProfile.constant(6, 0.5, 1.0), 6, 6, (2, 4), gap_filter, d),
+        CouplingProfile.constant(6, 0.5, 1.0), 6, (2, 4), gap_filter, d),
     "anticommutator_trace_norms": lambda H, sw, d: anticommutator_trace_norms(H, d, sw),
+    "trace_norm_checks": lambda H, sw, d: trace_norm_checks(H, d, sw, 0.5, 2.0),
     "gap_filter_min_eigenvalue": lambda H, sw, d: gap_filter_min_eigenvalue(H, d),
     "flattened_sign": lambda H, sw, d: flattened_sign(H, d),
     "gap_filter": lambda H, sw, d: gap_filter(H, d),
