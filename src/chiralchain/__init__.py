@@ -62,7 +62,7 @@ from .bounds import (
     restriction_discrepancy,
     trace_norm_checks,
 )
-from .svgplot import PlotKind, emit_plot
+from .svgplot import emit_plot
 from .cli import (
     ConfigError,
     ExperimentConfig,

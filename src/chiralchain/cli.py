@@ -56,7 +56,7 @@ from .indices import (
 )
 from .lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
 from .spectral import NumericalError
-from .svgplot import PlotKind, emit_plot
+from .svgplot import emit_plot
 
 DENSITY_CSV_HEADER = ["cell", "value", "kind"]
 
@@ -334,6 +334,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for path, coupling in (("model.t1", t1), ("model.t2", t2)):
         _expect(not (length_is_list and isinstance(coupling, tuple)), path,
                 "per-cell coupling lists cannot be combined with a length scan")
+    _expect(not boundary or convention is Convention.CELL_C2, "model.boundary_potential",
+            "is only supported under the 'cell' convention")
 
     return ExperimentConfig(
         model=ModelConfig(t1, t2, disorder, defect, boundary),
@@ -699,18 +701,12 @@ def _load(args) -> ExperimentConfig:
     return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
 
 
-def _cmd_index(args) -> int:
+def _cmd_run(args) -> int:
+    # 'index' evaluates one point and 'scan' a scan axis; both emit run()'s table.
     config = _load(args)
-    _expect(config.scan is ScanAxis.NONE, "scan", "'index' command needs a config without a scan axis")
-    out = args.out or config.output
-    _check_writable(out)
-    _emit(run(config), out, args.reproducible)
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    config = _load(args)
-    _expect(config.scan is not ScanAxis.NONE, "scan", "'scan' command needs a config with a scan axis")
+    scanned = args.command == "scan"
+    _expect((config.scan is not ScanAxis.NONE) == scanned, "scan",
+            f"'{args.command}' command needs a config {'with' if scanned else 'without'} a scan axis")
     out = args.out or config.output
     _check_writable(out)
     _emit(run(config), out, args.reproducible)
@@ -733,25 +729,25 @@ def _cmd_check(args) -> int:
     return 0 if all(passed for _, passed, _ in results) else 3
 
 
+# Figure -> (table builder, then per table: file name, x column, y column, log x, log y).
+_FIGURES = {
+    "fig3": (reproduce_fig3, (("fig3_length_scan", "L", "q_error", False, True),
+                              ("fig3_density", "cell", "value", False, False))),
+    "fig4": (reproduce_fig4, (("fig4_switch_scan", "ell", "I_edge", False, False),
+                              ("fig4_delta_scan", "delta", "q_error", True, True))),
+}
+
+
 def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    if args.figure == "fig3":
-        table_a, table_b = reproduce_fig3(args.seed)
-        names = ("fig3_length_scan", "fig3_density")
-        plots = (
-            emit_plot(table_a, PlotKind.LINE, "L", "q_error", log_y=True),
-            emit_plot(table_b, PlotKind.PER_SITE, "cell", "value"),
-        )
-    else:
-        table_a, table_b = reproduce_fig4(args.seed)
-        names = ("fig4_switch_scan", "fig4_delta_scan")
-        plots = (
-            emit_plot(table_a, PlotKind.LINE, "ell", "I_edge"),
-            emit_plot(table_b, PlotKind.LINE, "delta", "q_error", log_x=True, log_y=True),
-        )
-    for table, name, svg in zip((table_a, table_b), names, plots):
+    build, plots = _FIGURES[args.figure]
+    tables = build(args.seed)
+    # Every plot is rendered before any file is written.
+    svgs = [emit_plot(table, x, y, log_x, log_y)
+            for table, (_, x, y, log_x, log_y) in zip(tables, plots)]
+    for table, (name, *_), svg in zip(tables, plots, svgs):
         _emit(table, out_dir / f"{name}.csv", args.reproducible)
         with _writing(out_dir / f"{name}.svg"):
             (out_dir / f"{name}.svg").write_text(svg)
@@ -761,8 +757,8 @@ def _cmd_reproduce(args) -> int:
 
 # Subcommands that read a config: name, handler, help.
 _CONFIG_COMMANDS = (
-    ("index", _cmd_index, "evaluate a single index report"),
-    ("scan", _cmd_scan, "run the config's parameter scan"),
+    ("index", _cmd_run, "evaluate a single index report"),
+    ("scan", _cmd_run, "run the config's parameter scan"),
     ("bounds", _cmd_bounds, "emit bound certificates for the configured model"),
     ("check", _cmd_check, "run structural self-tests on the configured model"),
 )
@@ -788,7 +784,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="figure-reproduction pipelines")
     p_rep.set_defaults(handler=_cmd_reproduce)
-    p_rep.add_argument("figure", choices=["fig3", "fig4"])
+    p_rep.add_argument("figure", choices=list(_FIGURES))
     p_rep.add_argument("--seed", type=int, default=1)
     p_rep.add_argument("--out", default=".", help="output directory")
     p_rep.add_argument("--reproducible", action="store_true")

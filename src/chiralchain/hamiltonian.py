@@ -80,6 +80,8 @@ class CouplingProfile:
         _require_finite("t2", t2)
         L = t1.shape[0]
         for i, blk in enumerate(self.extra):
+            if not isinstance(blk.offset, (int, np.integer)) or isinstance(blk.offset, bool):
+                raise ValueError(f"extra[{i}].offset must be an integer, got {blk.offset!r}")
             if blk.offset < 1:
                 raise ValueError(f"extra[{i}].offset must be >= 1, got {blk.offset}")
             for name in ("a", "b"):
@@ -332,7 +334,9 @@ def apply_defect(
         raise ValueError(f"defect width must be > 0, got {width_param}")
     L = profile.length
     x = np.arange(L)
-    bump = height * np.exp(-(((x - center_frac * L) * 4.0) / (L * width_param)) ** 2)
+    # A narrow bump squares to inf off its center; exp(-inf) = 0 is the exact value there.
+    with np.errstate(over="ignore"):
+        bump = height * np.exp(-(((x - center_frac * L) * 4.0) / (L * width_param)) ** 2)
     return dataclasses.replace(profile, t1=profile.t1 + bump)
 
 

@@ -21,7 +21,7 @@ from chiralchain.cli import (
     self_check,
 )
 from chiralchain.indices import INDEX_CSV_HEADER
-from chiralchain.svgplot import PlotKind, emit_plot
+from chiralchain.svgplot import emit_plot
 
 
 def base_config(**overrides):
@@ -196,6 +196,9 @@ def _set(**fields):
          "model.boundary_potential[1]: cell must be an integer"),
         (_add("model", boundary_potential=[[0, "x"]]),
          "model.boundary_potential[0]: value must be a finite number"),
+        (lambda r: r["model"].update(boundary_potential=[[0, 0.05]]) or r.update(
+            geometry={"length": 20, "convention": "sites"}),
+         "model.boundary_potential: is only supported under the 'cell' convention"),
         (lambda r: r.pop("geometry"), "geometry: must be an object"),
         *[
             (_set(geometry=geometry),
@@ -253,6 +256,12 @@ def test_config_error_messages(mutate, message):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert str(err.value) == message
+
+
+def test_empty_boundary_potential_is_valid_under_sites():
+    raw = base_config(geometry={"length": 20, "convention": "sites"})
+    raw["model"]["boundary_potential"] = []
+    assert parse_config(raw).model.boundary_potential == ()
 
 
 def test_config_must_be_an_object():
@@ -424,7 +433,7 @@ def test_render_formats():
 
 def test_emit_plot_single_point():
     table = ResultTable(INDEX_CSV_HEADER, [[20, 1, 0.1, 10, 1.0, 1.0, 0, 0.0, 1, 0.01]], {})
-    svg = emit_plot(table, PlotKind.LINE, "L", "q_error")
+    svg = emit_plot(table, "L", "q_error")
     assert svg.startswith("<svg ")
     assert svg.count("<circle") == 1
 
@@ -432,7 +441,7 @@ def test_emit_plot_single_point():
 def test_emit_plot_line_and_log_scale():
     rows = [[L, 1, 0.1, L // 2, 1.0, 1.0, 0, 0.0, 1, 10.0 ** (-L / 10)] for L in (10, 20, 30)]
     table = ResultTable(INDEX_CSV_HEADER, rows, {})
-    svg = emit_plot(table, PlotKind.LINE, "L", "q_error", log_y=True)
+    svg = emit_plot(table, "L", "q_error", log_y=True)
     assert "<polyline" in svg
     assert "q_error (log)" in svg
 
@@ -441,27 +450,50 @@ def test_emit_plot_log_scale_omits_non_positive_points():
     q_errors = [0.0, 1e-3, 1e-6]
     rows = [[20, 1, d, 10, 1.0, 1.0, 0, 0.0, 1, q] for d, q in zip((1e-9, 1e-3, 1.0), q_errors)]
     table = ResultTable(INDEX_CSV_HEADER, rows, {})
-    svg = emit_plot(table, PlotKind.LINE, x_column="delta", y_column="q_error",
-                    log_x=True, log_y=True)
+    svg = emit_plot(table, x_column="delta", y_column="q_error", log_x=True, log_y=True)
     assert svg.count("<circle") == 2
-    assert svg == emit_plot(ResultTable(INDEX_CSV_HEADER, rows[1:], {}), PlotKind.LINE,
+    assert svg == emit_plot(ResultTable(INDEX_CSV_HEADER, rows[1:], {}),
                             x_column="delta", y_column="q_error", log_x=True, log_y=True)
     zeros = ResultTable(INDEX_CSV_HEADER, [rows[0]], {})
     with pytest.raises(ValueError):
-        emit_plot(zeros, PlotKind.LINE, x_column="delta", y_column="q_error", log_y=True)
+        emit_plot(zeros, x_column="delta", y_column="q_error", log_y=True)
 
 
 def test_emit_plot_per_site():
     rows = [[c, 0.1 * c, "edge"] for c in range(5)] + [[c, -0.05 * c, "bulk"] for c in range(5)]
     table = ResultTable(["cell", "value", "kind"], rows, {})
-    svg = emit_plot(table, PlotKind.PER_SITE, "cell", "value")
+    svg = emit_plot(table, "cell", "value")
     assert svg.count("<rect") >= 10  # background + bars
     assert "edge" in svg and "bulk" in svg
 
 
 def test_emit_plot_empty_table_rejected():
     with pytest.raises(ValueError):
-        emit_plot(ResultTable(["a"], [], {}), PlotKind.LINE, "a", "a")
+        emit_plot(ResultTable(["a"], [], {}), "a", "a")
+
+
+PLOT_DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name,table,columns,logs",
+    [
+        # Log x and log y; the q_error = 0 point is left out.
+        ("plot_line_log", ResultTable(["delta", "q_error"], [[1e-9, 0.0], [1e-6, 1e-3],
+                                                               [1e-3, 2.5e-5], [1.0, 0.5]], {}),
+         ("delta", "q_error"), (True, True)),
+        # A kind column: one bar series per kind, with negative values.
+        ("plot_bars", ResultTable(["cell", "value", "kind"],
+                                  [[c, 0.1 * c, "edge"] for c in range(4)]
+                                  + [[c, -0.05 * c, "bulk"] for c in range(4)], {}),
+         ("cell", "value"), (False, False)),
+        # One point: both axes need the degenerate-range widening.
+        ("plot_single_point", ResultTable(["L", "q_error"], [[20, 0.01]], {}),
+         ("L", "q_error"), (False, False)),
+    ],
+)
+def test_emit_plot_bytes_pinned(name, table, columns, logs):
+    assert emit_plot(table, *columns, *logs) == (PLOT_DATA / f"{name}.svg").read_text()
 
 
 # --- figure pipelines ----------------------------------------------------------------
@@ -549,9 +581,25 @@ def test_main_index_stdout(tmp_path, capsys):
     assert "I_edge" in captured.out
 
 
-def test_main_scan_requires_scan_axis(tmp_path, capsys):
-    cfg = write_config(tmp_path, base_config())
-    assert main(["scan", "--config", str(cfg)]) == 1
+@pytest.mark.parametrize(
+    "command,raw,message",
+    [
+        ("scan", base_config(), "'scan' command needs a config with a scan axis"),
+        ("index", base_config(geometry={"length": [10, 20]}, scan="length"),
+         "'index' command needs a config without a scan axis"),
+    ],
+)
+def test_main_index_and_scan_check_the_scan_axis(tmp_path, capsys, command, raw, message):
+    cfg = write_config(tmp_path, raw)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: scan: {message}\n"
+
+
+def test_main_boundary_potential_under_sites_is_config_error(tmp_path, capsys):
+    raw = base_config(geometry={"length": 20, "convention": "sites"})
+    raw["model"]["boundary_potential"] = [[0, 0.05]]
+    assert main(["index", "--config", str(write_config(tmp_path, raw))]) == 1
+    assert capsys.readouterr().err.startswith("config error: model.boundary_potential: ")
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,31 @@ def test_defect_even_around_center():
 def test_defect_width_must_be_positive():
     with pytest.raises(ValueError):
         apply_defect(CouplingProfile.constant(6, 0.5, 1.0), height=0.1, width_param=0.0)
+
+
+def test_narrow_defect_moves_only_its_center_cell_without_warnings():
+    profile = CouplingProfile.constant(20, 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_defect(profile, 0.2, width_param=1e-300)
+    expected = profile.t1.copy()
+    expected[10] += 0.2
+    assert np.array_equal(out.t1, expected)
+
+
+@pytest.mark.parametrize(
+    "offset,message",
+    [
+        (2.5, "extra[0].offset must be an integer, got 2.5"),
+        (True, "extra[0].offset must be an integer, got True"),
+        (0, "extra[0].offset must be >= 1, got 0"),
+    ],
+)
+def test_extra_coupling_offset_must_be_a_positive_integer(offset, message):
+    block = ExtraCoupling(offset, np.ones(6), np.ones(6))
+    with pytest.raises(ValueError) as err:
+        CouplingProfile(np.ones(6), np.ones(6), extra=(block,))
+    assert str(err.value) == message
 
 
 def test_ring_spectrum_symmetric():
