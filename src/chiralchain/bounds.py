@@ -26,7 +26,9 @@ import numpy as np
 from .hamiltonian import (
     ChiralHamiltonian, CouplingProfile, _as_positive, _sublattice_blocks, block_norms, build_ssh,
 )
-from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry
+from .lattice import (
+    ChainGeometry, Convention, SwitchError, SwitchFunction, check_switch_compatible, make_geometry,
+)
 from .spectral import _ratio, _sech_sq, chiral_blocks, eigh
 
 # m(r) below this is treated as numerically zero when fitting decay rates.
@@ -127,16 +129,24 @@ def lieb_robinson_check(
 
     K must be the short-range constant measured at the same decay length d;
     the inequality is proven, so with a correct K a failure beyond the
-    numerical floor signals an implementation bug.  The certificate is
-    named ``lieb_robinson_t{t:g}``.
+    numerical floor signals an implementation bug.  The certificate is named
+    ``lieb_robinson_t{t:g}``.
+
+    The block norms of exp(itH) = cos(tH) + i sin(tH) are read from cos(tH),
+    which is even (only A-A and B-B blocks), and sin(tH), which is odd (only
+    A-B and B-A blocks).  Each 2x2 block of exp(itH) is
+    [[a, ib], [ic, d]] = diag(1, i) [[a, b], [c, -d]] diag(1, i) with a, d
+    from cos and b, c from sin, and the unitary diagonal factors keep the
+    largest singular value of a cell block and every absolute entry.  So
+    the norms are those of (C_AA, S_AB, S_BA, -C_BB): real matrices for a
+    real T, from three products of L x L factors instead of four complex ones.
     """
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     decay_length = _as_positive("decay_length", decay_length)
     coupling_norm = _as_positive("coupling_norm", coupling_norm, zero_ok=True)
-    geom = H.geometry
-    noise_floor = geom.total_dim * float(np.finfo(float).eps)
-    lhs_all = block_norms(chiral_blocks(eigh(H), lambda w: np.exp(1j * float(t) * w)), geom)
+    noise_floor = H.geometry.total_dim * float(np.finfo(float).eps)
+    lhs_all = _propagator_block_norms(H, t)
     dist = _distances(lhs_all.shape[0])
     mask = dist >= decay_length
     lhs = lhs_all[mask]
@@ -147,6 +157,15 @@ def lieb_robinson_check(
     return BoundCertificate(
         f"lieb_robinson_t{t:g}", lhs, margin, margin >= 0.0, noise_floor=noise_floor
     )
+
+
+def _propagator_block_norms(H: ChiralHamiltonian, t: float) -> np.ndarray:
+    """``block_norms`` of exp(itH), as those of (C_AA, S_AB, S_BA, -C_BB) (see ``lieb_robinson_check``)."""
+    t = float(t)
+    spec = eigh(H)
+    C_AA, _, _, C_BB = chiral_blocks(spec, lambda w: np.cos(t * w))
+    _, S_AB, S_BA, _ = chiral_blocks(spec, lambda w: np.sin(t * w))
+    return block_norms((C_AA, S_AB, S_BA, np.negative(C_BB, out=C_BB)), H.geometry)
 
 
 def edge_filter_decay_check(
@@ -237,10 +256,20 @@ def anticommutator_trace_norms(
     P = 0.5 * (theta_a[:, None] * G_A + G_A * theta_a[None, :])
     Q = 0.5 * (theta_b[:, None] * G_B + G_B * theta_b[None, :])
     norm_anti = 2.0 * _trace_norm(P @ X - X @ Q)
-    norm_comm = sum(
-        _trace_norm(G * t[None, :] - t[:, None] * G) for G, t in ((G_A, theta_a), (G_B, theta_b))
-    )
+    norm_comm = sum(_step_commutator_trace_norm(G, t) for G, t in ((G_A, theta_a), (G_B, theta_b)))
     return norm_anti, norm_comm
+
+
+def _step_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
+    """||[G, theta]||_1 for a Hermitian G and a step theta: 1 on the first p entries, 0 after.
+
+    [G, theta] = [[0, -G[:p, p:]], [G[p:, :p], 0]] with G[p:, :p] = G[:p, p:]^dag,
+    so its singular values are those of the p x (n - p) block, twice.
+    """
+    p = int(np.count_nonzero(theta))
+    if not np.array_equal(theta, np.arange(theta.size) < p):
+        raise SwitchError("switch function is not a step")
+    return 2.0 * _trace_norm(G[:p, p:])
 
 
 def trace_norm_checks(

@@ -7,11 +7,12 @@ estimates, and measures the short-range constant that controls all the
 locality bounds.
 
 One builder places every bond, as (row, col, value) triplets of the upper
-triangle.  The open chain scatters them into its A->B block T, the only
-array a ``ChiralHamiltonian`` stores (L x L, where the 2L x 2L matrix would
-be four times larger), and ``bulk_gap`` assembles the ring's into a sparse
-matrix, so its cost grows with L * coupling_range.  The ring is the open
-chain of the periodically tiled profile plus the wrap bonds
+triangle, and both chains read them as entries of their A->B block.  The
+open chain scatters them into T, the only array a ``ChiralHamiltonian``
+stores (L x L, where the 2L x 2L matrix would be four times larger), and
+``bulk_gap`` places the ring's into a sparse T_ring and takes its smallest
+singular value, so its cost grows with L * coupling_range.  The ring is the
+open chain of the periodically tiled profile plus the wrap bonds
 x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell chain
 of (L + 1) // 2 cells cropped to its first L basis states.
 
@@ -249,12 +250,9 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
             "extra couplings and boundary perturbations are only supported "
             "under the CELL_C2 convention"
         )
-    rows, cols, values = _chain_bonds(profile, ring=False)
-    from_a = rows % 2 == 0
-    a = np.where(from_a, rows, cols) // 2
-    b = np.where(from_a, cols, rows) // 2
+    a, b, values = _block_entries(_chain_bonds(profile, ring=False))
     T = np.zeros((profile.length, profile.length), dtype=values.dtype)
-    np.add.at(T, (a, b), np.where(from_a, values, values.conj()))
+    np.add.at(T, (a, b), values)
     # The sites chain of odd length drops the last cell's B state.
     return ChiralHamiltonian(np.ascontiguousarray(T[:, : geom.total_dim // 2]), geom)
 
@@ -293,6 +291,15 @@ def _chain_bonds(profile: CouplingProfile, ring: bool) -> _Bonds:
         cols.append(2 * dst)
         values.append(b[src])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values).astype(dtype)
+
+
+def _block_entries(bonds: _Bonds) -> _Bonds:
+    """The bonds as entries (a, b, value) of the A->B block; a bond (x,B)->(y,A) is conjugated."""
+    rows, cols, values = bonds
+    from_a = rows % 2 == 0
+    a = np.where(from_a, rows, cols) // 2
+    b = np.where(from_a, cols, rows) // 2
+    return a, b, np.where(from_a, values, values.conj())
 
 
 def _uniform_stream(seed: int, kind: int, count: int, amplitude: float) -> np.ndarray:
@@ -351,43 +358,69 @@ def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:
     """Half-width of the spectral gap around zero, estimated on a periodic ring.
 
     A finite-ring estimate of the true bulk gap; defaults to a ring of four
-    times the profile length.  The ring is assembled as a sparse matrix from
-    its bonds (``_ring_bonds``) and solved by ARPACK shift-invert about zero,
-    so time and memory grow with l_ring * coupling_range.  Chirality makes
-    the spectrum symmetric about zero, so the half gap is the smallest
-    positive eigenvalue: the algebraically largest eigenvalue of the inverse.
-    The start vector is a fixed-seed Gaussian (a constant vector lies in one
-    symmetry sector of a clean ring).  An exactly singular ring (a closed
-    gap) gives 0.0; an ARPACK failure, such as the overflow a gap near the
-    float underflow causes, raises NumericalError.  Clean, translation-
-    invariant rings converge slowly, because their band edge is a
-    near-continuum.
+    times the profile length.  The ring is chiral, so its spectrum is
+    +-sigma for the singular values sigma of its A->B block T_ring, and the
+    half gap is sigma_min.  T_ring (l_ring x l_ring) is placed from the
+    ring's bonds (``_ring_bonds``) as ``build_ssh`` places the open chain's,
+    as a sparse matrix, and factored once by SuperLU.  ARPACK finds the
+    largest eigenvalue s^2 / sigma_min^2 of s^2 (T_ring T_ring^dag)^-1,
+    applied by two solves with that factorization; s is the power of two
+    near sigma_min that one solve finds, so the scaling is exact and the
+    operator stays near 1 where 1 / sigma_min^2 would overflow.  Time and
+    memory grow with l_ring * coupling_range.  The start vector is a
+    fixed-seed Gaussian (a constant vector lies in one symmetry sector of a
+    clean ring).  A ring of 2 cells, below ARPACK's smallest dimension,
+    takes |det T_ring| / sigma_max.  An exactly singular ring (a closed
+    gap) gives 0.0.  An ARPACK failure, and a solve that overflows (a gap
+    near the float underflow), raise NumericalError; the overflow is caught
+    before ARPACK sees it.  Clean, translation-invariant rings converge
+    slowest, because their band edge is a near-continuum.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
     if l_ring is None:
         l_ring = 4 * profile.length
-    rows, cols, values = _ring_bonds(profile, l_ring)
-    n = 2 * l_ring
-    ring = scipy.sparse.csc_array(
-        (np.concatenate([values, values.conj()]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    )
-    v0 = np.random.default_rng(0).standard_normal(n)
+    a, b, values = _block_entries(_ring_bonds(profile, l_ring))
+    T = scipy.sparse.csc_array((values, (a, b)), shape=(l_ring, l_ring))
     try:
-        w = scipy.sparse.linalg.eigsh(
-            ring, k=1, sigma=0, which="LA", v0=v0, return_eigenvectors=False
-        )
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
+        lu = scipy.sparse.linalg.splu(T)
     except RuntimeError as exc:
-        # SuperLU's report of a zero pivot: zero is an eigenvalue.
+        # SuperLU's report of a zero pivot: zero is a singular value.
         if "exactly singular" in str(exc):
             return 0.0
         raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
-    return float(w[0])
+    if l_ring == 2:
+        # ARPACK needs a complex operator's dimension above k + 1 = 2.  The
+        # pivots give det T to relative accuracy, where a dense SVD would
+        # hold sigma_min only to eps * sigma_max.
+        pivots = np.abs(lu.U.diagonal())
+        largest = _cell_block_norms(*T.toarray().reshape(4, 1))[0]
+        return float(pivots[0] / largest * pivots[1])
+
+    def checked(x):
+        # ARPACK's LAPACK calls print to standard output on non-finite input.
+        if not np.all(np.isfinite(x)):
+            raise NumericalError(
+                f"bulk gap of a {l_ring}-cell ring: the inverse overflows for ARPACK"
+            )
+        return x
+
+    v0 = np.random.default_rng(0).standard_normal(l_ring)
+    # max |T^-1 v0| is about 1 / sigma_min; capped so that s stays finite.
+    growth = np.abs(checked(lu.solve(v0))).max()
+    s = math.ldexp(1.0, min(-int(np.frexp(growth)[1]), 1000))
+    gram_inverse = scipy.sparse.linalg.LinearOperator(
+        (l_ring, l_ring), dtype=values.dtype,
+        matvec=lambda v: checked(s * lu.solve(s * lu.solve(v), trans="H")),
+    )
+    try:
+        lam = scipy.sparse.linalg.eigsh(
+            gram_inverse, k=1, which="LM", v0=v0, return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
+    return float(s / np.sqrt(lam[0]))
 
 
 def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarray:
@@ -412,29 +445,60 @@ def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarr
     return out
 
 
+# Entries per pass of the closed form: its dozen work arrays then stay far
+# below glibc's mmap threshold (128 KB at start), so they are reused from the
+# heap instead of being mapped, page-faulted and returned on every call.
+_CHUNK_ENTRIES = 4096
+
+
 def _cell_block_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Largest singular value of each 2x2 block [[a, b], [c, d]] of four equal-shape arrays."""
+    rows = max(1, _CHUNK_ENTRIES // max(1, math.prod(np.shape(a)[1:])))
+    if len(a) <= rows:
+        return _closed_form_norms(a, b, c, d)
+    return np.concatenate([
+        _closed_form_norms(*(e[i : i + rows] for e in (a, b, c, d))) for i in range(0, len(a), rows)
+    ])
+
+
+def _closed_form_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     # Each block is scaled by its largest absolute entry so that squares
     # neither overflow nor underflow.  Its largest singular value squared is
     # the largest eigenvalue of the Gram matrix [[p, q], [conj(q), r]]; every
-    # term of that closed form is non-negative, so nothing cancels.
+    # term of that closed form is non-negative, so nothing cancels.  The
+    # intermediates go to a few reused buffers, each step the same ufunc on
+    # the same operands as the plain expression, so the bits are the same.
     dtype = np.result_type(a, b, c, d, float)
     entries = [e.astype(dtype, copy=False) for e in (a, b, c, d)]
-    mags = [np.abs(e) for e in entries]
-    scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
+    scale = np.abs(entries[0])
+    work = np.empty_like(scale)
+    for e in entries[1:]:
+        np.maximum(scale, np.abs(e, out=work), out=scale)
     tiny = np.finfo(float).tiny
-    a, b, c, d = (
-        np.divide(e, scale, out=np.zeros_like(e), where=scale >= tiny) for e in entries
-    )
-    p = _abs2(a) + _abs2(c)
-    r = _abs2(b) + _abs2(d)
-    q = np.abs(a.conj() * b + c.conj() * d)
-    norms = scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+    normal = scale >= tiny
+    a, b, c, d = (np.divide(e, scale, out=np.zeros_like(e), where=normal) for e in entries)
+    z1, z2 = np.empty_like(a), np.empty_like(a)
+    p, r = _abs2_sum(a, c, z1, z2), _abs2_sum(b, d, z1, z2)
+    half_diff = np.multiply(0.5, np.subtract(p, r, out=work), out=work)
+    half_sum = np.multiply(0.5, np.add(p, r, out=p), out=p)
+    # q = |conj(a) b + conj(c) d|
+    np.multiply(np.conjugate(a, out=z1), b, out=z1)
+    np.multiply(np.conjugate(c, out=z2), d, out=z2)
+    q = np.abs(np.add(z1, z2, out=z1), out=r)
+    norms = np.add(half_sum, np.hypot(half_diff, q, out=half_diff), out=half_sum)
+    norms = np.multiply(scale, np.sqrt(norms, out=norms), out=norms)
     subnormal = (scale > 0) & (scale < tiny)
     if subnormal.any():
         # numpy divides complex by real through 1 / scale, which overflows: lift by an exact 2^54.
-        norms[subnormal] = _cell_block_norms(*(e[subnormal] * 2.0**54 for e in entries)) / 2.0**54
+        norms[subnormal] = _closed_form_norms(*(e[subnormal] * 2.0**54 for e in entries)) / 2.0**54
     return norms
+
+
+def _abs2_sum(x: np.ndarray, y: np.ndarray, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """|x|^2 + |y|^2 as (x conj(x)).real + (y conj(y)).real, through the work arrays zx and zy."""
+    np.multiply(x, np.conjugate(x, out=zx), out=zx)
+    np.multiply(y, np.conjugate(y, out=zy), out=zy)
+    return np.add(zx.real, zy.real)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:

@@ -172,7 +172,9 @@ def _checked_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return M / 2.0 + M.conj().T / 2.0
+    """M / 2 + M^dag / 2 of a product M that no one else holds: M is halved in place."""
+    np.divide(M, 2.0, out=M)
+    return M + M.conj().T
 
 
 def _sandwich(X: np.ndarray, d: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -203,9 +205,12 @@ def chiral_blocks(
     AA = _sandwich(U, even[: U.shape[1]], U)
     BB = _sandwich(W, even[: W.shape[1]], W)
     AB = _sandwich(U[:, :k], odd, W[:, :k])
-    if not np.iscomplexobj(values):
-        return _hermitian_part(AA), AB, AB.conj().T, _hermitian_part(BB)
-    return AA, AB, _sandwich(W[:, :k], odd, U[:, :k]), BB
+    if np.iscomplexobj(values):
+        return AA, AB, _sandwich(W[:, :k], odd, U[:, :k]), BB
+    # The zero blocks of an odd f are Hermitian already.
+    if np.any(even):
+        AA, BB = _hermitian_part(AA), _hermitian_part(BB)
+    return AA, AB, AB.conj().T, BB
 
 
 def matrix_function(spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

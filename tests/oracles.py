@@ -7,12 +7,24 @@ A->B block.  The oracles here take the assembled matrix instead:
   Hermitian array and f(M) from it;
 - ``tanh_oracle``: tanh(M / delta) with no eigendecomposition at all;
 - ``dense_ring``: the ring that ``bulk_gap`` solves, as a dense matrix.
+
+The forms the bound certificates replaced by exact identities stay here as
+their references:
+
+- ``exp_block_norms``: the propagator's block norms from the complex
+  blocks of exp(itH);
+- ``full_commutator_trace_norm``: ||[G, theta]||_1 from the whole matrix;
+- ``plain_cell_block_norms``: the 2x2 closed form as plain expressions,
+  with a fresh array per step.
 """
 
 import numpy as np
 import scipy.linalg
 
-from chiralchain.hamiltonian import NumericalError, _as_positive, _check_hermitian, _ring_bonds
+from chiralchain.hamiltonian import (
+    NumericalError, _abs2, _as_positive, _check_hermitian, _ring_bonds, block_norms,
+)
+from chiralchain.spectral import chiral_blocks, eigh
 
 # Largest ||M||_2 / delta that tanh_oracle supports.
 ORACLE_MAX_RATIO = 50.0
@@ -77,3 +89,33 @@ def dense_ring(profile, l_ring: int) -> np.ndarray:
     upper = np.zeros((2 * l_ring, 2 * l_ring), dtype=values.dtype)
     np.add.at(upper, (rows, cols), values)
     return upper + upper.conj().T
+
+
+def exp_block_norms(H, t: float) -> np.ndarray:
+    """``block_norms`` of exp(itH), read from the four complex blocks of exp(itH)."""
+    return block_norms(chiral_blocks(eigh(H), lambda w: np.exp(1j * float(t) * w)), H.geometry)
+
+
+def full_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
+    """||G theta - theta G||_1 for a diagonal theta given by its entries, from the n x n matrix."""
+    return float(np.linalg.svd(G * theta[None, :] - theta[:, None] * G, compute_uv=False).sum())
+
+
+def plain_cell_block_norms(a, b, c, d) -> np.ndarray:
+    """Largest singular value of each 2x2 block [[a, b], [c, d]], the closed form as plain expressions."""
+    dtype = np.result_type(a, b, c, d, float)
+    entries = [e.astype(dtype, copy=False) for e in (a, b, c, d)]
+    mags = [np.abs(e) for e in entries]
+    scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
+    tiny = np.finfo(float).tiny
+    a, b, c, d = (
+        np.divide(e, scale, out=np.zeros_like(e), where=scale >= tiny) for e in entries
+    )
+    p = _abs2(a) + _abs2(c)
+    r = _abs2(b) + _abs2(d)
+    q = np.abs(a.conj() * b + c.conj() * d)
+    norms = scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+    subnormal = (scale > 0) & (scale < tiny)
+    if subnormal.any():
+        norms[subnormal] = plain_cell_block_norms(*(e[subnormal] * 2.0**54 for e in entries)) / 2.0**54
+    return norms

@@ -22,7 +22,7 @@ from chiralchain.hamiltonian import (
     short_range_constant,
 )
 from chiralchain.indices import index_report
-from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
+from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
 from chiralchain.spectral import flattened_sign, gap_filter
 
 
@@ -248,6 +248,15 @@ def test_trace_norms_vanish_for_constant_switch():
     full = SwitchFunction(np.ones(geom.length), geom.length, geom)
     _, comm_norm = anticommutator_trace_norms(H, 0.1, full)
     assert comm_norm < 1e-12
+
+
+def test_trace_norms_need_a_step_switch():
+    # The commutator norm reads one off-diagonal block, which holds only for a step.
+    H = ssh(16, 0.5, 1.0)
+    geom = H.geometry
+    bump = SwitchFunction(np.where(np.arange(geom.length) == 3, 1.0, 0.0), 4, geom)
+    with pytest.raises(SwitchError, match="not a step"):
+        anticommutator_trace_norms(H, 0.1, bump)
 
 
 def test_trace_norm_checks_certify_the_raw_norms():

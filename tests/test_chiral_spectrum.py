@@ -11,11 +11,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralchain import spectral
-from chiralchain.bounds import anticommutator_trace_norms, gap_filter_min_eigenvalue
+from chiralchain.bounds import (
+    _propagator_block_norms, _step_commutator_trace_norm, anticommutator_trace_norms,
+    gap_filter_min_eigenvalue,
+)
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
     CouplingProfile,
@@ -34,7 +37,9 @@ from chiralchain.spectral import (
     flattened_sign,
     matrix_function,
 )
-from oracles import dense_eigh, dense_function, tanh_oracle
+from oracles import (
+    dense_eigh, dense_function, exp_block_norms, full_commutator_trace_norm, tanh_oracle,
+)
 
 
 def dense_index_diagonals(H, delta, switch):
@@ -263,6 +268,25 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
     assert abs(gap_filter_min_eigenvalue(H, delta) - min_eig) <= 1e-14 * n
 
 
+@settings(max_examples=80, deadline=None)
+@given(H=_cell_chains() | _site_chains(), t=st.floats(-3.0, 3.0))
+def test_propagator_block_norms_match_exp_blocks(H, t):
+    got, want = _propagator_block_norms(H, t), exp_block_norms(H, t)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), H=_cell_chains() | _site_chains(), log_delta=st.floats(-3.0, 1.0))
+def test_step_commutator_trace_norm_matches_full_matrix(data, H, log_delta):
+    delta = 10.0**log_delta
+    theta = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1))).basis_values()
+    G_A, _, _, G_B = spectral.chiral_blocks(eigh(H), lambda e: _sech_sq(e / delta))
+    for G, t in ((G_A, theta[0::2]), (G_B, theta[1::2])):
+        want = full_commutator_trace_norm(G, t)
+        assert abs(_step_commutator_trace_norm(G, t) - want) <= 1e-13 * max(1.0, want)
+
+
 # --- the bidiagonal route: LAPACK dbdsdc for a real lower-bidiagonal T ---------------
 
 
@@ -278,10 +302,13 @@ def assert_bidiagonal_svd(d, e):
     n, largest = d.size, float(np.abs(T).max())
     assert spec.U.shape == spec.W.shape == (n, n) and spec.sigma.shape == (n,)
     assert np.all(spec.sigma >= 0.0) and np.all(np.diff(spec.sigma) <= 0.0)
-    # Relative to the largest entry, so that subnormal blocks are held to the same digits.
+    # Relative to the largest entry.  A subnormal sigma is rounded to a
+    # multiple of 2^-1074, so it carries fewer digits than 1e-13 asks: the
+    # n terms of a reconstructed entry may each be off by that step.
     sigma = spec.sigma / largest
-    assert np.abs(sigma - np.linalg.svd(T, compute_uv=False) / largest).max() <= 1e-13
-    assert np.abs((spec.U * sigma) @ spec.W.T - T / largest).max() <= 1e-13
+    tol = 1e-13 + n * 2.0**-1074 / largest
+    assert np.abs(sigma - np.linalg.svd(T, compute_uv=False) / largest).max() <= tol
+    assert np.abs((spec.U * sigma) @ spec.W.T - T / largest).max() <= tol
     for Q in (spec.U, spec.W):
         assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-13
     return spec
@@ -290,19 +317,21 @@ def assert_bidiagonal_svd(d, e):
 _bidiagonal_entry = st.floats(-1.0, 1.0) | st.just(0.0)
 
 
+def _bands(n):
+    return st.tuples(*(st.lists(_bidiagonal_entry, min_size=m, max_size=m) for m in (n, n - 1)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    data=st.data(),
-    n=st.integers(1, 59),
+    bands=st.integers(1, 59).flatmap(_bands),
     exponent=st.integers(-310, 307) | st.integers(-310, -290) | st.sampled_from([0, 300, 307]),
 )
-def test_bidiagonal_svd_matches_dense_svd(data, n, exponent):
+# sigma = 1.7e-311 is subnormal: its reconstruction was off by 1.07e-13 relative.
+@example(bands=([0.0078125, 0.0], [0.015625]), exponent=-309)
+def test_bidiagonal_svd_matches_dense_svd(bands, exponent):
     # dbdsdc scales only above 25 rows; unscaled, entries below about 1e-293
     # gave relative reconstruction errors from 5e-7 to 1 below that size.
-    d, e = (
-        np.array(data.draw(st.lists(_bidiagonal_entry, min_size=m, max_size=m))) * 10.0**exponent
-        for m in (n, n - 1)
-    )
+    d, e = (np.array(band) * 10.0**exponent for band in bands)
     if np.any(d) or np.any(e):
         assert_bidiagonal_svd(d, e)
 

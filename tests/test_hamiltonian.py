@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
+    _cell_block_norms,
     _chain_bonds,
     CouplingProfile,
     ExtraCoupling,
@@ -22,7 +23,7 @@ from chiralchain.hamiltonian import (
     verify_chiral,
 )
 from chiralchain.lattice import Convention, make_geometry
-from oracles import dense_ring
+from oracles import dense_ring, plain_cell_block_norms
 
 E = math.e
 
@@ -563,6 +564,32 @@ def test_bulk_gap_near_underflow_is_numerical_error():
         bulk_gap(profile, l_ring=3)
 
 
+def test_bulk_gap_near_underflow_keeps_stdout_clean(capfd):
+    # Non-finite values handed to ARPACK make its LAPACK calls print to fd 1.
+    profile = CouplingProfile(np.array([2.0, 1e-200, 1e-200]), np.array([1e-200, 2.0, 1e-300]))
+    with pytest.raises(NumericalError):
+        bulk_gap(profile, l_ring=3)
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("l_ring", [2, 3])
+@pytest.mark.parametrize("offsets", [(), (1,)])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_bulk_gap_smallest_rings_match_dense_ring(l_ring, offsets, complex_valued):
+    # Two cells are below ARPACK's smallest complex dimension; three are just above it.
+    for seed in range(4):
+        profile = offsets_profile(5, offsets, complex_valued, seed=seed)
+        assert abs(bulk_gap(profile, l_ring) - dense_gap(profile, l_ring)) <= 1e-12
+
+
+def test_bulk_gap_two_cell_ring_keeps_a_graded_gap():
+    # T = [[6.4e-6, 9e-11], [1.3e6, 1.6e8]]; its sigma_min, 6.39978802923291e-06
+    # to 100 digits, is 2e-5 relative off in a dense SVD, which is accurate to
+    # eps * sigma_max only.
+    profile = CouplingProfile(np.array([6.4e-06, 1.6e08]), np.array([1.3e06, 9.0e-11]))
+    assert bulk_gap(profile, l_ring=2) == pytest.approx(6.39978802923291e-06, rel=1e-14)
+
+
 def test_bulk_gap_arpack_failure_is_numerical_error(monkeypatch):
     # ArpackNoConvergence is a RuntimeError; it must not read as a closed gap.
     import scipy.sparse.linalg
@@ -632,6 +659,25 @@ def test_block_norms_match_svd(data, cells, complex_valued):
     got = block_norms(_sublattice_blocks(M), make_geometry(cells))
     assert np.all((got == 0) == (want == 0))
     assert np.all(np.abs(got - want) <= 8 * _EPS * want)
+    # The buffered closed form keeps every bit of the plain expressions.
+    assert got.tobytes() == plain_cell_block_norms(*_sublattice_blocks(M)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(300, 70), (10000,)])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_block_norms_in_chunks_keep_every_bit(shape, complex_valued):
+    # Several passes of the closed form, with zero, subnormal and huge blocks among them.
+    rng = np.random.default_rng(len(shape))
+
+    def entries():
+        v = rng.normal(size=shape)
+        if complex_valued:
+            v = v + 1j * rng.normal(size=shape)
+        return v * 10.0 ** rng.choice([0, -300, -310, 300], size=shape) * (rng.random(shape) < 0.8)
+
+    blocks = [entries() for _ in range(4)]
+    want = plain_cell_block_norms(*blocks)
+    assert _cell_block_norms(*blocks).tobytes() == want.tobytes()
 
 
 def test_block_norms_of_integer_matrix():
@@ -677,6 +723,7 @@ def test_subnormal_complex_blocks_keep_their_norm():
     single = np.array([[0, z], [0, 0]])
     norms = block_norms((zero, single, zero, zero), make_geometry(2))
     assert norms.tolist() == [[0.0, abs(z)], [0.0, 0.0]]
+    assert norms.tobytes() == plain_cell_block_norms(zero, single, zero, zero).tobytes()
     H = build_ssh(make_geometry(2), CouplingProfile(t1=[0j, 0j], t2=[z, 0j]))
     assert short_range_constant(H, 1.0) == abs(z) * np.exp(1.0)
 
