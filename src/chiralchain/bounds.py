@@ -12,7 +12,9 @@ Floating point caveat, documented rather than hidden: the propagator bound
 is an exact-arithmetic theorem, so at position pairs where the envelope
 drops below the eigensolver's rounding noise (~1e-16) the comparison uses a
 noise floor, fixed at dim * machine epsilon.  The floor is recorded in the
-certificate.
+certificate.  Past the band of its Chebyshev expansion the propagator is
+not read at all: there the bound on each block is the expansion's proven
+tail, at most 2^-20 of the floor, not a rounding-noise reading.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import (
-    ChiralHamiltonian, CouplingProfile, _as_positive, _sublattice_blocks, block_norms, build_ssh,
+    ChiralHamiltonian, CouplingProfile, _as_positive, _band_offsets, _cell_block_norms,
+    _sublattice_blocks, block_norms, build_ssh,
 )
 from .lattice import (
     ChainGeometry, Convention, SwitchError, SwitchFunction, check_switch_compatible, make_geometry,
@@ -81,11 +84,6 @@ def correlation_length(delta: float, decay_length: float, coupling_norm: float) 
     return decay_length * max(1.0, 4.0 * coupling_norm / (math.pi * delta))
 
 
-def _distances(count: int) -> np.ndarray:
-    x = np.arange(count)
-    return np.abs(x[:, None] - x[None, :])
-
-
 def decay_profile(
     M: np.ndarray,
     geom: ChainGeometry,
@@ -94,7 +92,8 @@ def decay_profile(
     """Distance-resolved maxima of ||M_{x,y}|| and their fitted log-slope."""
     norms = block_norms(_sublattice_blocks(np.asarray(M)), geom)
     P = norms.shape[0]
-    dist = _distances(P)
+    x = np.arange(P)
+    dist = np.abs(x[:, None] - x[None, :])
     maxima = np.zeros(P)
     np.maximum.at(maxima, dist, norms)
     if fit_window is None:
@@ -122,6 +121,10 @@ def _envelope_certificate(
     return BoundCertificate(name, lhs, margin, margin >= 0.0, gamma_star=gamma_star)
 
 
+# The Chebyshev tail of the propagator is held this far below the noise floor.
+_TAIL_FRACTION = 2.0**-20
+
+
 def lieb_robinson_check(
     H: ChiralHamiltonian, t: float, decay_length: float, coupling_norm: float
 ) -> BoundCertificate:
@@ -131,6 +134,12 @@ def lieb_robinson_check(
     the inequality is proven, so with a correct K a failure beyond the
     numerical floor signals an implementation bug.  The certificate is named
     ``lieb_robinson_t{t:g}``.
+
+    Only pairs within the reach of ``_propagator_band`` are read.  Every
+    farther block is bounded by the band's Chebyshev tail, so those pairs
+    reduce to the farthest one, P - 1 positions apart, whose envelope is the
+    smallest.  ``lhs`` holds the norms of the in-band pairs at distance
+    >= d, one diagonal y - x = k after the other.
 
     The block norms of exp(itH) = cos(tH) + i sin(tH) are read from cos(tH),
     which is even (only A-A and B-B blocks), and sin(tH), which is odd (only
@@ -143,29 +152,111 @@ def lieb_robinson_check(
     """
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
+    t = float(t)
     decay_length = _as_positive("decay_length", decay_length)
     coupling_norm = _as_positive("coupling_norm", coupling_norm, zero_ok=True)
     noise_floor = H.geometry.total_dim * float(np.finfo(float).eps)
-    lhs_all = _propagator_block_norms(H, t)
-    dist = _distances(lhs_all.shape[0])
-    mask = dist >= decay_length
-    lhs = lhs_all[mask]
+    last = H.geometry.length - 1
+    reach, tail = _propagator_band(H, t, noise_floor)
+    offsets = [k for k in range(-reach, reach + 1) if abs(k) >= decay_length]
+    spec = eigh(H)
+    C_AA, _, _, C_BB = chiral_blocks(spec, lambda w: np.cos(t * w))
+    _, S_AB, S_BA, _ = chiral_blocks(spec, lambda w: np.sin(t * w))
+    blocks = (C_AA, S_AB, S_BA, np.negative(C_BB, out=C_BB))
+    lhs = _diagonal_block_norms(blocks, offsets, H.geometry)
+    # The largest norm on each in-band diagonal and, past the band, the tail at the farthest pair.
+    far = reach < last and last >= decay_length
+    dist = np.abs(np.array(offsets + ([last] if far else []), dtype=int))
+    worst = np.full(dist.size, tail)
+    if offsets:
+        sizes = [last + 1 - abs(k) for k in offsets]
+        worst[: len(offsets)] = np.maximum.reduceat(lhs, np.cumsum([0] + sizes[:-1]))
     with np.errstate(over="ignore"):
-        rhs = 2.0 * abs(t) * coupling_norm * np.exp(abs(t) * coupling_norm - dist[mask] / decay_length)
+        rhs = 2.0 * abs(t) * coupling_norm * np.exp(abs(t) * coupling_norm - dist / decay_length)
     # No pair at distance d or more leaves nothing to check: margin inf.
-    margin = float((rhs - np.maximum(lhs - noise_floor, 0.0)).min(initial=np.inf))
+    margin = float((rhs - np.maximum(worst - noise_floor, 0.0)).min(initial=np.inf))
     return BoundCertificate(
         f"lieb_robinson_t{t:g}", lhs, margin, margin >= 0.0, noise_floor=noise_floor
     )
 
 
-def _propagator_block_norms(H: ChiralHamiltonian, t: float) -> np.ndarray:
-    """``block_norms`` of exp(itH), as those of (C_AA, S_AB, S_BA, -C_BB) (see ``lieb_robinson_check``)."""
-    t = float(t)
-    spec = eigh(H)
-    C_AA, _, _, C_BB = chiral_blocks(spec, lambda w: np.cos(t * w))
-    _, S_AB, S_BA, _ = chiral_blocks(spec, lambda w: np.sin(t * w))
-    return block_norms((C_AA, S_AB, S_BA, np.negative(C_BB, out=C_BB)), H.geometry)
+def _propagator_band(H: ChiralHamiltonian, t: float, noise_floor: float) -> tuple[int, float]:
+    """(reach, tail): exp(itH) is within ``tail`` of a polynomial in H that is zero past ``reach``.
+
+    exp(itH) = J_0(x) + 2 sum_{n>=1} i^n J_n(x) T_n(H / a) with x = |t| a
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), where a, the
+    larger of the largest row and column sums of |T|, bounds ||H||.  As
+    ||T_n(H / a)|| <= 1, every block of the terms past degree N is at most
+    2 sum_{n>N} |J_n(x)| <= ``exp(_chebyshev_log_tail(x, N))``.  H couples
+    basis vectors at most w = 2 r + 1 apart, r the coupling range of T, so
+    the first N terms are zero past basis distance N w: past
+    (N w + 1) // 2 cells or N w sites, the reach.  N is the smallest degree
+    whose tail is at most _TAIL_FRACTION * noise_floor, so the tail never
+    moves a margin; rounding in the row sums moves a by a few ulp, far
+    inside that fraction.  Once the reach covers the chain, as it does for
+    a non-finite x, every pair is read: (P - 1, 0.0).
+    """
+    T = H.T
+    offsets = _band_offsets(T)
+    rows, cols = np.zeros(T.shape[0]), np.zeros(T.shape[1])
+    # A sum that overflows makes x infinite: then every pair is read.
+    with np.errstate(over="ignore"):
+        for k in offsets:
+            v = np.abs(np.diagonal(T, k))
+            i = max(0, -k)
+            rows[i : i + v.size] += v
+            cols[i + k : i + k + v.size] += v
+    x = abs(t) * float(max(rows.max(), cols.max()))
+    width = 2 * offsets.stop - 1
+    cells = H.geometry.convention is Convention.CELL_C2
+    last = H.geometry.length - 1
+    log_target = math.log(_TAIL_FRACTION * noise_floor)
+    degree = 0
+    while (reach := (degree * width + 1) // 2 if cells else degree * width) < last:
+        if degree + 2 > x / 2 and (log_tail := _chebyshev_log_tail(x, degree)) <= log_target:
+            return reach, math.exp(log_tail)
+        degree += 1
+    return last, 0.0
+
+
+def _chebyshev_log_tail(x: float, degree: int) -> float:
+    """log of 2 (x/2)^(N+1) / (N+1)! / (1 - x / (2 (N+2))) >= log(2 sum_{n>N} |J_n(x)|), N = degree.
+
+    |J_n(x)| <= (x/2)^n / n! (Abramowitz & Stegun 9.1.62), and past n = N + 1
+    those bounds fall by at least x / (2 (N + 2)) < 1 per step, a geometric
+    series.  Taken in log space, so that no x overflows, and raised by a
+    relative 2^-30 that covers its own rounding; -inf at x = 0.
+    """
+    if x == 0.0:
+        return -math.inf
+    return (
+        math.log(2.0) + (degree + 1) * (math.log(x) - math.log(2.0)) - math.lgamma(degree + 2)
+        - math.log1p(-x / (2.0 * (degree + 2))) + 2.0**-30
+    )
+
+
+def _diagonal_block_norms(
+    blocks: tuple[np.ndarray, ...], offsets: list[int], geom: ChainGeometry
+) -> np.ndarray:
+    """``block_norms`` of M on the position diagonals y - x = k, k in ``offsets``, one after the other.
+
+    M is given as its four sublattice blocks, as ``block_norms`` takes them.
+    Under CELL_C2 the cell diagonals are those of the four blocks, through
+    one closed-form call.  Under ALTERNATING_SITES the site diagonal k = 2m
+    holds the entries of the A-A and B-B diagonals m, and k = 2m + 1 those
+    of the A-B diagonal m and the B-A diagonal m + 1.
+    """
+    if not offsets:
+        return np.zeros(0)
+    if geom.convention is Convention.CELL_C2:
+        return _cell_block_norms(*(np.concatenate([np.diagonal(M, k) for k in offsets]) for M in blocks))
+    AA, AB, BA, BB = blocks
+    parts = []
+    for k in offsets:
+        m = k // 2
+        pairs = ((AA, m), (BB, m)) if k % 2 == 0 else ((AB, m), (BA, m + 1))
+        parts += [np.diagonal(M, j) for M, j in pairs]
+    return np.abs(np.concatenate(parts))
 
 
 def edge_filter_decay_check(
@@ -186,8 +277,9 @@ def edge_filter_decay_check(
     P = lhs.shape[0]
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
-    pair_dist = np.maximum(edge_dist[:, None], edge_dist[None, :])
-    envelope = np.exp(-pair_dist / (2.0 * correlation_length)) + np.exp(-2.0 * half_gap / delta)
+    # exp is monotone, so e^{-max(d_x, d_y)/(2 d')} is the smaller of the two per-position values.
+    decay = np.exp(-edge_dist / (2.0 * correlation_length))
+    envelope = np.minimum.outer(decay, decay) + np.exp(-2.0 * half_gap / delta)
     return _envelope_certificate("edge_filter_decay", lhs, envelope, geom.length, threshold)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -764,7 +765,9 @@ _CONFIG_COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="chiralchain",
         description="Finite-size bulk/edge indices and locality certificates for chiral chains.",

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from chiralchain.bounds import (
+    _TAIL_FRACTION,
+    _chebyshev_log_tail,
+    _propagator_band,
     anticommutator_trace_norms,
     correlation_length,
     decay_profile,
@@ -112,6 +115,8 @@ def test_lieb_robinson_zero_time_passes():
     cert = lieb_robinson_check(H, 0.0, 1.0, K)
     assert cert.passed
     assert np.all(cert.lhs <= cert.noise_floor + 1e-15)
+    # exp(0) = 1 is its own degree-0 expansion: no pair is read, and the envelope is 0.
+    assert cert.lhs.size == 0 and cert.margin == 0.0
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
@@ -141,6 +146,42 @@ def test_lieb_robinson_names_its_time_and_passes_with_no_distant_pair():
     # No two cells are 10 apart: nothing to check.
     cert = lieb_robinson_check(H, 0.5, 10.0, K)
     assert cert.lhs.size == 0 and cert.margin == math.inf and cert.passed
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-12, 1e-6, 1e-3, *np.linspace(0.01, 50.0, 41)])
+def test_chebyshev_tail_bounds_the_bessel_tail(x):
+    from scipy.special import jv
+
+    first = max(0, math.floor(x / 2) - 1)
+    for degree in range(first, first + 80):
+        if degree + 2 <= x / 2:
+            continue
+        bessel_tail = 2.0 * np.abs(jv(np.arange(degree + 1, degree + 400), x)).sum()
+        assert math.exp(_chebyshev_log_tail(x, degree)) >= bessel_tail, degree
+
+
+@pytest.mark.parametrize("convention", [Convention.CELL_C2, Convention.ALTERNATING_SITES])
+@pytest.mark.parametrize("t", [0.1, -1.0, 2.0])
+def test_lieb_robinson_reads_only_the_band(convention, t):
+    # The margin against the full grid and the rigour of the tail are checked in
+    # test_chiral_spectrum.py::test_lieb_robinson_check_matches_full_grid.
+    geom = make_geometry(121, convention)
+    H = build_ssh(geom, disordered_defect_profile(geom.cells, seed=3))
+    cert = lieb_robinson_check(H, t, 1.0, short_range_constant(H, 1.0))
+    reach, tail = _propagator_band(H, t, cert.noise_floor)
+    assert cert.passed and reach < 120 and 0.0 < tail <= _TAIL_FRACTION * cert.noise_floor
+    # lhs holds the pairs 1..reach apart, 121 - k of them at each offset +-k.
+    assert cert.lhs.size == sum(2 * (121 - k) for k in range(1, reach + 1))
+
+
+def test_lieb_robinson_reads_every_pair_once_the_band_covers_the_chain():
+    H = ssh(6, 0.5, 1.0)
+    cert = lieb_robinson_check(H, 1.0, 1.0, short_range_constant(H, 1.0))
+    assert _propagator_band(H, 1.0, cert.noise_floor) == (5, 0.0)
+    assert cert.lhs.size == 6 * 6 - 6
+    # A non-finite |t| a (entries near the float maximum) also reads every pair.
+    huge = build_ssh(make_geometry(30), CouplingProfile.constant(30, 1e308, 1e308))
+    assert _propagator_band(huge, 1.0, 1e-13) == _propagator_band(huge, 0.0, 1e-13) == (29, 0.0)
 
 
 def test_lieb_robinson_undersized_constant_reports_failure():
@@ -191,6 +232,29 @@ def test_gap_filter_interior_smallness():
         G = gap_filter(H, delta)
         diag = np.abs(np.diagonal(G)).reshape(L, 2).sum(axis=1)
         assert diag[interior].max() < limit
+
+
+@pytest.mark.parametrize("P", [40, 250, 251, 1000])
+@pytest.mark.parametrize("corr", [0.3, 1.0, 2.0 / 3.0, 17.25, 1e3])
+def test_edge_filter_envelope_is_the_pair_expression(P, corr):
+    # edge_filter_decay_check takes the smaller of two per-position exponentials,
+    # which relies on exp being monotone in floating point.
+    x = np.arange(P)
+    edge_dist = np.minimum(x, P - 1 - x)
+    pair_dist = np.maximum(edge_dist[:, None], edge_dist[None, :])
+    decay = np.exp(-edge_dist / (2.0 * corr))
+    assert np.array_equal(np.minimum.outer(decay, decay), np.exp(-pair_dist / (2.0 * corr)))
+
+
+def test_edge_filter_gamma_star_matches_the_pair_envelope():
+    H = build_ssh(make_geometry(251), disordered_defect_profile(251, seed=1))
+    delta, half_gap, corr = 0.05, 0.3, 3.5
+    cert = edge_filter_decay_check(H, delta, half_gap, corr)
+    x = np.arange(251)
+    edge_dist = np.minimum(x, 250 - x)
+    pair_dist = np.maximum(edge_dist[:, None], edge_dist[None, :])
+    envelope = np.exp(-pair_dist / (2.0 * corr)) + np.exp(-2.0 * half_gap / delta)
+    assert cert.gamma_star == float((cert.lhs / np.maximum(envelope, 1e-300)).max())
 
 
 def test_edge_filter_threshold_controls_pass():

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from chiralchain import spectral
 from chiralchain.bounds import (
-    _propagator_block_norms, _step_commutator_trace_norm, anticommutator_trace_norms,
-    gap_filter_min_eigenvalue,
+    _propagator_band, _step_commutator_trace_norm, anticommutator_trace_norms,
+    gap_filter_min_eigenvalue, lieb_robinson_check,
 )
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
@@ -26,6 +26,7 @@ from chiralchain.hamiltonian import (
     apply_defect,
     apply_disorder,
     build_ssh,
+    short_range_constant,
 )
 from chiralchain.indices import DeltaPolicy, _index_diagonals, index_report
 from chiralchain.lattice import Convention, make_geometry, switch_function
@@ -38,7 +39,8 @@ from chiralchain.spectral import (
     matrix_function,
 )
 from oracles import (
-    dense_eigh, dense_function, exp_block_norms, full_commutator_trace_norm, tanh_oracle,
+    dense_eigh, dense_function, exp_block_norms, full_commutator_trace_norm, full_grid_lieb_robinson,
+    propagator_block_norms, tanh_oracle,
 )
 
 
@@ -271,9 +273,42 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
 @settings(max_examples=80, deadline=None)
 @given(H=_cell_chains() | _site_chains(), t=st.floats(-3.0, 3.0))
 def test_propagator_block_norms_match_exp_blocks(H, t):
-    got, want = _propagator_block_norms(H, t), exp_block_norms(H, t)
+    got, want = propagator_block_norms(H, t), exp_block_norms(H, t)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
+
+
+def _long_chain(convention, length, t2, extra=()):
+    geom = make_geometry(length, convention)
+    cells = geom.cells
+    profile = apply_disorder(CouplingProfile(np.full(cells, 0.5), np.full(cells, t2), extra), 7, 0.3)
+    return build_ssh(geom, profile)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    H=_cell_chains() | _site_chains(),
+    t=st.floats(-3.0, 3.0),
+    d=st.sampled_from([1.0, 1.5, 2.0]),
+)
+# Chains long enough that the Chebyshev band stops short of the farthest pair.
+@example(H=_long_chain(Convention.CELL_C2, 40, 1.0), t=1.0, d=1.0)
+@example(H=_long_chain(Convention.ALTERNATING_SITES, 61, 1.0), t=-0.5, d=1.5)
+@example(
+    H=_long_chain(Convention.CELL_C2, 80, 1.0 + 0.5j, (ExtraCoupling(2, np.full(80, 0.3j), np.full(80, -0.2)),)),
+    t=0.4, d=2.0,
+)
+def test_lieb_robinson_check_matches_full_grid(H, t, d):
+    K = short_range_constant(H, d)
+    got, want = lieb_robinson_check(H, t, d, K), full_grid_lieb_robinson(H, t, d, K)
+    assert got.passed == want.passed
+    assert got.margin.hex() == want.margin.hex()
+    # Every block past the band is within the Chebyshev tail (plus rounding) of zero.
+    reach, tail = _propagator_band(H, t, got.noise_floor)
+    norms = exp_block_norms(H, t)
+    x = np.arange(norms.shape[0])
+    far = np.abs(x[:, None] - x[None, :]) > reach
+    assert np.all(norms[far] <= tail + got.noise_floor)
 
 
 @settings(max_examples=80, deadline=None)

@@ -881,6 +881,24 @@ def test_bidiagonal_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_bounds_command_leaves_scipy_special_unloaded(tmp_path):
+    # The Chebyshev tail of the propagator bound uses math.lgamma, not scipy.special.
+    cfg = write_config(tmp_path, disordered_config(delta={"mode": "theorem"}))
+    script = (
+        "import sys\n"
+        "from chiralchain.cli import main\n"
+        "code = main(['bounds', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "bounds.csv")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False"]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is only needed by the test oracle and the bulk gap, which import it.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -895,6 +913,33 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_main_bad_usage_exit_code(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_main_commands_in_a_row_match_each_alone(tmp_path, capsys):
+    # The parser is built once per process, so one parse must leave nothing behind for the next.
+    from chiralchain import cli
+
+    cfg = str(write_config(tmp_path, disordered_config()))
+    commands = [
+        ["bounds", "--reproducible"],  # usage error: --config is missing
+        ["bounds", "--config", cfg, "--reproducible"],
+        ["check", "--config", cfg, "--reproducible"],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        alone.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    in_a_row = [outcome(argv) for argv in commands]
+    assert in_a_row == alone
+    assert [code for code, _, _ in alone] == [1, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_run_sorts_scan_axis_ascending():
