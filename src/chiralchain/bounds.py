@@ -30,7 +30,7 @@ from .hamiltonian import (
     _sublattice_blocks, block_norms, build_ssh,
 )
 from .lattice import (
-    ChainGeometry, Convention, SwitchError, SwitchFunction, check_switch_compatible, make_geometry,
+    ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry, step_length,
 )
 from .spectral import _ratio, _sech_sq, chiral_blocks, eigh
 
@@ -358,9 +358,7 @@ def _step_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
     [G, theta] = [[0, -G[:p, p:]], [G[p:, :p], 0]] with G[p:, :p] = G[:p, p:]^dag,
     so its singular values are those of the p x (n - p) block, twice.
     """
-    p = int(np.count_nonzero(theta))
-    if not np.array_equal(theta, np.arange(theta.size) < p):
-        raise SwitchError("switch function is not a step")
+    p = step_length(theta)
     return 2.0 * _trace_norm(G[:p, p:])
 
 

@@ -31,6 +31,7 @@ from .lattice import (
     check_switch_compatible,
     chiral_polarization,
     make_geometry,
+    step_length,
     switch_function,
 )
 from .spectral import _ratio, _sech_sq, eigh
@@ -146,26 +147,30 @@ def _index_diagonals(
     g = sech^2(Sigma / delta) (1 on zero modes), and S = [[0, X], [X^dag, 0]]
     for X = U tanh(Sigma / delta) W^dag, so
     (S [theta, S])_ii = sum_j |X_ij|^2 (theta_j - theta_i) over the other
-    sublattice: only pairs that straddle the switch contribute.
+    sublattice: only pairs that straddle the switch contribute.  theta is 1
+    on the first p_A A and p_B B states, so the edge diagonal reads only
+    those rows of U and W, and the bulk diagonal only the two quadrants
+    X[:p_A, p_B:] and X[p_A:, :p_B].
     """
     delta = _as_positive("delta", delta)
     geom = H.geometry
     check_switch_compatible(geom, switch)
     theta = switch.basis_values()
+    p_a, p_b = step_length(theta[0::2]), step_length(theta[1::2])
     spec = eigh(H)
     U, W, k = spec.U, spec.W, spec.sigma.size
-    # A on the even, B on the odd basis vectors.
-    a, b = slice(0, None, 2), slice(1, None, 2)
-    theta_a, theta_b = theta[a], theta[b]
-    x_a = _ratio(spec.column_sigma(U.shape[1]), delta)
-    x_b = _ratio(spec.column_sigma(W.shape[1]), delta)
-    edge_diag = np.empty(geom.total_dim)
-    edge_diag[a] = theta_a * (_abs2(U) @ _sech_sq(x_a))
-    edge_diag[b] = -theta_b * (_abs2(W) @ _sech_sq(x_b))
-    X2 = _abs2((U[:, :k] * np.tanh(x_a[:k])) @ W[:, :k].conj().T)
-    bulk_diag = np.empty(geom.total_dim)
-    bulk_diag[a] = 0.5 * (X2 @ theta_b - theta_a * X2.sum(axis=1))
-    bulk_diag[b] = -0.5 * (X2.T @ theta_a - theta_b * X2.sum(axis=0))
+    n_a, n_b = U.shape[0], W.shape[0]
+    x = _ratio(spec.column_sigma(max(n_a, n_b)), delta)
+    g, t, Wk = _sech_sq(x), np.tanh(x[:k]), W[:, :k].conj()
+    edge_diag, bulk_diag = np.zeros(geom.total_dim), np.empty(geom.total_dim)
+    # Views of the A (even) and B (odd) basis vectors.
+    edge_a, edge_b, bulk_a, bulk_b = edge_diag[0::2], edge_diag[1::2], bulk_diag[0::2], bulk_diag[1::2]
+    edge_a[:p_a] = _abs2(U[:p_a]) @ g[:n_a]
+    edge_b[:p_b] = -(_abs2(W[:p_b]) @ g[:n_b])
+    inside_out = _abs2((U[:p_a, :k] * t) @ Wk[p_b:].T)  # |X[:p_A, p_B:]|^2
+    outside_in = _abs2((U[p_a:, :k] * t) @ Wk[:p_b].T)  # |X[p_A:, :p_B]|^2
+    bulk_a[:p_a], bulk_a[p_a:] = -0.5 * inside_out.sum(axis=1), 0.5 * outside_in.sum(axis=1)
+    bulk_b[:p_b], bulk_b[p_b:] = 0.5 * outside_in.sum(axis=0), -0.5 * inside_out.sum(axis=0)
     return edge_diag, bulk_diag
 
 

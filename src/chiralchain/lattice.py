@@ -108,6 +108,15 @@ def check_switch_compatible(geom: ChainGeometry, switch: SwitchFunction) -> None
         raise SwitchError("switch function was built for a different geometry")
 
 
+def step_length(theta: np.ndarray) -> int:
+    """p for a step theta, 1 on its first p entries and 0 after; any other theta is a SwitchError."""
+    p = int(np.count_nonzero(theta))
+    # With p nonzeros, the first p entries all 1 leave only zeros after them.
+    if not (theta[:p] == 1.0).all():
+        raise SwitchError("switch function is not a step")
+    return p
+
+
 def chiral_polarization(geom: ChainGeometry, switch: SwitchFunction) -> int:
     """A-minus-B count over the region where the switch is 1.
 

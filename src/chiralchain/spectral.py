@@ -8,12 +8,22 @@ only T, so ``eigh`` takes one SVD of T = U Sigma W^dag, directly and with
 no input checks (they run once, in the constructor): the spectrum is
 +-sigma, and every function of H is assembled from L x L blocks.  A real,
 square, lower-bidiagonal T (every chain the CLI builds except an
-odd-length ``sites`` chain) goes to LAPACK's bidiagonal
-divide-and-conquer SVD ``dbdsdc``, taken through ctypes from the OpenBLAS
-that numpy.linalg has loaded and resolved on first use; T is first scaled
-by a power of two, as ``gesdd`` scales and ``dbdsdc`` does not below 26
-rows.  Every other T, and a numpy whose LAPACK lacks that symbol, takes
-``np.linalg.svd``.  Each ``ChiralHamiltonian`` is diagonalized once:
+odd-length ``sites`` chain) takes one call of LAPACK's tridiagonal
+divide-and-conquer eigensolver ``dstevd`` on -T T^T, taken through ctypes
+from the OpenBLAS that numpy.linalg has loaded (symbol
+``scipy_dstevd_64_``) and resolved on first use.  T is first scaled by a
+power of two, since the kernel squares its entries.  The eigenvectors are
+U, already in descending-sigma order, and ``dstevd`` needs an L^2
+workspace where a bidiagonal SVD that also builds W needs 3 L^2.  W is
+recovered on the two bands: w = T^T u / sigma with sigma = ||T^T u||, for
+every column with sigma at least 1/8 of the largest scaled entry.  The
+remaining columns (the edge modes; all of them for T = 0) take W as an
+orthonormal basis of the complement of the recovered ones, and the small
+SVD of U^T T W on them pairs the two, so U and W stay orthonormal and
+T w = sigma u holds to rounding however many singular values are small or
+zero.  Below order 128 the kernel runs on one OpenBLAS thread: its merges
+would wake the others, which then spin.  Every other T, and a numpy whose
+LAPACK lacks that symbol, takes ``np.linalg.svd``.  Each ``ChiralHamiltonian`` is diagonalized once:
 ``eigh`` keeps its spectrum on H, and every later function of that H
 reuses it.  Callers that need only part of a function of H (the index
 diagonals, the block norms and trace norms of the bound certificates, the
@@ -99,7 +109,7 @@ def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
         T.dtype == np.float64
         and T.shape[0] == T.shape[1]
         and np.count_nonzero(T) == np.count_nonzero(d) + np.count_nonzero(e)
-        and (kernel := _dbdsdc()) is not None
+        and (kernel := _dstevd()) is not None
     ):
         return _bidiagonal_svd(kernel, d, e)
     try:
@@ -109,57 +119,137 @@ def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
     return ChiralSpectrum(U, sigma, Wh.conj().T)
 
 
-# LAPACK's bidiagonal divide-and-conquer SVD as the OpenBLAS of numpy's
-# wheels exports it: 64-bit integers and, after the declared arguments, the
-# hidden lengths of the two character arguments.
-_DBDSDC_SYMBOL = "scipy_dbdsdc_64_"
+# LAPACK's symmetric tridiagonal divide-and-conquer eigensolver as the
+# OpenBLAS of numpy's wheels exports it: 64-bit integers and, after the
+# declared arguments, the hidden length of the character argument.
+_DSTEVD_SYMBOL = "scipy_dstevd_64_"
+
+# A column with sigma at least this fraction of the scaled T's largest entry
+# takes w = T^T u / sigma; the rest are completed by Rayleigh-Ritz.
+_RECOVERED_FRACTION = 0.125
+
+# Below this order the solve runs on one OpenBLAS thread.  From n = 26 on,
+# dstevd's merges wake OpenBLAS's other threads, which then spin: through
+# repeated small solves a second core stayed busy and the slowest of them
+# got longer.  From about this order on, two threads are faster.
+_SERIAL_ORDER = 128
 
 
 @functools.cache
-def _dbdsdc():
-    """numpy's own LAPACK ``dbdsdc``, or None where its LAPACK does not export it."""
+def _openblas_threads():
+    """OpenBLAS's thread-count getter and setter in numpy's LAPACK, or None."""
     try:
-        kernel = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _DBDSDC_SYMBOL)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
         return None
-    kernel.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _dstevd():
+    """numpy's own LAPACK ``dstevd``, or None where its LAPACK does not export it."""
+    try:
+        kernel = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _DSTEVD_SYMBOL)
+    except (AttributeError, OSError):
+        return None
+    kernel.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
     kernel.restype = None
     return kernel
+
+
+def _tridiagonal_eigh(kernel, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, eigenvectors as rows) of the symmetric tridiagonal (diag, off).
+
+    ``dstevd`` overwrites ``diag`` with the eigenvalues and ``off`` as
+    workspace; ``off`` is declared with n - 1 entries, so the 1 x 1 matrix
+    gets one as well.  Its workspace is n^2 + 4n + 1 numbers.
+    """
+    n = diag.size
+    e = np.zeros(max(n - 1, 1))
+    e[: n - 1] = off
+    # A column-major n x n factor read back row-major is its transpose.
+    Zt = np.empty((n, n))
+    work = np.empty(n * n + 4 * n + 1)
+    iwork = np.empty(5 * n + 3, dtype=np.int64)
+    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+    threads = _openblas_threads() if n < _SERIAL_ORDER else None
+    if threads:
+        saved = threads[0]()
+        threads[1](1)
+    try:
+        kernel(
+            b"V", ctypes.byref(size), diag.ctypes.data, e.ctypes.data,
+            Zt.ctypes.data, ctypes.byref(size), work.ctypes.data, ctypes.byref(ctypes.c_int64(work.size)),
+            iwork.ctypes.data, ctypes.byref(ctypes.c_int64(iwork.size)), ctypes.byref(info), 1,
+        )
+    finally:
+        if threads:
+            threads[1](saved)
+    if info.value != 0:
+        raise NumericalError(f"bidiagonal SVD of the A->B block failed: dstevd info = {info.value}")
+    return diag, Zt
 
 
 def _bidiagonal_svd(kernel, diag: np.ndarray, sub: np.ndarray) -> ChiralSpectrum:
     """The SVD of the real lower-bidiagonal T with diagonal ``diag`` and subdiagonal ``sub``.
 
-    ``dbdsdc`` scales only matrices of more than 25 rows, so T is first scaled
-    here, by the power of two at or below its largest entry: exact, unless
-    entries underflow, and it keeps every scaled entry below 2.
+    T is first scaled by the power of two at or below its largest entry:
+    exact, unless entries underflow, and it keeps every scaled entry below 2.
+    U is the eigenvectors of -T T^T; W is recovered as the module docstring
+    says, and a sigma tied to rounding with its neighbour is put in order.
     """
     n = diag.size
     largest = np.maximum(np.abs(diag).max(), np.abs(sub).max(initial=0.0))
     if not np.isfinite(largest):
         raise NumericalError("SVD of the A->B block failed: it has non-finite entries")
     scale = 2.0 ** (np.frexp(largest)[1] - 1) if largest > 0 else 1.0
-    # dbdsdc overwrites d with sigma (descending) and uses e as workspace;
-    # e is declared with n - 1 entries, so give the 1 x 1 block one as well.
-    d = diag / scale
-    e = np.zeros(n)
-    e[: n - 1] = sub / scale
-    # A column-major n x n factor read back row-major is its transpose: Ut
-    # holds U^T, and W, the buffer of the right factor W^T, holds W.
-    Ut, W = np.empty((n, n)), np.empty((n, n))
-    work = np.empty(3 * n * n + 4 * n)
-    iwork = np.empty(8 * n, dtype=np.int64)
-    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-    unused = np.zeros(1)  # Q and IQ are not referenced when COMPQ = 'I'
-    kernel(
-        b"L", b"I", ctypes.byref(size), d.ctypes.data, e.ctypes.data,
-        Ut.ctypes.data, ctypes.byref(size), W.ctypes.data, ctypes.byref(size),
-        unused.ctypes.data, unused.ctypes.data, work.ctypes.data, iwork.ctypes.data,
-        ctypes.byref(info), 1, 1,
-    )
-    if info.value != 0:
-        raise NumericalError(f"bidiagonal SVD of the A->B block failed: dbdsdc info = {info.value}")
-    return ChiralSpectrum(Ut.T, d * scale, W)
+    d, e = diag / scale, sub / scale
+    square = d * d
+    square[1:] += e * e
+    lam, Ut = _tridiagonal_eigh(kernel, -square, -(d[:-1] * e))
+    bound = (_RECOVERED_FRACTION * largest / scale) ** 2
+    k = int(np.count_nonzero(-lam >= bound)) if largest > 0 else 0
+    # Row i of Wt is T^T u_i = d u_i + e u_i[1:]; rows k: are replaced below.
+    Wt = Ut * d
+    Wt[:, :-1] += Ut[:, 1:] * e
+    sigma = np.linalg.norm(Wt, axis=1)
+    Wt[:k] /= sigma[:k, None]
+    if k < n:
+        _complete_rows(Wt, k)
+        TWs = Wt[k:] * d  # row j: (T w_j)^T, with (T w)[i] = d_i w_i + e_{i-1} w_{i-1}
+        TWs[:, 1:] += Wt[k:, :-1] * e
+        B = Ut[k:] @ TWs.T
+        if B.size == 1:
+            # One edge mode, the common case, needs no LAPACK SVD, whose
+            # first call costs about 1 MB of resident memory.
+            P, sigma[k:], Qt = np.where(B < 0.0, -1.0, 1.0), np.abs(B[0]), np.ones((1, 1))
+        else:
+            P, sigma[k:], Qt = np.linalg.svd(B)
+        Ut[k:], Wt[k:] = P.T @ Ut[k:], Qt @ Wt[k:]
+    if np.any(sigma[1:] > sigma[:-1]):
+        order = np.argsort(-sigma, kind="stable")
+        Ut, Wt, sigma = Ut[order], Wt[order], sigma[order]
+    return ChiralSpectrum(Ut.T, sigma * scale, Wt.T)
+
+
+def _complete_rows(Q: np.ndarray, k: int) -> None:
+    """Fill rows k: of Q with an orthonormal basis of the complement of its orthonormal rows :k.
+
+    Each row starts from the unit vector with the largest part outside the
+    rows above it (for k = 0, the identity), which is projected out twice and
+    normalized.
+    """
+    outside = 1.0 - np.einsum("ij,ij->j", Q[:k], Q[:k])
+    for row in range(k, Q.shape[0]):
+        j, q, above = np.argmax(outside), Q[row], Q[:row]
+        np.negative(above[:, j] @ above, out=q)  # e_j projected out once
+        q[j] += 1.0
+        q -= (above @ q) @ above
+        q /= np.linalg.norm(q)
+        outside -= q * q
 
 
 def _checked_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:

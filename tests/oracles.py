@@ -16,6 +16,8 @@ their references:
 - ``propagator_block_norms`` and ``full_grid_lieb_robinson``: the
   Lieb-Robinson check on every position pair, with no Chebyshev band;
 - ``full_commutator_trace_norm``: ||[G, theta]||_1 from the whole matrix;
+- ``full_index_diagonals``: both index diagonals from the whole L x L
+  product X = U tanh(Sigma / delta) W^dag and every row of U and W;
 - ``plain_cell_block_norms``: the 2x2 closed form as plain expressions,
   with a fresh array per step.
 """
@@ -27,7 +29,7 @@ from chiralchain.bounds import BoundCertificate
 from chiralchain.hamiltonian import (
     NumericalError, _abs2, _as_positive, _check_hermitian, _ring_bonds, block_norms,
 )
-from chiralchain.spectral import chiral_blocks, eigh
+from chiralchain.spectral import _ratio, _sech_sq, chiral_blocks, eigh
 
 # Largest ||M||_2 / delta that tanh_oracle supports.
 ORACLE_MAX_RATIO = 50.0
@@ -127,6 +129,25 @@ def full_grid_lieb_robinson(H, t: float, decay_length: float, coupling_norm: flo
 def full_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
     """||G theta - theta G||_1 for a diagonal theta given by its entries, from the n x n matrix."""
     return float(np.linalg.svd(G * theta[None, :] - theta[:, None] * G, compute_uv=False).sum())
+
+
+def full_index_diagonals(H, delta: float, switch) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of ``indices._index_diagonals`` for any 0/1 theta, from the full X."""
+    theta = switch.basis_values()
+    spec = eigh(H)
+    U, W, k = spec.U, spec.W, spec.sigma.size
+    a, b = slice(0, None, 2), slice(1, None, 2)
+    theta_a, theta_b = theta[a], theta[b]
+    x_a = _ratio(spec.column_sigma(U.shape[1]), delta)
+    x_b = _ratio(spec.column_sigma(W.shape[1]), delta)
+    edge_diag = np.empty(H.geometry.total_dim)
+    edge_diag[a] = theta_a * (_abs2(U) @ _sech_sq(x_a))
+    edge_diag[b] = -theta_b * (_abs2(W) @ _sech_sq(x_b))
+    X2 = _abs2((U[:, :k] * np.tanh(x_a[:k])) @ W[:, :k].conj().T)
+    bulk_diag = np.empty(H.geometry.total_dim)
+    bulk_diag[a] = 0.5 * (X2 @ theta_b - theta_a * X2.sum(axis=1))
+    bulk_diag[b] = -0.5 * (X2.T @ theta_a - theta_b * X2.sum(axis=0))
+    return edge_diag, bulk_diag
 
 
 def plain_cell_block_norms(a, b, c, d) -> np.ndarray:

@@ -40,7 +40,7 @@ from chiralchain.spectral import (
 )
 from oracles import (
     dense_eigh, dense_function, exp_block_norms, full_commutator_trace_norm, full_grid_lieb_robinson,
-    propagator_block_norms, tanh_oracle,
+    full_index_diagonals, propagator_block_norms, tanh_oracle,
 )
 
 
@@ -134,7 +134,7 @@ def test_chiral_path_matches_dense_property(data, H, delta, t):
 @settings(max_examples=80, deadline=None)
 @given(H=_cell_chains() | _site_chains(), ratio=st.floats(0.5, 50.0))
 def test_flattened_sign_matches_tanh_oracle(H, ratio):
-    # Real bidiagonal chains take dbdsdc, every other one np.linalg.svd.
+    # Real bidiagonal chains take dstevd, every other one np.linalg.svd.
     M = H.matrix
     norm = max(float(np.linalg.norm(M, 2)), 1e-6)
     delta = norm / ratio
@@ -213,8 +213,9 @@ def test_index_report_memory_stays_below_dense():
     import tracemalloc
 
     # The dense path peaks at ~122 MB here: the 2L x 2L eigenvectors, S and
-    # the commutator.  The chiral path keeps L x L factors, and its input
-    # checks also run on L x L blocks.
+    # the commutator.  The chiral path peaks at 24.2 MB, three L x L arrays:
+    # U, W and one temporary (the kernel's workspace is L^2, where a
+    # bidiagonal SVD that also builds W needs 3 L^2 and peaked at 40 MB).
     L = 1000
     profile = apply_defect(apply_disorder(CouplingProfile.constant(L, 0.5, 1.0), 1, 0.1), 0.2)
     H = build_ssh(make_geometry(L), profile)
@@ -225,7 +226,7 @@ def test_index_report_memory_stays_below_dense():
     finally:
         tracemalloc.stop()
     assert report.correspondence_residual < 1e-10
-    assert peak < 48e6
+    assert peak < 27e6
 
 
 def test_spectrum_lives_and_dies_with_its_hamiltonian():
@@ -322,18 +323,18 @@ def test_step_commutator_trace_norm_matches_full_matrix(data, H, log_delta):
         assert abs(_step_commutator_trace_norm(G, t) - want) <= 1e-13 * max(1.0, want)
 
 
-# --- the bidiagonal route: LAPACK dbdsdc for a real lower-bidiagonal T ---------------
+# --- the bidiagonal route: LAPACK dstevd on -T T^T for a real lower-bidiagonal T -----
 
 
-def test_numpy_lapack_exports_dbdsdc():
+def test_numpy_lapack_exports_dstevd():
     # Without the symbol every chain silently takes the slower dense SVD.
-    assert spectral._dbdsdc() is not None
+    assert spectral._dstevd() is not None
 
 
 def assert_bidiagonal_svd(d, e):
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     T = np.diag(d) + np.diag(e, -1)
-    spec = spectral._bidiagonal_svd(spectral._dbdsdc(), d, e)
+    spec = spectral._bidiagonal_svd(spectral._dstevd(), d, e)
     n, largest = d.size, float(np.abs(T).max())
     assert spec.U.shape == spec.W.shape == (n, n) and spec.sigma.shape == (n,)
     assert np.all(spec.sigma >= 0.0) and np.all(np.diff(spec.sigma) <= 0.0)
@@ -364,8 +365,8 @@ def _bands(n):
 # sigma = 1.7e-311 is subnormal: its reconstruction was off by 1.07e-13 relative.
 @example(bands=([0.0078125, 0.0], [0.015625]), exponent=-309)
 def test_bidiagonal_svd_matches_dense_svd(bands, exponent):
-    # dbdsdc scales only above 25 rows; unscaled, entries below about 1e-293
-    # gave relative reconstruction errors from 5e-7 to 1 below that size.
+    # The kernel squares the entries of T, so T is scaled by a power of two
+    # first: unscaled, entries below about 1e-154 square to subnormals or zero.
     d, e = (np.array(band) * 10.0**exponent for band in bands)
     if np.any(d) or np.any(e):
         assert_bidiagonal_svd(d, e)
@@ -385,37 +386,101 @@ def test_bidiagonal_svd_edge_cases(d, e, zeros):
 
 
 def test_bidiagonal_svd_of_zero_block_is_identity():
-    spec = spectral._bidiagonal_svd(spectral._dbdsdc(), np.zeros(4), np.zeros(3))
+    spec = spectral._bidiagonal_svd(spectral._dstevd(), np.zeros(4), np.zeros(3))
     assert np.array_equal(spec.sigma, np.zeros(4))
     assert np.array_equal(spec.U, np.eye(4)) and np.array_equal(spec.W, np.eye(4))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 15), copies=st.integers(2, 5))
+def test_bidiagonal_svd_of_repeated_blocks_is_descending(seed, size, copies):
+    # Copies of one generic block have exactly repeated singular values, and
+    # their computed norms ||T^T u|| come out in either order by an ulp.
+    rng = np.random.default_rng(seed)
+    d = np.tile(rng.uniform(-1.0, 1.0, size), copies)
+    e = np.tile([*rng.uniform(-1.0, 1.0, size - 1), 0.0], copies)[:-1]
+    assert_bidiagonal_svd(d, e)
+
+
+@st.composite
+def _bands_with_small_sigma(draw):
+    """Bands of a T with at least two singular values below 1/8 of its largest entry.
+
+    Either exact zeros in both bands (each zero of e splits T into blocks,
+    and a zero on a block's diagonal makes it singular) or an SSH chain with
+    two domain walls, which binds a mode to each wall and one to an end.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 59))
+        d, e = (np.array(band) for band in draw(_bands(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=max(1, n // 3))))
+        e[np.array(cuts) - 1] = 0.0
+        for start, stop in zip([0, *cuts], [*cuts, n]):
+            d[draw(st.integers(start, stop - 1))] = 0.0
+        return d, e
+    weak, strong = draw(st.floats(0.05, 0.3)), draw(st.floats(0.8, 1.2))
+    first = draw(st.integers(6, 20))
+    second = draw(st.integers(first + 6, first + 20))
+    n = draw(st.integers(second + 6, second + 20))
+    flipped = (np.arange(n) >= first) & (np.arange(n) < second)
+    d = np.where(flipped, strong, weak)
+    e = np.where(flipped, weak, strong)[:-1]
+    noise = draw(st.lists(st.floats(-0.02, 0.02), min_size=2 * n - 1, max_size=2 * n - 1))
+    return d + noise[:n], e + noise[n:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bands=_bands_with_small_sigma(), exponent=st.sampled_from([-300, 0, 300]))
+def test_bidiagonal_svd_pairs_several_small_singular_values(bands, exponent):
+    d, e = (band * 10.0**exponent for band in bands)
+    if not (np.any(d) or np.any(e)):
+        return  # T = 0: test_bidiagonal_svd_of_zero_block_is_identity
+    spec = assert_bidiagonal_svd(d, e)
+    T = np.diag(d) + np.diag(e, -1)
+    largest = float(np.abs(T).max())
+    assert np.count_nonzero(spec.sigma < largest / 8.0) >= 2
+    # ||T w_i - sigma_i u_i|| relative to the largest entry, without overflow.
+    residual = np.linalg.norm((T / largest) @ spec.W - spec.U * (spec.sigma / largest), axis=0)
+    assert residual.max() <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), H=_cell_chains() | _site_chains(), log_delta=st.floats(-3.0, 1.0))
+def test_index_diagonals_match_the_full_product(data, H, log_delta):
+    delta = 10.0**log_delta
+    switch = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1)))
+    for got, want in zip(_index_diagonals(H, delta, switch), full_index_diagonals(H, delta, switch)):
+        assert np.abs(got - want).max() <= 1e-14
+
+
 class _Routes:
-    """Counts of the A->B block SVDs by route: LAPACK dbdsdc or np.linalg.svd."""
+    """Counts of the A->B block SVDs by route: LAPACK dstevd or np.linalg.svd of T."""
 
     def __init__(self, monkeypatch):
-        self.dbdsdc = self.svd = 0
-        kernel, svd = spectral._dbdsdc(), np.linalg.svd
+        self.dstevd = self.svd = 0
+        self.T = None
+        kernel, svd = spectral._dstevd(), np.linalg.svd
 
         def counted_kernel(*args):
-            self.dbdsdc += 1
+            self.dstevd += 1
             return kernel(*args)
 
-        def counted_svd(*args, **kwargs):
-            self.svd += 1
-            return svd(*args, **kwargs)
+        def counted_svd(a, *args, **kwargs):
+            # The bidiagonal route pairs its small singular values by an m x m SVD.
+            self.svd += a is self.T
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_dbdsdc", lambda: counted_kernel if kernel else None)
+        monkeypatch.setattr(spectral, "_dstevd", lambda: counted_kernel if kernel else None)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
 
     def solve(self, H):
         """The route eigh(H) takes, checked against the dense oracle."""
-        before = (self.dbdsdc, self.svd)
+        before, self.T = (self.dstevd, self.svd), H.T
         eigh(H)
-        taken = (self.dbdsdc - before[0], self.svd - before[1])
+        taken = (self.dstevd - before[0], self.svd - before[1])
         assert taken in {(1, 0), (0, 1)}
         assert_matches_dense(H, 0.3, switch_function(H.geometry, "middle"))
-        return "dbdsdc" if taken == (1, 0) else "svd"
+        return "dstevd" if taken == (1, 0) else "svd"
 
 
 def _chain(length, convention=Convention.CELL_C2, complex_valued=False, offsets=(), boundary=False):
@@ -435,13 +500,13 @@ def _chain(length, convention=Convention.CELL_C2, complex_valued=False, offsets=
 
 
 @pytest.mark.parametrize("H, route", [
-    (_chain(2), "dbdsdc"),
-    (_chain(3), "dbdsdc"),
-    (_chain(40), "dbdsdc"),
-    (_chain(40, boundary=True), "dbdsdc"),
-    (_chain(5, offsets=(5, 9)), "dbdsdc"),  # offsets of at least L add no bond
-    (_chain(2, Convention.ALTERNATING_SITES), "dbdsdc"),
-    (_chain(12, Convention.ALTERNATING_SITES), "dbdsdc"),
+    (_chain(2), "dstevd"),
+    (_chain(3), "dstevd"),
+    (_chain(40), "dstevd"),
+    (_chain(40, boundary=True), "dstevd"),
+    (_chain(5, offsets=(5, 9)), "dstevd"),  # offsets of at least L add no bond
+    (_chain(2, Convention.ALTERNATING_SITES), "dstevd"),
+    (_chain(12, Convention.ALTERNATING_SITES), "dstevd"),
     (_chain(3, Convention.ALTERNATING_SITES), "svd"),  # odd length: T is not square
     (_chain(13, Convention.ALTERNATING_SITES), "svd"),
     (_chain(12, offsets=(2,)), "svd"),
@@ -452,9 +517,9 @@ def test_solver_route(monkeypatch, H, route):
     assert _Routes(monkeypatch).solve(H) == route
 
 
-def test_disordered_defect_chain_takes_dbdsdc(monkeypatch):
+def test_disordered_defect_chain_takes_dstevd(monkeypatch):
     profile = apply_defect(apply_disorder(CouplingProfile.constant(250, 0.5, 1.0), 1, 0.1), 0.2)
-    assert _Routes(monkeypatch).solve(build_ssh(make_geometry(250), profile)) == "dbdsdc"
+    assert _Routes(monkeypatch).solve(build_ssh(make_geometry(250), profile)) == "dstevd"
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,12 +531,31 @@ def test_route_follows_the_band_structure(H):
         and not np.any(np.triu(T, 1)) and not np.any(np.tril(T, -2))
     )
     with pytest.MonkeyPatch.context() as mp:
-        assert _Routes(mp).solve(H) == ("dbdsdc" if bidiagonal else "svd")
+        assert _Routes(mp).solve(H) == ("dstevd" if bidiagonal else "svd")
+
+
+@pytest.mark.parametrize("length", [40, spectral._SERIAL_ORDER])
+def test_small_solves_run_on_one_openblas_thread(monkeypatch, length):
+    get, put = spectral._openblas_threads()
+    kernel, seen = spectral._dstevd(), []
+
+    def recording_kernel(*args):
+        seen.append(get())
+        return kernel(*args)
+
+    monkeypatch.setattr(spectral, "_dstevd", lambda: recording_kernel)
+    before = get()
+    put(2)
+    try:
+        eigh(_chain(length))
+        assert seen == [1 if length < spectral._SERIAL_ORDER else 2] and get() == 2
+    finally:
+        put(before)
 
 
 def test_missing_kernel_falls_back_to_dense_svd(monkeypatch):
-    resolve = spectral._dbdsdc
-    monkeypatch.setattr(spectral, "_DBDSDC_SYMBOL", "no_such_lapack_symbol")
+    resolve = spectral._dstevd
+    monkeypatch.setattr(spectral, "_DSTEVD_SYMBOL", "no_such_lapack_symbol")
     resolve.cache_clear()
     try:
         assert resolve() is None

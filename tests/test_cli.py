@@ -854,7 +854,7 @@ def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
         "from chiralchain.cli import main\n"
         "from chiralchain import spectral\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "resolved = spectral._dbdsdc.cache_info().currsize == 1\n"
+        "resolved = spectral._dstevd.cache_info().currsize == 1\n"
         "print(json.dumps([codes, 'scipy' in sys.modules, resolved]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -870,14 +870,14 @@ def test_bidiagonal_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
     from chiralchain import spectral
 
     def failing_kernel(*args):
-        args[13]._obj.value = 3  # INFO: a singular value did not converge
+        args[10]._obj.value = 3  # INFO: an eigenvalue did not converge
 
-    monkeypatch.setattr(spectral, "_dbdsdc", lambda: failing_kernel)
+    monkeypatch.setattr(spectral, "_dstevd", lambda: failing_kernel)
     cfg = write_config(tmp_path, disordered_config(
         scan="length", geometry={"length": [10, 20], "convention": "cell"}))
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
     assert capsys.readouterr().err == (
-        "numerical failure: bidiagonal SVD of the A->B block failed: dbdsdc info = 3\n"
+        "numerical failure: bidiagonal SVD of the A->B block failed: dstevd info = 3\n"
     )
 
 

@@ -26,7 +26,7 @@ from chiralchain.indices import (
     resolve_delta,
     windowed_edge_index,
 )
-from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
+from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
 from chiralchain.spectral import flattened_sign, gap_filter
 
 
@@ -82,6 +82,16 @@ def test_bulk_equals_edge_under_cell_convention():
     for delta in (1e-3, 0.1, 5.0):
         report = index_report(H, delta, 5)
         assert abs(report.edge_index - report.bulk_index) < 1e-10
+
+
+@pytest.mark.parametrize("kind", list(IndexKind))
+def test_index_density_needs_a_step_switch(kind):
+    # The index diagonals read only the rows and the two X quadrants where a step theta is 1.
+    H = ssh(16, 0.5, 1.0)
+    geom = H.geometry
+    bump = SwitchFunction(np.where(np.arange(geom.length) == 3, 1.0, 0.0), 4, geom)
+    with pytest.raises(SwitchError, match="not a step"):
+        index_density(H, 0.1, bump, kind)
 
 
 def test_bulk_index_vanishes_for_constant_switch():

@@ -7,6 +7,7 @@ from chiralchain.lattice import (
     SwitchError,
     chiral_polarization,
     make_geometry,
+    step_length,
     switch_function,
 )
 
@@ -111,3 +112,19 @@ def test_switch_geometry_mismatch_rejected():
     sw = switch_function(geom_a, 3)
     with pytest.raises(SwitchError):
         chiral_polarization(geom_b, sw)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_step_length_of_each_sublattice(convention):
+    geom = make_geometry(7, convention)
+    for ell in range(1, 7):
+        theta = switch_function(geom, ell).basis_values()
+        for sub in (theta[0::2], theta[1::2]):
+            assert step_length(sub) == np.count_nonzero(sub)
+    assert step_length(np.zeros(4)) == 0 and step_length(np.ones(4)) == 4
+
+
+@pytest.mark.parametrize("theta", [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+def test_step_length_rejects_other_switches(theta):
+    with pytest.raises(SwitchError, match="not a step"):
+        step_length(np.array(theta))

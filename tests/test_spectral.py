@@ -63,7 +63,7 @@ def test_eigh_reconstruction_and_orthonormality(seed):
 @pytest.mark.parametrize("M", [
     # T is 2 x 1: np.linalg.svd.
     [[0.0, 1e308, 0.0], [1e308, 0.0, 1e307], [0.0, 1e307, 0.0]],
-    # T = [[1e308, 0], [1e307, -1e308]] is lower bidiagonal: dbdsdc.
+    # T = [[1e308, 0], [1e307, -1e308]] is lower bidiagonal: dstevd.
     [[0.0, 1e308, 0.0, 0.0], [1e308, 0.0, 1e307, 0.0],
      [0.0, 1e307, 0.0, -1e308], [0.0, 0.0, -1e308, 0.0]],
 ])
