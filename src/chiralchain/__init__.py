@@ -53,13 +53,10 @@ from .indices import (
 )
 from .bounds import (
     BoundCertificate,
-    DecayProfile,
     anticommutator_trace_norms,
     correlation_length,
-    decay_profile,
     edge_filter_decay_check,
     lieb_robinson_check,
-    restriction_discrepancy,
     trace_norm_checks,
 )
 from .svgplot import emit_plot

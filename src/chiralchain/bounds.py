@@ -20,38 +20,15 @@ tail, at most 2^-20 of the floor, not a rounding-noise reading.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    ChiralHamiltonian, CouplingProfile, _as_positive, _band_offsets, _cell_block_norms,
-    _sublattice_blocks, block_norms, build_ssh,
-)
-from .lattice import (
-    ChainGeometry, Convention, SwitchFunction, check_switch_compatible, make_geometry, step_length,
-)
+from .hamiltonian import ChiralHamiltonian, _as_positive, _band_offsets, _cell_block_norms, block_norms
+from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, step_length
 from .spectral import _ratio, _sech_sq, chiral_blocks, eigh
 
-# m(r) below this is treated as numerically zero when fitting decay rates.
-NOISE_FLOOR = 1e-14
-
 BOUND_CSV_HEADER = ["bound_name", "L", "delta", "margin", "gamma_star", "pass"]
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Per-distance maxima of block norms with a fitted exponential rate.
-
-    ``max_block_norm[r]`` = max over |x - y| = r of ||M_{x,y}||; ``rate`` is
-    the least-squares slope of log max_block_norm over the fit window,
-    using only values above the noise floor (NaN if fewer than two survive).
-    """
-
-    max_block_norm: np.ndarray
-    rate: float
-    fit_window: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -82,33 +59,6 @@ def correlation_length(delta: float, decay_length: float, coupling_norm: float) 
     decay_length = _as_positive("decay_length", decay_length)
     coupling_norm = _as_positive("coupling_norm", coupling_norm, zero_ok=True)
     return decay_length * max(1.0, 4.0 * coupling_norm / (math.pi * delta))
-
-
-def decay_profile(
-    M: np.ndarray,
-    geom: ChainGeometry,
-    fit_window: tuple[int, int] | None = None,
-) -> DecayProfile:
-    """Distance-resolved maxima of ||M_{x,y}|| and their fitted log-slope."""
-    norms = block_norms(_sublattice_blocks(np.asarray(M)), geom)
-    P = norms.shape[0]
-    x = np.arange(P)
-    dist = np.abs(x[:, None] - x[None, :])
-    maxima = np.zeros(P)
-    np.maximum.at(maxima, dist, norms)
-    if fit_window is None:
-        fit_window = (1, P - 1)
-    lo, hi = fit_window
-    if not (0 <= lo <= hi < P):
-        raise ValueError(f"fit window {fit_window} outside available distances [0, {P - 1}]")
-    r = np.arange(lo, hi + 1)
-    m = maxima[lo : hi + 1]
-    keep = m > NOISE_FLOOR
-    if keep.sum() >= 2:
-        rate = float(np.polyfit(r[keep], np.log(m[keep]), 1)[0])
-    else:
-        rate = float("nan")
-    return DecayProfile(maxima, rate, (int(lo), int(hi)))
 
 
 def _envelope_certificate(
@@ -196,18 +146,16 @@ def _propagator_band(H: ChiralHamiltonian, t: float, noise_floor: float) -> tupl
     inside that fraction.  Once the reach covers the chain, as it does for
     a non-finite x, every pair is read: (P - 1, 0.0).
     """
-    T = H.T
-    offsets = _band_offsets(T)
-    rows, cols = np.zeros(T.shape[0]), np.zeros(T.shape[1])
+    rows, cols = np.zeros(H.shape[0]), np.zeros(H.shape[1])
     # A sum that overflows makes x infinite: then every pair is read.
     with np.errstate(over="ignore"):
-        for k in offsets:
-            v = np.abs(np.diagonal(T, k))
+        for k, d in zip(H.offsets, H.diagonals):
+            v = np.abs(d)
             i = max(0, -k)
             rows[i : i + v.size] += v
             cols[i + k : i + k + v.size] += v
     x = abs(t) * float(max(rows.max(), cols.max()))
-    width = 2 * offsets.stop - 1
+    width = 2 * _band_offsets(H).stop - 1
     cells = H.geometry.convention is Convention.CELL_C2
     last = H.geometry.length - 1
     log_target = math.log(_TAIL_FRACTION * noise_floor)
@@ -281,43 +229,6 @@ def edge_filter_decay_check(
     decay = np.exp(-edge_dist / (2.0 * correlation_length))
     envelope = np.minimum.outer(decay, decay) + np.exp(-2.0 * half_gap / delta)
     return _envelope_certificate("edge_filter_decay", lhs, envelope, geom.length, threshold)
-
-
-def restriction_discrepancy(
-    profile: CouplingProfile,
-    pad: int,
-    cells: tuple[int, int],
-    kind: Callable[[ChiralHamiltonian, float], np.ndarray],
-    delta: float,
-) -> float:
-    """||chi_Omega (f(H) - f(restricted bulk))|| for f = ``kind``(H, delta).
-
-    ``kind`` is ``spectral.gap_filter`` or ``spectral.flattened_sign``.  The
-    infinite bulk is emulated by the periodic extension of the profile,
-    padded by ``pad`` cells on each side, then truncated back to the window.
-    ``cells`` = (start, stop) selects the rows Omega.  Exponentially small in
-    the distance between Omega and the edges once pad >= L.
-    """
-    length = profile.length
-    if pad < length:
-        raise ValueError(f"pad must be at least the chain length, got pad={pad} < L={length}")
-    start, stop = cells
-    if not 0 <= start < stop <= length:
-        raise ValueError(f"cell range {cells} outside [0, {length})")
-    delta = _as_positive("delta", delta)
-
-    geom = make_geometry(length, Convention.CELL_C2)
-    H_open = build_ssh(geom, profile)
-    padded_geom = make_geometry(length + 2 * pad, Convention.CELL_C2)
-    H_pad = build_ssh(padded_geom, profile.tiled(length + 2 * pad, shift=pad))
-
-    F_open = kind(H_open, delta)
-    window = slice(2 * pad, 2 * (pad + length))
-    F_bulk = kind(H_pad, delta)[window, window]
-
-    row_mask = np.repeat((np.arange(length) >= start) & (np.arange(length) < stop), 2)
-    masked = (F_open - F_bulk) * row_mask[:, None]
-    return float(np.linalg.norm(masked, 2))
 
 
 def _trace_norm(M: np.ndarray) -> float:

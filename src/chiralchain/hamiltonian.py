@@ -8,13 +8,14 @@ locality bounds.
 
 One builder places every bond, as (row, col, value) triplets of the upper
 triangle, and both chains read them as entries of their A->B block.  The
-open chain scatters them into T, the only array a ``ChiralHamiltonian``
-stores (L x L, where the 2L x 2L matrix would be four times larger), and
-``bulk_gap`` places the ring's into a sparse T_ring and takes its smallest
-singular value, so its cost grows with L * coupling_range.  The ring is the
-open chain of the periodically tiled profile plus the wrap bonds
-x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell chain
-of (L + 1) // 2 cells cropped to its first L basis states.
+open chain adds them into the nonzero diagonals of T, the only data a
+``ChiralHamiltonian`` stores: every chain the CLI builds is banded, so that
+is about 2L numbers where the dense T would hold L^2 and the 2L x 2L matrix
+4 L^2.  ``bulk_gap`` places the ring's into a sparse T_ring and takes its
+smallest singular value, so its cost grows with L * coupling_range.  The
+ring is the open chain of the periodically tiled profile plus the wrap
+bonds x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell
+chain of (L + 1) // 2 cells cropped to its first L basis states.
 
 Chirality and Hermiticity are structural here: H = [[0, T], [T^dag, 0]] in
 sublattice order, so ``H C + C H = 0`` and ``H = H^dag`` hold exactly.  A
@@ -142,24 +143,37 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class ChiralHamiltonian:
-    """H = [[0, T], [T^dag, 0]], stored as its |A| x |B| block T = H[A, B].
+    """H = [[0, T], [T^dag, 0]], stored as the nonzero diagonals of its |A| x |B| block T = H[A, B].
 
-    A is on the even and B on the odd basis vectors in both conventions, so
-    H is Hermitian and chiral by construction.  ``from_matrix`` validates an
-    n x n matrix; ``matrix`` assembles one on each read.  T is read-only: the
-    first ``spectral.eigh(H)`` stores the spectrum in ``_spectrum``, so it
-    lives and dies with H.  ``dataclasses.replace`` starts with no spectrum.
+    ``diagonals[i]`` is np.diagonal(T, offsets[i]); the offsets ascend and
+    hold 0 and every diagonal with a nonzero entry, all of one dtype.  A is
+    on the even and B on the odd basis vectors in both conventions, so H is
+    Hermitian and chiral by construction.  ``from_matrix`` validates an
+    n x n matrix; ``T`` and ``matrix`` assemble the dense arrays on each
+    read.  The diagonals are read-only: the first ``spectral.eigh(H)``
+    stores the spectrum in ``_spectrum``, so it lives and dies with H.
+    ``dataclasses.replace`` starts with no spectrum.
     """
 
-    T: np.ndarray
+    offsets: tuple[int, ...]
+    diagonals: tuple[np.ndarray, ...]
     geometry: ChainGeometry
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.geometry.total_dim
-        if self.T.shape != ((n + 1) // 2, n // 2):
-            raise ValueError(f"block shape {self.T.shape} does not match geometry dim {n}")
-        self.T.setflags(write=False)
+        lengths = [_diagonal_length(self.shape, k) for k in self.offsets]
+        if (
+            0 not in self.offsets or list(self.offsets) != sorted(set(self.offsets))
+            or [np.shape(d) for d in self.diagonals] != [(n,) for n in lengths] or 0 in lengths
+        ):
+            raise ValueError(
+                f"diagonals {list(self.offsets)} of lengths {[np.size(d) for d in self.diagonals]} "
+                f"do not match geometry dim {self.geometry.total_dim}"
+            )
+        if len({d.dtype for d in self.diagonals}) != 1:
+            raise ValueError("diagonals must share one dtype")
+        for d in self.diagonals:
+            d.setflags(write=False)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, geometry: ChainGeometry) -> "ChiralHamiltonian":
@@ -177,20 +191,53 @@ class ChiralHamiltonian:
             raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
         # With zero A-A and B-B blocks, M = M^dag exactly when T = (M_BA)^dag.
         _check_hermitian(T, BA)
-        return cls(T.copy(), geometry)
+        offsets = [k for k in range(1 - T.shape[0], T.shape[1]) if k == 0 or np.any(np.diagonal(T, k))]
+        return cls(tuple(offsets), tuple(np.diagonal(T, k).copy() for k in offsets), geometry)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(|A|, |B|), the shape of T."""
+        n = self.geometry.total_dim
+        return (n + 1) // 2, n // 2
 
     @property
     def dim(self) -> int:
-        return int(sum(self.T.shape))
+        return self.geometry.total_dim
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.diagonals[0].dtype
+
+    def diagonal(self, k: int) -> np.ndarray:
+        """np.diagonal(T, k): the stored diagonal, or zeros where none is stored."""
+        if k in self.offsets:
+            return self.diagonals[self.offsets.index(k)]
+        return np.zeros(_diagonal_length(self.shape, k), self.dtype)
+
+    @property
+    def T(self) -> np.ndarray:
+        """The dense |A| x |B| block, assembled read-only on every read."""
+        T = np.zeros(self.shape, self.dtype)
+        for k, d in zip(self.offsets, self.diagonals):
+            rows = np.arange(d.size) + max(0, -k)
+            T[rows, rows + k] = d
+        T.setflags(write=False)
+        return T
 
     @property
     def matrix(self) -> np.ndarray:
         """The n x n matrix of H, assembled on every read."""
-        M = np.zeros((self.dim, self.dim), dtype=self.T.dtype)
-        M[0::2, 1::2] = self.T
+        T = self.T
+        M = np.zeros((self.dim, self.dim), dtype=self.dtype)
+        M[0::2, 1::2] = T
         # Added to zeros, as a symmetrized sum adds it: no -0.0 entries.
-        M[1::2, 0::2] += self.T.conj().T
+        M[1::2, 0::2] += T.conj().T
         return M
+
+
+def _diagonal_length(shape: tuple[int, int], k: int) -> int:
+    """Entries on the diagonal k of an array of this shape (0 past its corners)."""
+    return max(0, min(shape[0], shape[1] - k) if k >= 0 else min(shape[0] + k, shape[1]))
 
 
 def _sublattice_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -238,6 +285,10 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
     perturbations are CELL_C2-only features.  A bond (x,A)->(y,B) lands at
     T[x, y] and a bond (x,B)->(y,A) at T[y, x], conjugated; the two kinds
     never share an entry, so T is bit-identical to the symmetrized sum.
+    The entries are added into T's diagonals, each starting from zeros as a
+    dense T would, in the order listed; a diagonal that stays zero is not
+    stored, except the main one.  The odd ``sites`` chain drops the last
+    cell's B state, the entries past T's last column.
     """
     if profile.length != geom.cells:
         raise ValueError(
@@ -251,10 +302,18 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
             "under the CELL_C2 convention"
         )
     a, b, values = _block_entries(_chain_bonds(profile, ring=False))
-    T = np.zeros((profile.length, profile.length), dtype=values.dtype)
-    np.add.at(T, (a, b), values)
-    # The sites chain of odd length drops the last cell's B state.
-    return ChiralHamiltonian(np.ascontiguousarray(T[:, : geom.total_dim // 2]), geom)
+    shape = (profile.length, geom.total_dim // 2)
+    kept = b < shape[1]
+    a, b, values, offset = a[kept], b[kept], values[kept], (b - a)[kept]
+    offsets, diagonals = [], []
+    for k in sorted({0, *offset.tolist()}):
+        on = offset == k
+        d = np.zeros(_diagonal_length(shape, k), values.dtype)
+        np.add.at(d, np.minimum(a[on], b[on]), values[on])
+        if k == 0 or np.any(d):
+            offsets.append(k)
+            diagonals.append(d)
+    return ChiralHamiltonian(tuple(offsets), tuple(diagonals), geom)
 
 
 _Bonds = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -508,7 +567,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains.
 
-    Only the diagonals T[i, i + k] with |k| up to the farthest nonzero one
+    Only the diagonals T[i, i + k] with |k| up to the farthest stored one
     are read, so the cost grows with L times the coupling range.  Under
     CELL_C2 the cell block (x, x + k) is [[0, T[x, x + k]], [conj(T[x + k, x]), 0]],
     through the closed form of ``block_norms``; under ALTERNATING_SITES
@@ -517,17 +576,16 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     zero block by an overflowed weight.
     """
     decay_length = _as_positive("decay_length", decay_length)
-    T = H.T
     cells = H.geometry.convention is Convention.CELL_C2
     xs, ys, norms = [], [], []
-    for k in _band_offsets(T):
-        forward = np.diagonal(T, k)
+    for k in _band_offsets(H):
+        forward = H.diagonal(k)
         a = np.arange(forward.size) + max(0, -k)
         if cells:
             zero = np.zeros_like(forward)
             xs.append(a)
             ys.append(a + k)
-            norms.append(_cell_block_norms(zero, forward, np.diagonal(T, -k).conj(), zero))
+            norms.append(_cell_block_norms(zero, forward, H.diagonal(-k).conj(), zero))
         else:
             b = a + k
             xs += [2 * a, 2 * b + 1]
@@ -542,16 +600,12 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     # A weight that overflows makes the constant infinite, which is its value.
     with np.errstate(over="ignore"):
         weighted = norms * np.exp(np.abs(x - y) / decay_length)
-    return float(np.bincount(x, weights=weighted, minlength=T.shape[0] if cells else H.dim).max())
+    return float(np.bincount(x, weights=weighted, minlength=H.shape[0] if cells else H.dim).max())
 
 
-def _band_offsets(T: np.ndarray) -> range:
-    """Offsets -r..r of the diagonals of T, where r is the farthest one with a nonzero entry."""
-    r = 0
-    remaining = np.count_nonzero(T) - np.count_nonzero(np.diagonal(T))
-    while remaining:
-        r += 1
-        remaining -= np.count_nonzero(np.diagonal(T, r)) + np.count_nonzero(np.diagonal(T, -r))
+def _band_offsets(H: ChiralHamiltonian) -> range:
+    """Offsets -r..r of the diagonals of T, where r is the farthest stored one."""
+    r = max(abs(k) for k in H.offsets)
     return range(-r, r + 1)
 
 

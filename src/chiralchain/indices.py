@@ -34,7 +34,7 @@ from .lattice import (
     step_length,
     switch_function,
 )
-from .spectral import _ratio, _sech_sq, eigh
+from .spectral import BLOCK_ROWS, _ratio, _sech_sq, eigh
 
 INDEX_CSV_HEADER = [
     "L", "seed", "delta", "ell",
@@ -167,11 +167,29 @@ def _index_diagonals(
     edge_a, edge_b, bulk_a, bulk_b = edge_diag[0::2], edge_diag[1::2], bulk_diag[0::2], bulk_diag[1::2]
     edge_a[:p_a] = _abs2(U[:p_a]) @ g[:n_a]
     edge_b[:p_b] = -(_abs2(W[:p_b]) @ g[:n_b])
-    inside_out = _abs2((U[:p_a, :k] * t) @ Wk[p_b:].T)  # |X[:p_A, p_B:]|^2
-    outside_in = _abs2((U[p_a:, :k] * t) @ Wk[:p_b].T)  # |X[p_A:, :p_B]|^2
-    bulk_a[:p_a], bulk_a[p_a:] = -0.5 * inside_out.sum(axis=1), 0.5 * outside_in.sum(axis=1)
-    bulk_b[:p_b], bulk_b[p_b:] = 0.5 * outside_in.sum(axis=0), -0.5 * inside_out.sum(axis=0)
+    inside_rows, inside_cols = _quadrant_sums(U[:p_a, :k], t, Wk[p_b:])  # |X[:p_A, p_B:]|^2
+    outside_rows, outside_cols = _quadrant_sums(U[p_a:, :k], t, Wk[:p_b])  # |X[p_A:, :p_B]|^2
+    bulk_a[:p_a], bulk_a[p_a:] = -0.5 * inside_rows, 0.5 * outside_rows
+    bulk_b[:p_b], bulk_b[p_b:] = 0.5 * outside_cols, -0.5 * inside_cols
     return edge_diag, bulk_diag
+
+
+def _quadrant_sums(U: np.ndarray, t: np.ndarray, Wk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of |X|^2 for X = (U * t) @ Wk.T, BLOCK_ROWS rows of X at a time.
+
+    A block is squared in place when real.  Up to BLOCK_ROWS rows this is
+    the whole product, bit for bit.  Past that the sums can move by an ulp
+    or so: BLAS may round a block's entries differently from the whole
+    product's, and the column sums are added block by block, in another
+    order than one sum over all rows.
+    """
+    rows, cols = np.empty(U.shape[0]), np.zeros(Wk.shape[0])
+    for i in range(0, U.shape[0], BLOCK_ROWS):
+        X = (U[i : i + BLOCK_ROWS] * t) @ Wk.T
+        X2 = np.multiply(X, X, out=X) if X.dtype == np.float64 else _abs2(X)
+        rows[i : i + BLOCK_ROWS] = X2.sum(axis=1)
+        cols += X2.sum(axis=0)
+    return rows, cols
 
 
 def _nearest_integer(value: float) -> int:

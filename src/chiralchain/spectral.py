@@ -4,26 +4,29 @@ Everything downstream (indices, bound certificates) runs through functions of
 one Hermitian matrix: the flattened sign S = tanh(H / delta), the gap filter
 1 - S^2, and the propagator exp(i t H).  In sublattice order a chiral
 Hamiltonian is H = [[0, T], [T^dag, 0]], and a ``ChiralHamiltonian`` stores
-only T, so ``eigh`` takes one SVD of T = U Sigma W^dag, directly and with
-no input checks (they run once, in the constructor): the spectrum is
-+-sigma, and every function of H is assembled from L x L blocks.  A real,
-square, lower-bidiagonal T (every chain the CLI builds except an
-odd-length ``sites`` chain) takes one call of LAPACK's tridiagonal
-divide-and-conquer eigensolver ``dstevd`` on -T T^T, taken through ctypes
-from the OpenBLAS that numpy.linalg has loaded (symbol
-``scipy_dstevd_64_``) and resolved on first use.  T is first scaled by a
-power of two, since the kernel squares its entries.  The eigenvectors are
-U, already in descending-sigma order, and ``dstevd`` needs an L^2
-workspace where a bidiagonal SVD that also builds W needs 3 L^2.  W is
-recovered on the two bands: w = T^T u / sigma with sigma = ||T^T u||, for
-every column with sigma at least 1/8 of the largest scaled entry.  The
+only the nonzero diagonals of T, so ``eigh`` takes one SVD of
+T = U Sigma W^dag, directly and with no input checks (they run once, in the
+constructor): the spectrum is +-sigma, and every function of H is assembled
+from L x L blocks.  A square T stored as float64 diagonals 0 and -1 only
+(every chain the CLI builds except an odd-length ``sites`` chain) takes one
+call of LAPACK's tridiagonal divide-and-conquer eigensolver ``dstevd`` on
+-T T^T, taken through ctypes from the OpenBLAS that numpy.linalg has loaded
+(symbol ``scipy_dstevd_64_``) and resolved on first use; the dense T is
+never assembled.  T is first scaled by a power of two, since the kernel
+squares its entries.  The eigenvectors are U, already in descending-sigma
+order, and ``dstevd`` needs an L^2 workspace where a bidiagonal SVD that
+also builds W needs 3 L^2.  W is recovered on the two bands:
+w = T^T u / sigma with sigma = ||T^T u||, for every column with sigma at
+least 1/8 of the largest scaled entry, BLOCK_ROWS rows at a time, so that
+the route's peak stays that workspace and, after it, U and W.  The
 remaining columns (the edge modes; all of them for T = 0) take W as an
 orthonormal basis of the complement of the recovered ones, and the small
 SVD of U^T T W on them pairs the two, so U and W stay orthonormal and
 T w = sigma u holds to rounding however many singular values are small or
 zero.  Below order 128 the kernel runs on one OpenBLAS thread: its merges
 would wake the others, which then spin.  Every other T, and a numpy whose
-LAPACK lacks that symbol, takes ``np.linalg.svd``.  Each ``ChiralHamiltonian`` is diagonalized once:
+LAPACK lacks that symbol, takes ``np.linalg.svd`` of the assembled dense T.
+Each ``ChiralHamiltonian`` is diagonalized once:
 ``eigh`` keeps its spectrum on H, and every later function of that H
 reuses it.  Callers that need only part of a function of H (the index
 diagonals, the block norms and trace norms of the bound certificates, the
@@ -102,18 +105,15 @@ def eigh(H: ChiralHamiltonian) -> ChiralSpectrum:
 
 
 def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
-    T = H.T
-    d, e = np.diagonal(T), np.diagonal(T, -1)
-    # Counting the nonzeros of T and of its two bands copies nothing.
     if (
-        T.dtype == np.float64
-        and T.shape[0] == T.shape[1]
-        and np.count_nonzero(T) == np.count_nonzero(d) + np.count_nonzero(e)
+        H.dtype == np.float64
+        and H.shape[0] == H.shape[1]
+        and set(H.offsets) <= {0, -1}
         and (kernel := _dstevd()) is not None
     ):
-        return _bidiagonal_svd(kernel, d, e)
+        return _bidiagonal_svd(kernel, H.diagonal(0), H.diagonal(-1))
     try:
-        U, sigma, Wh = np.linalg.svd(T, full_matrices=True)
+        U, sigma, Wh = np.linalg.svd(H.T, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the A->B block failed: {exc}") from exc
     return ChiralSpectrum(U, sigma, Wh.conj().T)
@@ -127,6 +127,10 @@ _DSTEVD_SYMBOL = "scipy_dstevd_64_"
 # A column with sigma at least this fraction of the scaled T's largest entry
 # takes w = T^T u / sigma; the rest are completed by Rayleigh-Ritz.
 _RECOVERED_FRACTION = 0.125
+
+# Rows per block where an n x n product is reduced as it is made, so that no
+# second n x n array is live beside the spectrum.
+BLOCK_ROWS = 256
 
 # Below this order the solve runs on one OpenBLAS thread.  From n = 26 on,
 # dstevd's merges wake OpenBLAS's other threads, which then spin: through
@@ -213,9 +217,11 @@ def _bidiagonal_svd(kernel, diag: np.ndarray, sub: np.ndarray) -> ChiralSpectrum
     bound = (_RECOVERED_FRACTION * largest / scale) ** 2
     k = int(np.count_nonzero(-lam >= bound)) if largest > 0 else 0
     # Row i of Wt is T^T u_i = d u_i + e u_i[1:]; rows k: are replaced below.
-    Wt = Ut * d
-    Wt[:, :-1] += Ut[:, 1:] * e
-    sigma = np.linalg.norm(Wt, axis=1)
+    Wt, sigma = Ut * d, np.empty(n)
+    for i in range(0, n, BLOCK_ROWS):
+        rows = slice(i, i + BLOCK_ROWS)
+        Wt[rows, :-1] += Ut[rows, 1:] * e
+        sigma[rows] = np.linalg.norm(Wt[rows], axis=1)
     Wt[:k] /= sigma[:k, None]
     if k < n:
         _complete_rows(Wt, k)

@@ -6,7 +6,9 @@ A->B block.  The oracles here take the assembled matrix instead:
 - ``dense_eigh`` and ``dense_function``: the full eigendecomposition of a
   Hermitian array and f(M) from it;
 - ``tanh_oracle``: tanh(M / delta) with no eigendecomposition at all;
-- ``dense_ring``: the ring that ``bulk_gap`` solves, as a dense matrix.
+- ``dense_ring``: the ring that ``bulk_gap`` solves, as a dense matrix;
+- ``dense_block``: the open chain's T scattered into a dense L x L array,
+  the builder that the banded storage replaced.
 
 The forms the bound certificates replaced by exact identities stay here as
 their references:
@@ -20,19 +22,33 @@ their references:
   product X = U tanh(Sigma / delta) W^dag and every row of U and W;
 - ``plain_cell_block_norms``: the 2x2 closed form as plain expressions,
   with a fresh array per step.
+
+Two dense checks that no command runs are kept as the tests' checks of the
+decay of S and of the bulk restriction: ``decay_profile``, the per-distance
+maxima of the block norms of a matrix with their fitted decay rate, and
+``restriction_discrepancy``, how far f(H) on a region differs from f of the
+padded periodic bulk.
 """
+
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from chiralchain.bounds import BoundCertificate
 from chiralchain.hamiltonian import (
-    NumericalError, _abs2, _as_positive, _check_hermitian, _ring_bonds, block_norms,
+    ChiralHamiltonian, CouplingProfile, NumericalError, _abs2, _as_positive, _block_entries,
+    _chain_bonds, _check_hermitian, _ring_bonds, _sublattice_blocks, block_norms, build_ssh,
 )
+from chiralchain.lattice import ChainGeometry, Convention, make_geometry
 from chiralchain.spectral import _ratio, _sech_sq, chiral_blocks, eigh
 
 # Largest ||M||_2 / delta that tanh_oracle supports.
 ORACLE_MAX_RATIO = 50.0
+
+# m(r) below this is treated as numerically zero when fitting decay rates.
+NOISE_FLOOR = 1e-14
 
 
 class OracleRangeError(NumericalError):
@@ -94,6 +110,14 @@ def dense_ring(profile, l_ring: int) -> np.ndarray:
     upper = np.zeros((2 * l_ring, 2 * l_ring), dtype=values.dtype)
     np.add.at(upper, (rows, cols), values)
     return upper + upper.conj().T
+
+
+def dense_block(geom: ChainGeometry, profile: CouplingProfile) -> np.ndarray:
+    """The open chain's T: its block entries added into an L x L array of zeros, cropped to the geometry."""
+    a, b, values = _block_entries(_chain_bonds(profile, ring=False))
+    T = np.zeros((profile.length, profile.length), dtype=values.dtype)
+    np.add.at(T, (a, b), values)
+    return np.ascontiguousarray(T[:, : geom.total_dim // 2])
 
 
 def exp_block_norms(H, t: float) -> np.ndarray:
@@ -168,3 +192,81 @@ def plain_cell_block_norms(a, b, c, d) -> np.ndarray:
     if subnormal.any():
         norms[subnormal] = plain_cell_block_norms(*(e[subnormal] * 2.0**54 for e in entries)) / 2.0**54
     return norms
+
+
+@dataclass(frozen=True)
+class DecayProfile:
+    """Per-distance maxima of block norms with a fitted exponential rate.
+
+    ``max_block_norm[r]`` = max over |x - y| = r of ||M_{x,y}||; ``rate`` is
+    the least-squares slope of log max_block_norm over the fit window,
+    using only values above the noise floor (NaN if fewer than two survive).
+    """
+
+    max_block_norm: np.ndarray
+    rate: float
+    fit_window: tuple[int, int]
+
+
+def decay_profile(
+    M: np.ndarray,
+    geom: ChainGeometry,
+    fit_window: tuple[int, int] | None = None,
+) -> DecayProfile:
+    """Distance-resolved maxima of ||M_{x,y}|| and their fitted log-slope."""
+    norms = block_norms(_sublattice_blocks(np.asarray(M)), geom)
+    P = norms.shape[0]
+    x = np.arange(P)
+    dist = np.abs(x[:, None] - x[None, :])
+    maxima = np.zeros(P)
+    np.maximum.at(maxima, dist, norms)
+    if fit_window is None:
+        fit_window = (1, P - 1)
+    lo, hi = fit_window
+    if not (0 <= lo <= hi < P):
+        raise ValueError(f"fit window {fit_window} outside available distances [0, {P - 1}]")
+    r = np.arange(lo, hi + 1)
+    m = maxima[lo : hi + 1]
+    keep = m > NOISE_FLOOR
+    if keep.sum() >= 2:
+        rate = float(np.polyfit(r[keep], np.log(m[keep]), 1)[0])
+    else:
+        rate = float("nan")
+    return DecayProfile(maxima, rate, (int(lo), int(hi)))
+
+
+def restriction_discrepancy(
+    profile: CouplingProfile,
+    pad: int,
+    cells: tuple[int, int],
+    kind: Callable[[ChiralHamiltonian, float], np.ndarray],
+    delta: float,
+) -> float:
+    """||chi_Omega (f(H) - f(restricted bulk))|| for f = ``kind``(H, delta).
+
+    ``kind`` is ``spectral.gap_filter`` or ``spectral.flattened_sign``.  The
+    infinite bulk is emulated by the periodic extension of the profile,
+    padded by ``pad`` cells on each side, then truncated back to the window.
+    ``cells`` = (start, stop) selects the rows Omega.  Exponentially small in
+    the distance between Omega and the edges once pad >= L.
+    """
+    length = profile.length
+    if pad < length:
+        raise ValueError(f"pad must be at least the chain length, got pad={pad} < L={length}")
+    start, stop = cells
+    if not 0 <= start < stop <= length:
+        raise ValueError(f"cell range {cells} outside [0, {length})")
+    delta = _as_positive("delta", delta)
+
+    geom = make_geometry(length, Convention.CELL_C2)
+    H_open = build_ssh(geom, profile)
+    padded_geom = make_geometry(length + 2 * pad, Convention.CELL_C2)
+    H_pad = build_ssh(padded_geom, profile.tiled(length + 2 * pad, shift=pad))
+
+    F_open = kind(H_open, delta)
+    window = slice(2 * pad, 2 * (pad + length))
+    F_bulk = kind(H_pad, delta)[window, window]
+
+    row_mask = np.repeat((np.arange(length) >= start) & (np.arange(length) < stop), 2)
+    masked = (F_open - F_bulk) * row_mask[:, None]
+    return float(np.linalg.norm(masked, 2))

@@ -9,10 +9,8 @@ from chiralchain.bounds import (
     _propagator_band,
     anticommutator_trace_norms,
     correlation_length,
-    decay_profile,
     edge_filter_decay_check,
     lieb_robinson_check,
-    restriction_discrepancy,
     trace_norm_checks,
 )
 from chiralchain.hamiltonian import (
@@ -27,6 +25,7 @@ from chiralchain.hamiltonian import (
 from chiralchain.indices import index_report
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
 from chiralchain.spectral import flattened_sign, gap_filter
+from oracles import decay_profile, restriction_discrepancy
 
 
 def ssh(L, t1, t2):

@@ -20,6 +20,7 @@ from chiralchain.cli import (
     run,
     self_check,
 )
+from chiralchain.hamiltonian import ChiralHamiltonian
 from chiralchain.indices import INDEX_CSV_HEADER
 from chiralchain.svgplot import emit_plot
 
@@ -151,6 +152,19 @@ def test_main_scan_output_does_not_change_bytes(tmp_path, capsys):
     assert main(["scan", "--config", str(cfg), "--reproducible"]) == 0
     outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_scan_assembles_no_dense_block(tmp_path, monkeypatch):
+    # The benchmark's model takes dstevd, which reads only T's two diagonals.
+    def dense_block(H):
+        raise AssertionError("the scan assembled a dense T")
+
+    monkeypatch.setattr(ChiralHamiltonian, "T", property(dense_block))
+    cfg = write_config(tmp_path, disordered_config(
+        scan="length", geometry={"length": [250, 500], "convention": "cell"}
+    ))
+    assert main(["scan", "--config", str(cfg), "--reproducible", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len((tmp_path / "o.csv").read_text().splitlines()) == 6
 
 
 def _add(section, **fields):

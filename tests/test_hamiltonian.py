@@ -23,7 +23,7 @@ from chiralchain.hamiltonian import (
     verify_chiral,
 )
 from chiralchain.lattice import Convention, make_geometry
-from oracles import dense_ring, plain_cell_block_norms
+from oracles import dense_block, dense_ring, plain_cell_block_norms
 
 E = math.e
 
@@ -792,6 +792,23 @@ def test_block_storage_round_trip(chain):
     assert_block_round_trip(*chain)
 
 
+@settings(max_examples=150, deadline=None)
+@given(chain=_chains())
+@example(chain=(make_geometry(2), offsets_profile(2, (1, 2, 5), True, seed=2)))
+@example(chain=(make_geometry(2, Convention.ALTERNATING_SITES), offsets_profile(1, (), False, seed=1)))
+def test_banded_builder_matches_the_scatter_builder(chain):
+    # Cell and sites chains of odd and even length, complex couplings, boundary
+    # perturbations, extra offsets up to past L, and L = 2.
+    geom, profile = chain
+    H = build_ssh(geom, profile)
+    want = dense_block(geom, profile)
+    assert H.T.dtype == want.dtype and H.T.tobytes() == want.tobytes()
+    nonzero = [k for k in range(1 - want.shape[0], want.shape[1]) if np.any(np.diagonal(want, k))]
+    assert H.offsets == tuple(sorted({0, *nonzero}))
+    again = ChiralHamiltonian.from_matrix(H.matrix, geom)
+    assert again.offsets == H.offsets and again.T.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("sites", [2, 3, 5])
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_block_storage_round_trip_small_sites_chains(sites, complex_valued):
@@ -804,8 +821,10 @@ def test_block_storage_is_read_only_and_sized_by_geometry():
     H = ssh(6, 0.5, 1.0)
     with pytest.raises(ValueError):
         H.T[0, 0] = 1.0
-    with pytest.raises(ValueError, match="does not match geometry dim"):
-        ChiralHamiltonian(np.zeros((6, 6)), make_geometry(5))
+    with pytest.raises(ValueError):
+        H.diagonals[0][0] = 1.0
+    with pytest.raises(ValueError, match="do not match geometry dim"):
+        ChiralHamiltonian((0,), (np.zeros(6),), make_geometry(5))
     # The assembled matrix is a fresh array on every read, never a cache.
     assert H.matrix is not H.matrix
 
@@ -831,20 +850,46 @@ def test_from_matrix_accepts_rounding_level_hermiticity_defect():
     assert ChiralHamiltonian.from_matrix(M, H.geometry).T.tobytes() == H.T.tobytes()
 
 
-def test_build_ssh_memory_is_one_block():
+def test_build_ssh_memory_is_linear():
     import tracemalloc
 
-    # The dense 2L x 2L builder peaked at 64 MB here; T alone is 8 MB.
-    profile = disordered_defect_profile(1000, 1)
-    geom = make_geometry(1000)
+    # The dense 2L x 2L builder peaked at 64 MB here and the dense L x L one
+    # at 8 MB.  The bonds and the two stored diagonals take about 130 bytes
+    # per cell (0.13 MB at L = 1000).
+    for L in (1000, 4000):
+        profile = disordered_defect_profile(L, 1)
+        tracemalloc.start()
+        try:
+            H = build_ssh(make_geometry(L), profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.offsets == (-1, 0) and H.shape == (L, L)
+        assert peak < 250 * L
+
+
+def test_chain_of_1e5_cells_builds_and_bounds_in_linear_cost():
+    import time
+    import tracemalloc
+
+    from chiralchain.bounds import _propagator_band
+
+    # A dense T failed here on a 74.5 GiB allocation.
+    L = 100_000
+    profile = disordered_defect_profile(L, 1)
+    geom = make_geometry(L)
     tracemalloc.start()
+    start = time.perf_counter()
     try:
         H = build_ssh(geom, profile)
+        K = short_range_constant(H, 1.0)
+        reach, tail = _propagator_band(H, 1.0, geom.total_dim * float(np.finfo(float).eps))
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert H.T.shape == (1000, 1000)
-    assert peak < 16e6
+    assert math.isfinite(K) and 0 < reach < L - 1 and tail > 0.0
+    assert elapsed < 1.0 and peak < 50e6
 
 
 # --- the banded short-range constant ------------------------------------------------

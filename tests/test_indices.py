@@ -7,7 +7,6 @@ from chiralchain.bounds import (
     anticommutator_trace_norms,
     correlation_length,
     gap_filter_min_eigenvalue,
-    restriction_discrepancy,
     trace_norm_checks,
 )
 from chiralchain.hamiltonian import (
@@ -28,6 +27,7 @@ from chiralchain.indices import (
 )
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
 from chiralchain.spectral import flattened_sign, gap_filter
+from oracles import restriction_discrepancy
 
 
 def ssh(L, t1, t2, convention=Convention.CELL_C2):
