@@ -32,15 +32,7 @@ from .hamiltonian import (
     short_range_constant,
     verify_chiral,
 )
-from .spectral import (
-    ChiralSpectrum,
-    NumericalError,
-    eigh,
-    flattened_sign,
-    gap_filter,
-    matrix_function,
-    propagator,
-)
+from .spectral import ChiralSpectrum, NumericalError, eigh
 from .indices import (
     DeltaMode,
     DeltaPolicy,

@@ -1,12 +1,13 @@
 """Numerical certificates for the locality estimates behind the indices.
 
-Each check reads a function of H only as its four sublattice blocks
-(``spectral.chiral_blocks``), compares measured norms against a proven
+Each check reads a function of H only as its sublattice blocks: those of
+an even function from ``spectral.even_blocks``, the A-B block of an odd one
+from ``spectral.odd_block``.  It compares measured norms against a proven
 envelope and reports the margin honestly: a certificate that fails is
 reported failing.  The big-O style statements are certified as "a
 polynomially bounded constant exists": gamma_star, the largest ratio of a
-norm to its envelope (floored at 1e-300), must stay under a threshold, by
-default 10 L^2, the polynomial allowance of the quantization statement.
+norm to its envelope (floored at 1e-300), must stay under 10 L^2, the
+polynomial allowance of the quantization statement.
 
 Floating point caveat, documented rather than hidden: the propagator bound
 is an exact-arithmetic theorem, so at position pairs where the envelope
@@ -26,7 +27,7 @@ import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, _as_positive, _band_offsets, _cell_block_norms, block_norms
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, step_length
-from .spectral import _ratio, _sech_sq, chiral_blocks, eigh
+from .spectral import _ratio, _sech_sq, eigh, even_blocks, odd_block
 
 BOUND_CSV_HEADER = ["bound_name", "L", "delta", "margin", "gamma_star", "pass"]
 
@@ -61,13 +62,10 @@ def correlation_length(delta: float, decay_length: float, coupling_norm: float) 
     return decay_length * max(1.0, 4.0 * coupling_norm / (math.pi * delta))
 
 
-def _envelope_certificate(
-    name: str, lhs: np.ndarray, envelope, length: int, threshold: float | None = None
-) -> BoundCertificate:
-    """Passes when gamma_star = max(lhs / envelope) stays under ``threshold`` (default 10 L^2)."""
-    threshold = 10.0 * length * length if threshold is None else threshold
+def _envelope_certificate(name: str, lhs: np.ndarray, envelope, length: int) -> BoundCertificate:
+    """Passes when gamma_star = max(lhs / envelope) stays under 10 L^2."""
     gamma_star = float((lhs / np.maximum(envelope, 1e-300)).max())
-    margin = float(threshold - gamma_star)
+    margin = float(10.0 * length * length - gamma_star)
     return BoundCertificate(name, lhs, margin, margin >= 0.0, gamma_star=gamma_star)
 
 
@@ -110,9 +108,9 @@ def lieb_robinson_check(
     reach, tail = _propagator_band(H, t, noise_floor)
     offsets = [k for k in range(-reach, reach + 1) if abs(k) >= decay_length]
     spec = eigh(H)
-    C_AA, _, _, C_BB = chiral_blocks(spec, lambda w: np.cos(t * w))
-    _, S_AB, S_BA, _ = chiral_blocks(spec, lambda w: np.sin(t * w))
-    blocks = (C_AA, S_AB, S_BA, np.negative(C_BB, out=C_BB))
+    C_AA, C_BB = even_blocks(spec, lambda w: np.cos(t * w))
+    S_AB = odd_block(spec, lambda w: np.sin(t * w))
+    blocks = (C_AA, S_AB, S_AB.conj().T, np.negative(C_BB, out=C_BB))
     lhs = _diagonal_block_norms(blocks, offsets, H.geometry)
     # The largest norm on each in-band diagonal and, past the band, the tail at the farthest pair.
     far = reach < last and last >= decay_length
@@ -208,27 +206,28 @@ def _diagonal_block_norms(
 
 
 def edge_filter_decay_check(
-    H: ChiralHamiltonian, delta: float, half_gap: float, correlation_length: float,
-    threshold: float | None = None,
+    H: ChiralHamiltonian, delta: float, half_gap: float, correlation_length: float
 ) -> BoundCertificate:
     """Certify ||(1-S^2)_{x,y}|| <= gamma * (e^{-max(d_x,d_y)/(2 d')} + e^{-2 Delta/delta}).
 
     Reports gamma_star, the largest measured ratio against the envelope, and
-    passes when it stays under the threshold (default 10 L^2).
+    passes when it stays under 10 L^2.  1 - S^2 is even in H, so its A-B
+    and B-A blocks are zero.
     """
     delta = _as_positive("delta", delta)
     half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
     correlation_length = _as_positive("correlation_length", correlation_length)
-    threshold = None if threshold is None else _as_positive("threshold", threshold)
     geom = H.geometry
-    lhs = block_norms(chiral_blocks(eigh(H), lambda w: _sech_sq(_ratio(w, delta))), geom)
+    G_A, G_B = even_blocks(eigh(H), lambda w: _sech_sq(_ratio(w, delta)))
+    zero = np.zeros((G_A.shape[0], G_B.shape[0]))
+    lhs = block_norms((G_A, zero, zero.T, G_B), geom)
     P = lhs.shape[0]
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
     # exp is monotone, so e^{-max(d_x, d_y)/(2 d')} is the smaller of the two per-position values.
     decay = np.exp(-edge_dist / (2.0 * correlation_length))
     envelope = np.minimum.outer(decay, decay) + np.exp(-2.0 * half_gap / delta)
-    return _envelope_certificate("edge_filter_decay", lhs, envelope, geom.length, threshold)
+    return _envelope_certificate("edge_filter_decay", lhs, envelope, geom.length)
 
 
 def _trace_norm(M: np.ndarray) -> float:
@@ -252,8 +251,8 @@ def anticommutator_trace_norms(
     check_switch_compatible(geom, switch)
     delta = _as_positive("delta", delta)
     spec = eigh(H)
-    G_A, _, _, G_B = chiral_blocks(spec, lambda e: _sech_sq(_ratio(e, delta)))
-    X = chiral_blocks(spec, lambda e: np.tanh(_ratio(e, delta)))[1]
+    G_A, G_B = even_blocks(spec, lambda e: _sech_sq(_ratio(e, delta)))
+    X = odd_block(spec, lambda e: np.tanh(_ratio(e, delta)))
     theta = switch.basis_values()
     theta_a, theta_b = theta[0::2], theta[1::2]
     P = 0.5 * (theta_a[:, None] * G_A + G_A * theta_a[None, :])
@@ -292,6 +291,6 @@ def trace_norm_checks(
 def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
     """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
     delta = _as_positive("delta", delta)
-    G_A, _, _, G_B = chiral_blocks(eigh(H), lambda e: _sech_sq(_ratio(e, delta)))
+    G_A, G_B = even_blocks(eigh(H), lambda e: _sech_sq(_ratio(e, delta)))
     return min(float(np.linalg.eigvalsh(G).min()) for G in (G_A, G_B))
 

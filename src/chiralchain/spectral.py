@@ -1,18 +1,17 @@
-"""Spectra of chiral Hamiltonians and the matrix functions built on them.
+"""Spectra of chiral Hamiltonians and the sublattice blocks of functions of them.
 
 Everything downstream (indices, bound certificates) runs through functions of
-one Hermitian matrix: the flattened sign S = tanh(H / delta), the gap filter
-1 - S^2, and the propagator exp(i t H).  In sublattice order a chiral
+one Hermitian matrix: S = tanh(H / delta), 1 - S^2 = sech^2(H / delta), and
+cos(tH) and sin(tH) for the propagator.  In sublattice order a chiral
 Hamiltonian is H = [[0, T], [T^dag, 0]], and a ``ChiralHamiltonian`` stores
 only the nonzero diagonals of T, so ``eigh`` takes one SVD of
 T = U Sigma W^dag, directly and with no input checks (they run once, in the
-constructor): the spectrum is +-sigma, and every function of H is assembled
-from L x L blocks.  A square T stored as float64 diagonals 0 and -1 only
-(every chain the CLI builds except an odd-length ``sites`` chain) takes one
-call of LAPACK's tridiagonal divide-and-conquer eigensolver ``dstevd`` on
--T T^T, taken through ctypes from the OpenBLAS that numpy.linalg has loaded
-(symbol ``scipy_dstevd_64_``) and resolved on first use; the dense T is
-never assembled.  T is first scaled by a power of two, since the kernel
+constructor): the spectrum is +-sigma.  A square T stored as float64
+diagonals 0 and -1 only (every chain the CLI builds except an odd-length
+``sites`` chain) takes one call of LAPACK's tridiagonal divide-and-conquer
+eigensolver ``dstevd`` on -T T^T, taken through ctypes from the OpenBLAS
+that numpy.linalg has loaded (symbol ``scipy_dstevd_64_``) and resolved on
+first use; the dense T is never assembled.  T is first scaled by a power of two, since the kernel
 squares its entries.  The eigenvectors are U, already in descending-sigma
 order, and ``dstevd`` needs an L^2 workspace where a bidiagonal SVD that
 also builds W needs 3 L^2.  W is recovered on the two bands:
@@ -28,11 +27,11 @@ would wake the others, which then spin.  Every other T, and a numpy whose
 LAPACK lacks that symbol, takes ``np.linalg.svd`` of the assembled dense T.
 Each ``ChiralHamiltonian`` is diagonalized once:
 ``eigh`` keeps its spectrum on H, and every later function of that H
-reuses it.  Callers that need only part of a function of H (the index
-diagonals, the block norms and trace norms of the bound certificates, the
-gap filter's smallest eigenvalue) read its four sublattice blocks from
-``chiral_blocks``, in the order ``block_norms`` takes, instead of the
-assembled 2L x 2L matrix.  A plain matrix enters through
+reuses it.  Chiral symmetry makes an even f(H) block-diagonal,
+diag(U f(Sigma) U^dag, W f(Sigma) W^dag), and an odd f(H) off-diagonal,
+with A-B block U f(Sigma) W^dag: every caller knows which it needs and reads
+those L x L blocks from ``even_blocks`` or ``odd_block``.  No 2L x 2L
+function of H is assembled.  A plain matrix enters through
 ``ChiralHamiltonian.from_matrix``.  The tests check this route against a
 dense eigendecomposition and the eigendecomposition-free ``tanh_oracle``
 (``tests/oracles.py``).
@@ -47,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, NumericalError, _as_positive
+from .hamiltonian import ChiralHamiltonian, NumericalError
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,6 @@ class ChiralSpectrum:
         # One spectrum serves every caller of its Hamiltonian, so none may edit it.
         for name in ("U", "sigma", "W"):
             getattr(self, name).setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return int(self.U.shape[0] + self.W.shape[0])
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        zero_modes = np.zeros(self.dim - 2 * self.sigma.size)
-        return np.sort(np.concatenate([-self.sigma, zero_modes, self.sigma]))
 
     def column_sigma(self, columns: int) -> np.ndarray:
         """Singular value of each of ``columns`` factor columns; zero modes get 0."""
@@ -259,9 +249,8 @@ def _complete_rows(Q: np.ndarray, k: int) -> None:
 
 
 def _checked_values(f: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
-    values = np.asarray(f(w))
-    if values.shape != w.shape:
-        values = np.broadcast_to(values, w.shape)
+    # cos(t w) and sin(t w) turn an infinite t w into NaN.
+    values = f(w)
     if np.any(np.isnan(values)):
         raise NumericalError("scalar function produced NaN on an eigenvalue")
     return values
@@ -280,41 +269,30 @@ def _sandwich(X: np.ndarray, d: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X * d) @ Y.conj().T
 
 
-def chiral_blocks(
+def even_blocks(
     spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sublattice blocks (f(H)_AA, f(H)_AB, f(H)_BA, f(H)_BB) of f(H).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f(H)_AA, f(H)_BB) = (U f(Sigma) U^dag, W f(Sigma) W^dag) for an even, real f.
 
-    With f_e/o = (f(sigma) +- f(-sigma)) / 2 and f(0) on the zero-mode
-    columns: f(H)_AA = U f_e U^dag, f(H)_BB = W f_e W^dag,
-    f(H)_AB = U f_o W^dag and f(H)_BA = W f_o U^dag.  An even f (such as
-    sech^2) has zero A-B blocks and an odd f (such as tanh) zero A-A and B-B
-    blocks; those come back as zero matrices without a product.  The
-    diagonal blocks are symmetrized when f is real on the spectrum.
+    An even f of H (such as sech^2 or cos) has zero A-B and B-A blocks.
+    f(0) goes on the zero-mode columns; both blocks are symmetrized.
     """
-    U, W, k = spec.U, spec.W, spec.sigma.size
-    s = spec.column_sigma(max(U.shape[1], W.shape[1]))
-    values = _checked_values(f, np.concatenate([s, -s]))
-    plus, minus = values[: s.size], values[s.size :]
-    even = plus / 2.0 + minus / 2.0
-    odd = (plus / 2.0 - minus / 2.0)[:k]
-    AA = _sandwich(U, even[: U.shape[1]], U)
-    BB = _sandwich(W, even[: W.shape[1]], W)
-    AB = _sandwich(U[:, :k], odd, W[:, :k])
-    if np.iscomplexobj(values):
-        return AA, AB, _sandwich(W[:, :k], odd, U[:, :k]), BB
-    # The zero blocks of an odd f are Hermitian already.
-    if np.any(even):
-        AA, BB = _hermitian_part(AA), _hermitian_part(BB)
-    return AA, AB, AB.conj().T, BB
+    U, W = spec.U, spec.W
+    values = _checked_values(f, spec.column_sigma(max(U.shape[1], W.shape[1])))
+    return (
+        _hermitian_part(_sandwich(U, values[: U.shape[1]], U)),
+        _hermitian_part(_sandwich(W, values[: W.shape[1]], W)),
+    )
 
 
-def matrix_function(spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """f(H) in the original basis, placed from the four blocks of ``chiral_blocks``."""
-    blocks = chiral_blocks(spec, f)
-    out = np.zeros((spec.dim, spec.dim), dtype=np.result_type(*blocks))
-    out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = blocks
-    return out
+def odd_block(spec: ChiralSpectrum, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f(H)_AB = U f(Sigma) W^dag for an odd, real f; f(H)_BA is its ``.conj().T``.
+
+    An odd f of H (such as tanh or sin) has zero A-A and B-B blocks, and
+    the zero modes do not enter.
+    """
+    k = spec.sigma.size
+    return _sandwich(spec.U[:, :k], _checked_values(f, spec.sigma), spec.W[:, :k])
 
 
 def _sech_sq(x: np.ndarray) -> np.ndarray:
@@ -327,22 +305,3 @@ def _ratio(w: np.ndarray, delta: float) -> np.ndarray:
     """w / delta; an overflow to +-inf is exact for tanh and sech^2."""
     with np.errstate(over="ignore"):
         return w / delta
-
-
-def flattened_sign(H: ChiralHamiltonian, delta: float) -> np.ndarray:
-    """S = tanh(H / delta): the band-flattening smooth surrogate for sign(H)."""
-    delta = _as_positive("delta", delta)
-    return matrix_function(eigh(H), lambda w: np.tanh(_ratio(w, delta)))
-
-
-def gap_filter(H: ChiralHamiltonian, delta: float) -> np.ndarray:
-    """1 - S^2: positive semidefinite, concentrates weight on near-zero-energy states."""
-    delta = _as_positive("delta", delta)
-    return matrix_function(eigh(H), lambda w: _sech_sq(_ratio(w, delta)))
-
-
-def propagator(H: ChiralHamiltonian, t: float) -> np.ndarray:
-    """Unitary exp(i t H)."""
-    if not np.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t}")
-    return matrix_function(eigh(H), lambda w: np.exp(1j * float(t) * w))

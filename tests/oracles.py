@@ -5,6 +5,13 @@ A->B block.  The oracles here take the assembled matrix instead:
 
 - ``dense_eigh`` and ``dense_function``: the full eigendecomposition of a
   Hermitian array and f(M) from it;
+- ``spectrum_values``: the eigenvalues of H, +-sigma and the zero modes,
+  from a ``ChiralSpectrum``;
+- ``placed``: a function of H as a 2L x 2L matrix, its blocks placed from
+  ``spectral.even_blocks`` and ``spectral.odd_block``, and through it
+  ``flattened_sign`` (S = tanh(H / delta)), ``gap_filter`` (1 - S^2) and
+  ``propagator`` (exp(itH)), the package route assembled so that tests can take products, spectra
+  and norms of it;
 - ``tanh_oracle``: tanh(M / delta) with no eigendecomposition at all;
 - ``dense_ring``: the ring that ``bulk_gap`` solves, as a dense matrix;
 - ``dense_block``: the open chain's T scattered into a dense L x L array,
@@ -42,7 +49,7 @@ from chiralchain.hamiltonian import (
     _chain_bonds, _check_hermitian, _ring_bonds, _sublattice_blocks, block_norms, build_ssh,
 )
 from chiralchain.lattice import ChainGeometry, Convention, make_geometry
-from chiralchain.spectral import _ratio, _sech_sq, chiral_blocks, eigh
+from chiralchain.spectral import ChiralSpectrum, _ratio, _sech_sq, eigh, even_blocks, odd_block
 
 # Largest ||M||_2 / delta that tanh_oracle supports.
 ORACLE_MAX_RATIO = 50.0
@@ -73,6 +80,40 @@ def dense_function(eig: tuple[np.ndarray, np.ndarray], f) -> np.ndarray:
         raise NumericalError("scalar function produced NaN on an eigenvalue")
     out = (V * values) @ V.conj().T
     return out if np.iscomplexobj(values) else out / 2.0 + out.conj().T / 2.0
+
+
+def spectrum_values(spec: ChiralSpectrum) -> np.ndarray:
+    """The eigenvalues of H ascending: +-sigma, and 0 for each zero mode."""
+    zero_modes = np.zeros(spec.U.shape[0] + spec.W.shape[0] - 2 * spec.sigma.size)
+    return np.sort(np.concatenate([-spec.sigma, zero_modes, spec.sigma]))
+
+
+def placed(spec: ChiralSpectrum, even=None, odd=None) -> np.ndarray:
+    """even(H) + odd(H) in the original basis, placed from ``even_blocks`` and ``odd_block``."""
+    n = spec.U.shape[0] + spec.W.shape[0]
+    out = np.zeros((n, n), dtype=np.result_type(spec.U, spec.W))
+    if even is not None:
+        out[0::2, 0::2], out[1::2, 1::2] = even_blocks(spec, even)
+    if odd is not None:
+        AB = odd_block(spec, odd)
+        out[0::2, 1::2], out[1::2, 0::2] = AB, AB.conj().T
+    return out
+
+
+def flattened_sign(H: ChiralHamiltonian, delta: float) -> np.ndarray:
+    """S = tanh(H / delta), placed from ``odd_block``."""
+    return placed(eigh(H), odd=lambda w: np.tanh(_ratio(w, delta)))
+
+
+def gap_filter(H: ChiralHamiltonian, delta: float) -> np.ndarray:
+    """1 - S^2 = sech^2(H / delta), placed from ``even_blocks``."""
+    return placed(eigh(H), even=lambda w: _sech_sq(_ratio(w, delta)))
+
+
+def propagator(H: ChiralHamiltonian, t: float) -> np.ndarray:
+    """exp(itH) = cos(tH) + i sin(tH), placed from ``even_blocks`` and ``odd_block``."""
+    spec = eigh(H)
+    return placed(spec, even=lambda w: np.cos(t * w)) + 1j * placed(spec, odd=lambda w: np.sin(t * w))
 
 
 def tanh_oracle(M: np.ndarray, delta: float) -> np.ndarray:
@@ -121,17 +162,21 @@ def dense_block(geom: ChainGeometry, profile: CouplingProfile) -> np.ndarray:
 
 
 def exp_block_norms(H, t: float) -> np.ndarray:
-    """``block_norms`` of exp(itH), read from the four complex blocks of exp(itH)."""
-    return block_norms(chiral_blocks(eigh(H), lambda w: np.exp(1j * float(t) * w)), H.geometry)
+    """``block_norms`` of exp(itH) = cos(tH) + i sin(tH), read from its four complex blocks."""
+    t = float(t)
+    spec = eigh(H)
+    C_AA, C_BB = even_blocks(spec, lambda w: np.cos(t * w))
+    S_AB = odd_block(spec, lambda w: np.sin(t * w))
+    return block_norms((C_AA, 1j * S_AB, 1j * S_AB.conj().T, C_BB), H.geometry)
 
 
 def propagator_block_norms(H, t: float) -> np.ndarray:
     """``block_norms`` of exp(itH) on the full grid, as those of (C_AA, S_AB, S_BA, -C_BB)."""
     t = float(t)
     spec = eigh(H)
-    C_AA, _, _, C_BB = chiral_blocks(spec, lambda w: np.cos(t * w))
-    _, S_AB, S_BA, _ = chiral_blocks(spec, lambda w: np.sin(t * w))
-    return block_norms((C_AA, S_AB, S_BA, np.negative(C_BB, out=C_BB)), H.geometry)
+    C_AA, C_BB = even_blocks(spec, lambda w: np.cos(t * w))
+    S_AB = odd_block(spec, lambda w: np.sin(t * w))
+    return block_norms((C_AA, S_AB, S_AB.conj().T, np.negative(C_BB, out=C_BB)), H.geometry)
 
 
 def full_grid_lieb_robinson(H, t: float, decay_length: float, coupling_norm: float) -> BoundCertificate:
@@ -244,7 +289,7 @@ def restriction_discrepancy(
 ) -> float:
     """||chi_Omega (f(H) - f(restricted bulk))|| for f = ``kind``(H, delta).
 
-    ``kind`` is ``spectral.gap_filter`` or ``spectral.flattened_sign``.  The
+    ``kind`` is ``gap_filter`` or ``flattened_sign`` above.  The
     infinite bulk is emulated by the periodic extension of the profile,
     padded by ``pad`` cells on each side, then truncated back to the window.
     ``cells`` = (start, stop) selects the rows Omega.  Exponentially small in

@@ -26,9 +26,8 @@ from chiralchain.indices import (
     windowed_edge_index,
 )
 from chiralchain.lattice import Convention, chiral_polarization, make_geometry, switch_function
-from chiralchain.spectral import flattened_sign
 from chiralchain.cli import reproduce_fig3, reproduce_fig4
-from oracles import tanh_oracle
+from oracles import flattened_sign, tanh_oracle
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str) -> None:

@@ -18,14 +18,14 @@ from chiralchain.hamiltonian import (
     _sublattice_blocks,
     apply_defect,
     apply_disorder,
+    block_norms,
     build_ssh,
     bulk_gap,
     short_range_constant,
 )
 from chiralchain.indices import index_report
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
-from chiralchain.spectral import flattened_sign, gap_filter
-from oracles import decay_profile, restriction_discrepancy
+from oracles import decay_profile, flattened_sign, gap_filter, restriction_discrepancy
 
 
 def ssh(L, t1, t2):
@@ -66,8 +66,6 @@ def test_decay_profile_of_flattened_sign():
 
 @pytest.mark.parametrize("convention", [Convention.CELL_C2, Convention.ALTERNATING_SITES])
 def test_decay_profile_maxima_match_distance_loop(convention):
-    from chiralchain.hamiltonian import block_norms
-
     geom = make_geometry(9, convention)
     rng = np.random.default_rng(4)
     M = rng.normal(size=(geom.total_dim,) * 2) + 1j * rng.normal(size=(geom.total_dim,) * 2)
@@ -91,8 +89,6 @@ def test_decay_profile_mirror_symmetry():
     L = 40
     H = ssh(L, 0.5, 1.0)
     S = flattened_sign(H, 0.1)
-    from chiralchain.hamiltonian import block_norms
-
     norms = block_norms(_sublattice_blocks(S), H.geometry)
     x = np.arange(L)
     dist = np.abs(x[:, None] - x[None, :])
@@ -256,13 +252,28 @@ def test_edge_filter_gamma_star_matches_the_pair_envelope():
     assert cert.gamma_star == float((cert.lhs / np.maximum(envelope, 1e-300)).max())
 
 
-def test_edge_filter_threshold_controls_pass():
-    H = ssh(30, 0.5, 1.0)
-    delta = 0.1
-    corr = corr_for(H, delta)
-    strict = edge_filter_decay_check(H, delta, 0.5, corr, threshold=1e-12)
-    assert not strict.passed
-    assert strict.margin < 0
+@pytest.mark.parametrize("convention", [Convention.CELL_C2, Convention.ALTERNATING_SITES])
+def test_edge_filter_norms_are_those_of_the_assembled_filter(convention):
+    # The certificate reads the even blocks only, with zero arrays for the
+    # A-B and B-A blocks; the assembled 1 - S^2 must give the same bits.
+    geom = make_geometry(41, convention)
+    H = build_ssh(geom, disordered_defect_profile(geom.cells, seed=2))
+    cert = edge_filter_decay_check(H, 0.1, 0.3, 2.0)
+    assembled = block_norms(_sublattice_blocks(gap_filter(H, 0.1)), geom)
+    assert cert.lhs.tobytes() == assembled.tobytes()
+
+
+def test_edge_filter_fails_an_overstated_half_gap():
+    # The chain's half gap is 0.5.  Stated as 5, it puts the envelope's
+    # floor at e^{-100}, and with a correlation length of 1 the edge term
+    # is e^{-25} in the middle of the chain: both far below the sech^2
+    # norms there, so gamma_star passes 10 L^2.
+    H = ssh(100, 0.5, 1.0)
+    assert edge_filter_decay_check(H, 0.1, 0.5, 1.0).passed
+    overstated = edge_filter_decay_check(H, 0.1, 5.0, 1.0)
+    assert not overstated.passed
+    assert overstated.margin < 0
+    assert overstated.gamma_star > 10 * 100 * 100
 
 
 # --- restriction discrepancy -----------------------------------------------------
@@ -406,13 +417,13 @@ def _invalid_parameter_cases():
     """(function, arguments) pairs that must raise ValueError: each puts one invalid
     value into an otherwise valid call on a 20-cell chain."""
     lr = dict(t=0.5, decay_length=1.0, coupling_norm=2.0)
-    ef = dict(delta=0.1, half_gap=0.5, correlation_length=2.0, threshold=10.0)
+    ef = dict(delta=0.1, half_gap=0.5, correlation_length=2.0)
     cases = []
     for name, values in (("t", [math.nan, math.inf]), ("decay_length", _BAD + [0.0]),
                          ("coupling_norm", _BAD)):
         cases += [(lieb_robinson_check, {**lr, name: v}) for v in values]
     for name, values in (("delta", _BAD + [0.0]), ("half_gap", _BAD),
-                         ("correlation_length", _BAD + [0.0]), ("threshold", _BAD + [0.0])):
+                         ("correlation_length", _BAD + [0.0])):
         cases += [(edge_filter_decay_check, {**ef, name: v}) for v in values]
     cases += [(short_range_constant, {"decay_length": v}) for v in _BAD + [0.0]]
     cl = dict(delta=0.1, decay_length=1.0, coupling_norm=2.0)
@@ -426,7 +437,7 @@ def _invalid_parameter_cases():
     ids=lambda v: v.__name__ if callable(v) else ",".join(f"{k}={x}" for k, x in v.items()),
 )
 def test_certificate_parameters_must_be_finite_and_positive(fn, kwargs):
-    # A NaN or infinite decay length, constant, gap or threshold used to give a
+    # A NaN or infinite decay length, constant or gap used to give a
     # passing certificate (margin inf) or a NaN instead of an error.
     args = () if fn is correlation_length else (_H20,)
     with pytest.raises(ValueError, match="must be finite"):

@@ -25,22 +25,17 @@ from chiralchain.hamiltonian import (
     ExtraCoupling,
     apply_defect,
     apply_disorder,
+    _sublattice_blocks,
     build_ssh,
     short_range_constant,
 )
 from chiralchain.indices import DeltaPolicy, _index_diagonals, index_report
 from chiralchain.lattice import Convention, make_geometry, switch_function
-from chiralchain.spectral import (
-    ChiralSpectrum,
-    NumericalError,
-    _sech_sq,
-    eigh,
-    flattened_sign,
-    matrix_function,
-)
+from chiralchain.spectral import ChiralSpectrum, NumericalError, _sech_sq, eigh, even_blocks, odd_block
 from oracles import (
-    dense_eigh, dense_function, exp_block_norms, full_commutator_trace_norm, full_grid_lieb_robinson,
-    full_index_diagonals, propagator_block_norms, tanh_oracle,
+    dense_eigh, dense_function, exp_block_norms, flattened_sign, full_commutator_trace_norm,
+    full_grid_lieb_robinson, full_index_diagonals, gap_filter, propagator, propagator_block_norms,
+    spectrum_values, tanh_oracle,
 )
 
 
@@ -58,11 +53,11 @@ def dense_index_diagonals(H, delta, switch):
 
 
 def functions(delta, t):
-    """(name, f, Lipschitz constant of f) for the functions the package evaluates."""
+    """(name, f, f(H) from the package, Lipschitz constant of f) for the functions the package evaluates."""
     return [
-        ("tanh", lambda w: np.tanh(w / delta), 1.0 / delta),
-        ("sech2", lambda w: _sech_sq(w / delta), 1.0 / delta),
-        ("exp_itH", lambda w: np.exp(1j * t * w), abs(t)),
+        ("tanh", lambda w: np.tanh(w / delta), lambda H: flattened_sign(H, delta), 1.0 / delta),
+        ("sech2", lambda w: _sech_sq(w / delta), lambda H: gap_filter(H, delta), 1.0 / delta),
+        ("exp_itH", lambda w: np.exp(1j * t * w), lambda H: propagator(H, t), abs(t)),
     ]
 
 
@@ -72,10 +67,10 @@ def assert_matches_dense(H, delta, switch, t=0.7):
     assert isinstance(spec, ChiralSpectrum)
     dense = dense_eigh(M)
     norm = float(np.linalg.norm(M, 2))
-    assert np.abs(spec.eigenvalues - dense[0]).max() <= 1e-12 * max(1.0, norm)
-    for name, f, lipschitz in functions(delta, t):
+    assert np.abs(spectrum_values(spec) - dense[0]).max() <= 1e-12 * max(1.0, norm)
+    for name, f, function_of_H, lipschitz in functions(delta, t):
         tol = 1e-12 * max(1.0, lipschitz * norm)
-        diff = np.abs(matrix_function(spec, f) - dense_function(dense, f)).max()
+        diff = np.abs(function_of_H(H) - dense_function(dense, f)).max()
         assert diff <= tol, name
     edge, bulk = _index_diagonals(H, delta, switch)
     edge_ref, bulk_ref = dense_index_diagonals(H, delta, switch)
@@ -119,6 +114,13 @@ def _site_chains(draw):
     return build_ssh(geom, CouplingProfile(t1, t2))
 
 
+def _long_chain(convention, length, t2, extra=()):
+    geom = make_geometry(length, convention)
+    cells = geom.cells
+    profile = apply_disorder(CouplingProfile(np.full(cells, 0.5), np.full(cells, t2), extra), 7, 0.3)
+    return build_ssh(geom, profile)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     data=st.data(),
@@ -129,6 +131,55 @@ def _site_chains(draw):
 def test_chiral_path_matches_dense_property(data, H, delta, t):
     transition = data.draw(st.integers(1, H.geometry.length - 1))
     assert_matches_dense(H, delta, switch_function(H.geometry, transition), t)
+
+
+# (even, f of (w, delta, t), Lipschitz constant of f from (delta, t)).
+PARITY_FUNCTIONS = {
+    "cos": (True, lambda w, delta, t: np.cos(t * w), lambda delta, t: abs(t)),
+    "sech2": (True, lambda w, delta, t: _sech_sq(w / delta), lambda delta, t: 1.0 / delta),
+    "sin": (False, lambda w, delta, t: np.sin(t * w), lambda delta, t: abs(t)),
+    "tanh": (False, lambda w, delta, t: np.tanh(w / delta), lambda delta, t: 1.0 / delta),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_FUNCTIONS))
+@settings(max_examples=80, deadline=None)
+@given(H=_cell_chains() | _site_chains(), delta=st.floats(0.05, 5.0), t=st.floats(-3.0, 3.0))
+# An odd sites chain (a zero mode) and a complex cell chain with a coupling past the nearest cell.
+@example(H=_long_chain(Convention.ALTERNATING_SITES, 7, 1.0), delta=0.1, t=1.5)
+@example(
+    H=_long_chain(Convention.CELL_C2, 9, 1.0 + 0.5j, (ExtraCoupling(2, np.full(9, 0.3j), np.full(9, -0.2)),)),
+    delta=0.3, t=-2.0,
+)
+def test_parity_blocks_match_dense_sublattice_blocks(name, H, delta, t):
+    even, f_of, lipschitz = PARITY_FUNCTIONS[name]
+
+    def f(w):
+        return f_of(w, delta, t)
+
+    tol = 1e-12 * max(1.0, lipschitz(delta, t) * float(np.linalg.norm(H.matrix, 2)))
+    AA, AB, BA, BB = _sublattice_blocks(dense_function(dense_eigh(H.matrix), f))
+    if even:
+        got, want, zero = even_blocks(eigh(H), f), (AA, BB), (AB, BA)
+    else:
+        got, want, zero = (odd_block(eigh(H), f),), (AB,), (AA, BB)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max(initial=0.0) <= tol
+    for z in zero:
+        assert np.abs(z).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("sites", [3, 7])
+def test_parity_blocks_on_the_zero_mode(sites):
+    # Odd L: U has one column more than W.  The constant 1 is even and must
+    # reach that column (U U^dag = 1); the identity is odd and gives back T.
+    H = _long_chain(Convention.ALTERNATING_SITES, sites, 1.0)
+    spec = eigh(H)
+    assert spec.U.shape[1] == spec.sigma.size + 1
+    for block in even_blocks(spec, np.ones_like):
+        assert np.abs(block - np.eye(block.shape[0])).max() < 1e-14
+    assert np.abs(odd_block(spec, lambda w: w) - H.T).max() < 1e-14
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,12 +206,11 @@ def test_sites_zero_modes(sites):
     assert spec.U.shape == ((sites + 1) // 2,) * 2
     assert spec.W.shape == (sites // 2,) * 2
     assert spec.sigma.size == sites // 2
-    assert np.count_nonzero(spec.eigenvalues == 0.0) == zero_modes
+    assert np.count_nonzero(spectrum_values(spec) == 0.0) == zero_modes
     delta = 0.1
     # The zero mode's A-sublattice projector carries g = 1 and tanh = 0.
     zero = spec.U[:, spec.sigma.size :]
-    G = matrix_function(spec, lambda w: _sech_sq(w / delta))
-    S = matrix_function(spec, lambda w: np.tanh(w / delta))
+    G, S = gap_filter(H, delta), flattened_sign(H, delta)
     for v in zero.T:
         psi = np.zeros(sites)
         psi[0::2] = v  # the A sublattice
@@ -252,9 +302,7 @@ def test_spectrum_lives_and_dies_with_its_hamiltonian():
 
 def dense_trace_norms(H, delta, switch):
     """The trace norms as first written: SVDs of 2L x 2L matrices assembled from the spectrum."""
-    spec = eigh(H)
-    S = matrix_function(spec, lambda e: np.tanh(e / delta))
-    G = matrix_function(spec, lambda e: _sech_sq(e / delta))
+    S, G = flattened_sign(H, delta), gap_filter(H, delta)
     signs = H.geometry.sublattice_signs
     theta = switch.basis_values()
     A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
@@ -272,7 +320,7 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
     for got, want in zip(anticommutator_trace_norms(H, delta, switch),
                          dense_trace_norms(H, delta, switch)):
         assert abs(got - want) <= 1e-13 * n * max(1.0, want)
-    min_eig = float(np.linalg.eigvalsh(matrix_function(eigh(H), lambda e: _sech_sq(e / delta))).min())
+    min_eig = float(np.linalg.eigvalsh(gap_filter(H, delta)).min())
     assert abs(gap_filter_min_eigenvalue(H, delta) - min_eig) <= 1e-14 * n
 
 
@@ -282,13 +330,6 @@ def test_propagator_block_norms_match_exp_blocks(H, t):
     got, want = propagator_block_norms(H, t), exp_block_norms(H, t)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want))
-
-
-def _long_chain(convention, length, t2, extra=()):
-    geom = make_geometry(length, convention)
-    cells = geom.cells
-    profile = apply_disorder(CouplingProfile(np.full(cells, 0.5), np.full(cells, t2), extra), 7, 0.3)
-    return build_ssh(geom, profile)
 
 
 @settings(max_examples=80, deadline=None)
@@ -322,7 +363,7 @@ def test_lieb_robinson_check_matches_full_grid(H, t, d):
 def test_step_commutator_trace_norm_matches_full_matrix(data, H, log_delta):
     delta = 10.0**log_delta
     theta = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1))).basis_values()
-    G_A, _, _, G_B = spectral.chiral_blocks(eigh(H), lambda e: _sech_sq(e / delta))
+    G_A, G_B = even_blocks(eigh(H), lambda e: _sech_sq(e / delta))
     for G, t in ((G_A, theta[0::2]), (G_B, theta[1::2])):
         want = full_commutator_trace_norm(G, t)
         assert abs(_step_commutator_trace_norm(G, t) - want) <= 1e-13 * max(1.0, want)

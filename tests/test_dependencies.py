@@ -40,3 +40,24 @@ def test_test_and_bench_imports_are_declared():
             if missing:
                 undeclared[f"{folder}/{path.name}"] = sorted(missing)
     assert undeclared == {}
+
+
+def _imported_names(tree: ast.Module) -> set:
+    """Names bound by the module's imports, ``from __future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted((ROOT / "src" / "chiralchain").glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_package_modules_use_every_name_they_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported_names(tree) - used) == []

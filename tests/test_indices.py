@@ -26,8 +26,7 @@ from chiralchain.indices import (
     windowed_edge_index,
 )
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
-from chiralchain.spectral import flattened_sign, gap_filter
-from oracles import restriction_discrepancy
+from oracles import gap_filter, restriction_discrepancy
 
 
 def ssh(L, t1, t2, convention=Convention.CELL_C2):
@@ -336,8 +335,6 @@ DELTA_TAKERS = {
     "anticommutator_trace_norms": lambda H, sw, d: anticommutator_trace_norms(H, d, sw),
     "trace_norm_checks": lambda H, sw, d: trace_norm_checks(H, d, sw, 0.5, 2.0),
     "gap_filter_min_eigenvalue": lambda H, sw, d: gap_filter_min_eigenvalue(H, d),
-    "flattened_sign": lambda H, sw, d: flattened_sign(H, d),
-    "gap_filter": lambda H, sw, d: gap_filter(H, d),
 }
 
 

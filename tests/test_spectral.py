@@ -5,15 +5,11 @@ import pytest
 
 from chiralchain.hamiltonian import ChiralHamiltonian, CouplingProfile, build_ssh
 from chiralchain.lattice import Convention, make_geometry
-from chiralchain.spectral import (
-    NumericalError,
-    eigh,
-    flattened_sign,
-    gap_filter,
-    matrix_function,
-    propagator,
+from chiralchain.spectral import NumericalError, eigh, even_blocks, odd_block
+from oracles import (
+    OracleRangeError, dense_eigh, dense_function, flattened_sign, gap_filter, placed, propagator,
+    spectrum_values, tanh_oracle,
 )
-from oracles import OracleRangeError, dense_eigh, dense_function, tanh_oracle
 
 
 def ssh(L, t1, t2):
@@ -38,16 +34,20 @@ def random_chiral(n, seed, complex_valued=False):
     return chiral(M)
 
 
+def identity(w):
+    return w
+
+
 def test_eigh_two_level():
     spec = eigh(chiral([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
+    assert np.allclose(spectrum_values(spec), [-1.0, 1.0])
     assert np.allclose(spec.sigma, [1.0])
     assert np.allclose(np.abs(spec.U), 1.0) and np.allclose(np.abs(spec.W), 1.0)
 
 
 def test_eigh_ssh_chiral_pairs():
     spec = eigh(ssh(2, 0.5, 1.0))
-    w = spec.eigenvalues
+    w = spectrum_values(spec)
     assert np.allclose(w, -w[::-1], atol=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_eigh_ssh_chiral_pairs():
 def test_eigh_reconstruction_and_orthonormality(seed):
     H = random_chiral(20, seed, complex_valued=seed % 2 == 1)
     spec = eigh(H)
-    assert np.abs(matrix_function(spec, lambda w: w) - H.matrix).max() < 1e-10
+    assert np.abs(placed(spec, odd=identity) - H.matrix).max() < 1e-10
     for Q in (spec.U, spec.W):
         assert np.abs(Q.conj().T @ Q - np.eye(10)).max() < 1e-10
 
@@ -71,35 +71,33 @@ def test_eigh_of_entries_near_float_max(M):
     # Sums of two entries overflow here; the solve must neither warn nor lose the spectrum.
     H = chiral(M)
     spec = eigh(H)
-    assert np.all(np.isfinite(spec.eigenvalues))
-    assert np.abs(matrix_function(spec, lambda w: w) - H.matrix).max() < 1e-12 * 1e308
+    assert np.all(np.isfinite(spectrum_values(spec)))
+    assert np.abs(placed(spec, odd=identity) - H.matrix).max() < 1e-12 * 1e308
 
 
-@pytest.mark.parametrize("f", [eigh, lambda M: flattened_sign(M, 0.5),
-                               lambda M: gap_filter(M, 0.5), lambda M: propagator(M, 0.5)],
-                         ids=["eigh", "flattened_sign", "gap_filter", "propagator"])
-def test_plain_array_is_type_error(f):
+def test_plain_array_is_type_error():
     with pytest.raises(TypeError, match="ChiralHamiltonian.from_matrix"):
-        f(np.eye(2))
+        eigh(np.eye(2))
 
 
-def test_matrix_function_identity_and_constant():
+def test_parity_blocks_identity_and_constant():
     H = random_chiral(12, 3)
     spec = eigh(H)
-    assert np.abs(matrix_function(spec, lambda w: w) - H.matrix).max() < 1e-10
-    assert np.abs(matrix_function(spec, lambda w: np.ones_like(w)) - np.eye(12)).max() < 1e-10
+    assert np.abs(placed(spec, odd=identity) - H.matrix).max() < 1e-10
+    assert np.abs(placed(spec, even=np.ones_like) - np.eye(12)).max() < 1e-10
 
 
-def test_matrix_function_square_matches_matmul():
+def test_even_blocks_square_matches_matmul():
     H = random_chiral(15, 4)
     M = H.matrix
-    assert np.abs(matrix_function(eigh(H), lambda w: w**2) - M @ M).max() < 1e-10
+    assert np.abs(placed(eigh(H), even=lambda w: w**2) - M @ M).max() < 1e-10
 
 
-def test_matrix_function_rejects_nan():
+@pytest.mark.parametrize("blocks", [even_blocks, odd_block])
+def test_parity_blocks_reject_nan(blocks):
     spec = eigh(chiral([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NumericalError):
-        matrix_function(spec, lambda w: np.where(w > 0, w, np.nan))
+        blocks(spec, lambda w: np.where(w > 0, np.nan, w))
 
 
 def test_flattened_sign_scalar_values():
@@ -141,7 +139,7 @@ def test_spectrum_mapping_under_tanh():
     H = random_chiral(18, 5)
     delta = 0.3
     S = flattened_sign(H, delta)
-    mapped = np.sort(np.tanh(eigh(H).eigenvalues / delta))
+    mapped = np.sort(np.tanh(spectrum_values(eigh(H)) / delta))
     assert np.abs(np.sort(np.linalg.eigvalsh(S)) - mapped).max() < 1e-10
 
 
@@ -165,7 +163,7 @@ def test_gap_filter_trace_matches_eigenvalue_sum():
     H = random_chiral(16, 6)
     delta = 0.2
     G = gap_filter(H, delta)
-    expected = float(np.sum(1.0 - np.tanh(eigh(H).eigenvalues / delta) ** 2))
+    expected = float(np.sum(1.0 - np.tanh(spectrum_values(eigh(H)) / delta) ** 2))
     assert np.trace(G) == pytest.approx(expected, abs=1e-10)
 
 
@@ -191,11 +189,6 @@ def test_propagator_unitary_and_group_law():
     U12 = propagator(H, 1.8)
     assert np.abs(U1.conj().T @ U1 - np.eye(14)).max() < 1e-9
     assert np.abs(U1 @ U2 - U12).max() < 1e-9
-
-
-def test_propagator_requires_finite_time():
-    with pytest.raises(ValueError):
-        propagator(ssh(2, 0.5, 1.0), math.inf)
 
 
 # --- the oracles (tests/oracles.py) --------------------------------------------
