@@ -213,6 +213,14 @@ def edge_filter_decay_check(
     Reports gamma_star, the largest measured ratio against the envelope, and
     passes when it stays under 10 L^2.  1 - S^2 is even in H, so its A-B
     and B-A blocks are zero.
+
+    An overstated half gap is caught only where the edge term
+    e^{-L / (4 d')} at mid-chain falls below the sech^2 norms there by more
+    than 10 L^2.  At the correlation length the CLI derives that takes long
+    chains: for the SSH chain t1 = 0.5, t2 = 1 at delta = 0.1 and decay
+    length 1, d' is 75.6 cells, and chains of 30, 60 and up to 3000 cells
+    pass with half gap 5 just as with the true 0.5 (gamma_star 0.75 in
+    both, set at the edges).
     """
     delta = _as_positive("delta", delta)
     half_gap = _as_positive("half_gap", half_gap, zero_ok=True)

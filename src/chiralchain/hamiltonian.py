@@ -11,11 +11,13 @@ triangle, and both chains read them as entries of their A->B block.  The
 open chain adds them into the nonzero diagonals of T, the only data a
 ``ChiralHamiltonian`` stores: every chain the CLI builds is banded, so that
 is about 2L numbers where the dense T would hold L^2 and the 2L x 2L matrix
-4 L^2.  ``bulk_gap`` places the ring's into a sparse T_ring and takes its
-smallest singular value, so its cost grows with L * coupling_range.  The
-ring is the open chain of the periodically tiled profile plus the wrap
-bonds x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell
-chain of (L + 1) // 2 cells cropped to its first L basis states.
+4 L^2.  ``bulk_gap`` places the ring's into a band T_ring, folded so that
+the wrap bonds stay in the band, and takes its smallest singular value by
+Lanczos on the inverse of T_ring T_ring^dag, applied through one band LU
+factorization, so its cost grows with L * coupling_range.  The ring is the
+open chain of the periodically tiled profile plus the wrap bonds
+x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell chain of
+(L + 1) // 2 cells cropped to its first L basis states.
 
 Chirality and Hermiticity are structural here: H = [[0, T], [T^dag, 0]] in
 sublattice order, so ``H C + C H = 0`` and ``H = H^dag`` hold exactly.  A
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .lattice import ChainGeometry, Convention
 
 # Bond-kind tags for the disorder streams; fixed so a draw depends only on
@@ -421,65 +424,157 @@ def bulk_gap(profile: CouplingProfile, l_ring: int | None = None) -> float:
     +-sigma for the singular values sigma of its A->B block T_ring, and the
     half gap is sigma_min.  T_ring (l_ring x l_ring) is placed from the
     ring's bonds (``_ring_bonds``) as ``build_ssh`` places the open chain's,
-    as a sparse matrix, and factored once by SuperLU.  ARPACK finds the
-    largest eigenvalue s^2 / sigma_min^2 of s^2 (T_ring T_ring^dag)^-1,
-    applied by two solves with that factorization; s is the power of two
-    near sigma_min that one solve finds, so the scaling is exact and the
-    operator stays near 1 where 1 / sigma_min^2 would overflow.  Time and
-    memory grow with l_ring * coupling_range.  The start vector is a
-    fixed-seed Gaussian (a constant vector lies in one symmetry sector of a
-    clean ring).  A ring of 2 cells, below ARPACK's smallest dimension,
-    takes |det T_ring| / sigma_max.  An exactly singular ring (a closed
-    gap) gives 0.0.  An ARPACK failure, and a solve that overflows (a gap
-    near the float underflow), raise NumericalError; the overflow is caught
-    before ARPACK sees it.  Clean, translation-invariant rings converge
-    slowest, because their band edge is a near-continuum.
+    in folded order (``_folded_order``), where the ring's cyclic band of
+    width r is an ordinary band of width at most 2r.  It is factored once
+    by LAPACK's band LU with partial pivoting (``gbtrf``, through
+    ``_lapack``), and an exactly zero pivot (a closed gap) gives 0.0.
+    Lanczos (``_top_eigenvalue``) then finds the largest eigenvalue
+    s^2 / sigma_min^2 of s^2 (T_ring T_ring^dag)^-1, applied by two solves
+    with those factors; s is the power of two near sigma_min that one solve
+    finds, so the scaling is exact and the operator stays near 1 where
+    1 / sigma_min^2 would overflow.  Time and memory grow with
+    l_ring * coupling_range, times the Lanczos steps for time: 29 to 75 for
+    disordered-defect rings of 1000 to 40000 cells, and about l_ring / 4 for a clean,
+    translation-invariant ring, whose band edge is a near-continuum.  The
+    start vector is a fixed-seed Gaussian (a constant vector lies in one
+    symmetry sector of a clean ring).  A solve that overflows (a gap near the float underflow),
+    and Lanczos that does not converge, raise NumericalError.  A numpy
+    whose LAPACK lacks the band kernels takes the smallest singular value
+    of the dense T_ring instead (``_dense_ring_gap``), on rings of at most
+    _DENSE_RING_CELLS cells.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
     if l_ring is None:
         l_ring = 4 * profile.length
     a, b, values = _block_entries(_ring_bonds(profile, l_ring))
-    T = scipy.sparse.csc_array((values, (a, b)), shape=(l_ring, l_ring))
-    try:
-        lu = scipy.sparse.linalg.splu(T)
-    except RuntimeError as exc:
-        # SuperLU's report of a zero pivot: zero is a singular value.
-        if "exactly singular" in str(exc):
-            return 0.0
-        raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
-    if l_ring == 2:
-        # ARPACK needs a complex operator's dimension above k + 1 = 2.  The
-        # pivots give det T to relative accuracy, where a dense SVD would
-        # hold sigma_min only to eps * sigma_max.
-        pivots = np.abs(lu.U.diagonal())
-        largest = _cell_block_norms(*T.toarray().reshape(4, 1))[0]
-        return float(pivots[0] / largest * pivots[1])
+    dtype = np.dtype(np.complex128 if np.iscomplexobj(values) else np.float64)
+    if _lapack.band_kernels(dtype) is None:
+        return _dense_ring_gap(a, b, values, l_ring, dtype)
+    fold = _folded_order(l_ring)
+    rows, cols = fold[a], fold[b]
+    kl, ku = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+    band = np.zeros((l_ring, 2 * kl + ku + 1), dtype)
+    np.add.at(band, (cols, kl + ku + rows - cols), values)
+    lu = _lapack.BandLU(band, kl)
+    if lu.singular:
+        # An exactly zero pivot: zero is a singular value.
+        return 0.0
 
     def checked(x):
-        # ARPACK's LAPACK calls print to standard output on non-finite input.
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(
-                f"bulk gap of a {l_ring}-cell ring: the inverse overflows for ARPACK"
-            )
+        if not np.isfinite(x).all():
+            raise NumericalError("the inverse overflows")
         return x
 
+    def gram_inverse(v):
+        # s^2 (T T^dag)^-1 v, scaled by s and checked after each solve.
+        x = lu.solve(v)
+        x *= s
+        x = lu.solve(checked(x), trans=b"C")
+        x *= s
+        return checked(x)
+
     v0 = np.random.default_rng(0).standard_normal(l_ring)
-    # max |T^-1 v0| is about 1 / sigma_min; capped so that s stays finite.
-    growth = np.abs(checked(lu.solve(v0))).max()
-    s = math.ldexp(1.0, min(-int(np.frexp(growth)[1]), 1000))
-    gram_inverse = scipy.sparse.linalg.LinearOperator(
-        (l_ring, l_ring), dtype=values.dtype,
-        matvec=lambda v: checked(s * lu.solve(s * lu.solve(v), trans="H")),
-    )
     try:
-        lam = scipy.sparse.linalg.eigsh(
-            gram_inverse, k=1, which="LM", v0=v0, return_eigenvectors=False
-        )
-    except scipy.sparse.linalg.ArpackError as exc:
+        # max |T^-1 v0| is about 1 / sigma_min; capped so that s stays finite.
+        growth = np.abs(checked(lu.solve(v0))).max()
+        s = math.ldexp(1.0, min(-int(np.frexp(growth)[1]), 1000))
+        top = _top_eigenvalue(gram_inverse, v0)
+    except NumericalError as exc:
         raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
-    return float(s / np.sqrt(lam[0]))
+    return float(s / np.sqrt(top))
+
+
+# Largest ring the dense fallback of ``bulk_gap`` takes: its T_ring and the
+# SVD's workspace then stay within tens of MB.
+_DENSE_RING_CELLS = 1024
+
+
+def _dense_ring_gap(a, b, values, l_ring: int, dtype: np.dtype) -> float:
+    """Smallest singular value of the dense T_ring; 0.0 where it is within rounding of zero.
+
+    A dense SVD resolves singular values only to about eps * sigma_max, so
+    one at or below that reads as a closed gap, as an exact zero pivot does
+    on the band route.
+    """
+    if l_ring > _DENSE_RING_CELLS:
+        raise NumericalError(
+            f"bulk gap of a {l_ring}-cell ring: numpy's LAPACK lacks the band kernels, "
+            f"and the dense fallback takes at most {_DENSE_RING_CELLS} cells"
+        )
+    T = np.zeros((l_ring, l_ring), dtype)
+    np.add.at(T, (a, b), values)
+    try:
+        sigma = np.linalg.svd(T, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"bulk gap of a {l_ring}-cell ring: {exc}") from exc
+    return 0.0 if sigma[-1] <= np.finfo(float).eps * sigma[0] else float(sigma[-1])
+
+
+def _folded_order(n: int) -> np.ndarray:
+    """Position of each ring cell when the ring is folded flat.
+
+    Cell x goes to 2x in the first half and to 2(n - 1 - x) + 1 in the
+    second, so cells k apart around the ring, across the wrap too, end up
+    at most 2k apart: a cyclic band of width r becomes a band of width 2r.
+    """
+    x = np.arange(n)
+    return np.where(x < (n + 1) // 2, 2 * x, 2 * (n - 1 - x) + 1)
+
+
+# The top Ritz value is accepted when its residual meets ARPACK's test
+# r <= eps theta.
+_RITZ_TOL = float(np.finfo(float).eps)
+
+# Basis vectors Lanczos keeps; when they are all in use it restarts from
+# the top half of its Ritz vectors.
+_LANCZOS_BASIS = 64
+
+# Lanczos gives up after this many steps per ring cell; a clean ring, the
+# slowest to converge, takes about one step per four cells.
+_LANCZOS_STEPS_PER_CELL = 10
+
+
+def _top_eigenvalue(apply, start: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian positive-definite operator ``apply``, by thick-restart Lanczos.
+
+    Each new vector is orthogonalized against the whole basis by classical
+    Gram-Schmidt, twice.  The projected matrix H is the Lanczos tridiagonal,
+    and the Ritz values are its eigenvalues, computed at every step: near
+    the tolerance the residual estimate of the top one reaches its minimum
+    and then grows again, so a step skipped there can cost a restart.  When
+    the basis is full it is replaced by the top half of the Ritz vectors and
+    the residual direction (Wu and Simon's thick restart), which couples to
+    each Ritz vector by its residual: H starts again as their diagonal of
+    Ritz values and that arrow, and memory stays at _LANCZOS_BASIS vectors.
+    """
+    n = start.size
+    m = min(n, _LANCZOS_BASIS)
+    q, basis, H, k = start / np.linalg.norm(start), None, None, 0
+    for _ in range(_LANCZOS_STEPS_PER_CELL * n):
+        w = apply(q)
+        if basis is None:
+            basis, H = np.empty((m, n), w.dtype), np.zeros((m, m), w.dtype)
+        basis[k] = q
+        H[k, k] = np.vdot(q, w).real
+        k += 1
+        Q = basis[:k]
+        for _ in range(2):
+            w -= (Q @ w.conj()).conj() @ Q
+        r = math.sqrt(np.vdot(w, w).real)
+        if k < m:
+            H[k, k - 1] = H[k - 1, k] = r
+        theta, Y = np.linalg.eigh(H[:k, :k])
+        top = theta[-1]
+        if k == n or r * abs(Y[-1, -1]) <= _RITZ_TOL * top:
+            return float(top)
+        if k == m:
+            k = m // 2
+            basis[:k] = Y[:, -k:].T @ basis
+            H[:] = 0.0
+            H[range(k), range(k)] = theta[-k:]
+            H[k, :k] = r * Y[-1, -k:]
+            H[:k, k] = H[k, :k].conj()
+        q = w / r
+    raise NumericalError(f"Lanczos did not converge in {_LANCZOS_STEPS_PER_CELL * n} steps")
 
 
 def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarray:

@@ -9,22 +9,20 @@ T = U Sigma W^dag, directly and with no input checks (they run once, in the
 constructor): the spectrum is +-sigma.  A square T stored as float64
 diagonals 0 and -1 only (every chain the CLI builds except an odd-length
 ``sites`` chain) takes one call of LAPACK's tridiagonal divide-and-conquer
-eigensolver ``dstevd`` on -T T^T, taken through ctypes from the OpenBLAS
-that numpy.linalg has loaded (symbol ``scipy_dstevd_64_``) and resolved on
-first use; the dense T is never assembled.  T is first scaled by a power of two, since the kernel
-squares its entries.  The eigenvectors are U, already in descending-sigma
-order, and ``dstevd`` needs an L^2 workspace where a bidiagonal SVD that
-also builds W needs 3 L^2.  W is recovered on the two bands:
-w = T^T u / sigma with sigma = ||T^T u||, for every column with sigma at
-least 1/8 of the largest scaled entry, BLOCK_ROWS rows at a time, so that
-the route's peak stays that workspace and, after it, U and W.  The
-remaining columns (the edge modes; all of them for T = 0) take W as an
-orthonormal basis of the complement of the recovered ones, and the small
-SVD of U^T T W on them pairs the two, so U and W stay orthonormal and
-T w = sigma u holds to rounding however many singular values are small or
-zero.  Below order 128 the kernel runs on one OpenBLAS thread: its merges
-would wake the others, which then spin.  Every other T, and a numpy whose
-LAPACK lacks that symbol, takes ``np.linalg.svd`` of the assembled dense T.
+eigensolver ``dstevd`` on -T T^T, from the OpenBLAS that numpy.linalg has
+loaded (``_lapack``); the dense T is never assembled.  T is first scaled by
+a power of two, since the kernel squares its entries.  The eigenvectors are
+U, already in descending-sigma order, and ``dstevd`` needs an L^2 workspace
+where a bidiagonal SVD that also builds W needs 3 L^2.  W is recovered on
+the two bands: w = T^T u / sigma with sigma = ||T^T u||, for every column
+with sigma at least 1/8 of the largest scaled entry, BLOCK_ROWS rows at a
+time, so that the route's peak stays that workspace and, after it, U and
+W.  The remaining columns (the edge modes; all of them for T = 0) take W
+as an orthonormal basis of the complement of the recovered ones, and the
+small SVD of U^T T W on them pairs the two, so U and W stay orthonormal
+and T w = sigma u holds to rounding however many singular values are
+small or zero.  Every other T, and a numpy whose LAPACK lacks ``dstevd``,
+takes ``np.linalg.svd`` of the assembled dense T.
 Each ``ChiralHamiltonian`` is diagonalized once:
 ``eigh`` keeps its spectrum on H, and every later function of that H
 reuses it.  Chiral symmetry makes an even f(H) block-diagonal,
@@ -39,13 +37,12 @@ dense eigendecomposition and the eigendecomposition-free ``tanh_oracle``
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import _lapack
 from .hamiltonian import ChiralHamiltonian, NumericalError
 
 
@@ -99,7 +96,7 @@ def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
         H.dtype == np.float64
         and H.shape[0] == H.shape[1]
         and set(H.offsets) <= {0, -1}
-        and (kernel := _dstevd()) is not None
+        and (kernel := _lapack.dstevd()) is not None
     ):
         return _bidiagonal_svd(kernel, H.diagonal(0), H.diagonal(-1))
     try:
@@ -109,11 +106,6 @@ def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
     return ChiralSpectrum(U, sigma, Wh.conj().T)
 
 
-# LAPACK's symmetric tridiagonal divide-and-conquer eigensolver as the
-# OpenBLAS of numpy's wheels exports it: 64-bit integers and, after the
-# declared arguments, the hidden length of the character argument.
-_DSTEVD_SYMBOL = "scipy_dstevd_64_"
-
 # A column with sigma at least this fraction of the scaled T's largest entry
 # takes w = T^T u / sigma; the rest are completed by Rayleigh-Ritz.
 _RECOVERED_FRACTION = 0.125
@@ -121,70 +113,6 @@ _RECOVERED_FRACTION = 0.125
 # Rows per block where an n x n product is reduced as it is made, so that no
 # second n x n array is live beside the spectrum.
 BLOCK_ROWS = 256
-
-# Below this order the solve runs on one OpenBLAS thread.  From n = 26 on,
-# dstevd's merges wake OpenBLAS's other threads, which then spin: through
-# repeated small solves a second core stayed busy and the slowest of them
-# got longer.  From about this order on, two threads are faster.
-_SERIAL_ORDER = 128
-
-
-@functools.cache
-def _openblas_threads():
-    """OpenBLAS's thread-count getter and setter in numpy's LAPACK, or None."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-@functools.cache
-def _dstevd():
-    """numpy's own LAPACK ``dstevd``, or None where its LAPACK does not export it."""
-    try:
-        kernel = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _DSTEVD_SYMBOL)
-    except (AttributeError, OSError):
-        return None
-    kernel.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
-    kernel.restype = None
-    return kernel
-
-
-def _tridiagonal_eigh(kernel, diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvectors as rows) of the symmetric tridiagonal (diag, off).
-
-    ``dstevd`` overwrites ``diag`` with the eigenvalues and ``off`` as
-    workspace; ``off`` is declared with n - 1 entries, so the 1 x 1 matrix
-    gets one as well.  Its workspace is n^2 + 4n + 1 numbers.
-    """
-    n = diag.size
-    e = np.zeros(max(n - 1, 1))
-    e[: n - 1] = off
-    # A column-major n x n factor read back row-major is its transpose.
-    Zt = np.empty((n, n))
-    work = np.empty(n * n + 4 * n + 1)
-    iwork = np.empty(5 * n + 3, dtype=np.int64)
-    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-    threads = _openblas_threads() if n < _SERIAL_ORDER else None
-    if threads:
-        saved = threads[0]()
-        threads[1](1)
-    try:
-        kernel(
-            b"V", ctypes.byref(size), diag.ctypes.data, e.ctypes.data,
-            Zt.ctypes.data, ctypes.byref(size), work.ctypes.data, ctypes.byref(ctypes.c_int64(work.size)),
-            iwork.ctypes.data, ctypes.byref(ctypes.c_int64(iwork.size)), ctypes.byref(info), 1,
-        )
-    finally:
-        if threads:
-            threads[1](saved)
-    if info.value != 0:
-        raise NumericalError(f"bidiagonal SVD of the A->B block failed: dstevd info = {info.value}")
-    return diag, Zt
 
 
 def _bidiagonal_svd(kernel, diag: np.ndarray, sub: np.ndarray) -> ChiralSpectrum:
@@ -203,7 +131,10 @@ def _bidiagonal_svd(kernel, diag: np.ndarray, sub: np.ndarray) -> ChiralSpectrum
     d, e = diag / scale, sub / scale
     square = d * d
     square[1:] += e * e
-    lam, Ut = _tridiagonal_eigh(kernel, -square, -(d[:-1] * e))
+    try:
+        lam, Ut = _lapack.tridiagonal_eigh(kernel, -square, -(d[:-1] * e))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"bidiagonal SVD of the A->B block failed: {exc}") from exc
     bound = (_RECOVERED_FRACTION * largest / scale) ** 2
     k = int(np.count_nonzero(-lam >= bound)) if largest > 0 else 0
     # Row i of Wt is T^T u_i = d u_i + e u_i[1:]; rows k: are replaced below.

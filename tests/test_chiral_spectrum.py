@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralchain import spectral
+from chiralchain import _lapack, spectral
 from chiralchain.bounds import (
     _propagator_band, _step_commutator_trace_norm, anticommutator_trace_norms,
     gap_filter_min_eigenvalue, lieb_robinson_check,
@@ -374,13 +374,13 @@ def test_step_commutator_trace_norm_matches_full_matrix(data, H, log_delta):
 
 def test_numpy_lapack_exports_dstevd():
     # Without the symbol every chain silently takes the slower dense SVD.
-    assert spectral._dstevd() is not None
+    assert _lapack.dstevd() is not None
 
 
 def assert_bidiagonal_svd(d, e):
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     T = np.diag(d) + np.diag(e, -1)
-    spec = spectral._bidiagonal_svd(spectral._dstevd(), d, e)
+    spec = spectral._bidiagonal_svd(_lapack.dstevd(), d, e)
     n, largest = d.size, float(np.abs(T).max())
     assert spec.U.shape == spec.W.shape == (n, n) and spec.sigma.shape == (n,)
     assert np.all(spec.sigma >= 0.0) and np.all(np.diff(spec.sigma) <= 0.0)
@@ -432,7 +432,7 @@ def test_bidiagonal_svd_edge_cases(d, e, zeros):
 
 
 def test_bidiagonal_svd_of_zero_block_is_identity():
-    spec = spectral._bidiagonal_svd(spectral._dstevd(), np.zeros(4), np.zeros(3))
+    spec = spectral._bidiagonal_svd(_lapack.dstevd(), np.zeros(4), np.zeros(3))
     assert np.array_equal(spec.sigma, np.zeros(4))
     assert np.array_equal(spec.U, np.eye(4)) and np.array_equal(spec.W, np.eye(4))
 
@@ -505,7 +505,7 @@ class _Routes:
     def __init__(self, monkeypatch):
         self.dstevd = self.svd = 0
         self.before, self.T = (0, 0), None
-        kernel, svd = spectral._dstevd(), np.linalg.svd
+        kernel, svd = _lapack.dstevd(), np.linalg.svd
 
         def counted_kernel(*args):
             self.dstevd += 1
@@ -521,7 +521,7 @@ class _Routes:
             )
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_dstevd", lambda: counted_kernel if kernel else None)
+        monkeypatch.setattr(_lapack, "dstevd", lambda: counted_kernel if kernel else None)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
 
     def solve(self, H):
@@ -603,28 +603,28 @@ def test_route_follows_the_band_structure(H):
         assert _Routes(mp).solve(H) == ("dstevd" if bidiagonal else "svd")
 
 
-@pytest.mark.parametrize("length", [40, spectral._SERIAL_ORDER])
+@pytest.mark.parametrize("length", [40, _lapack.SERIAL_ORDER])
 def test_small_solves_run_on_one_openblas_thread(monkeypatch, length):
-    get, put = spectral._openblas_threads()
-    kernel, seen = spectral._dstevd(), []
+    get, put = _lapack.openblas_threads()
+    kernel, seen = _lapack.dstevd(), []
 
     def recording_kernel(*args):
         seen.append(get())
         return kernel(*args)
 
-    monkeypatch.setattr(spectral, "_dstevd", lambda: recording_kernel)
+    monkeypatch.setattr(_lapack, "dstevd", lambda: recording_kernel)
     before = get()
     put(2)
     try:
         eigh(_chain(length))
-        assert seen == [1 if length < spectral._SERIAL_ORDER else 2] and get() == 2
+        assert seen == [1 if length < _lapack.SERIAL_ORDER else 2] and get() == 2
     finally:
         put(before)
 
 
 def test_missing_kernel_falls_back_to_dense_svd(monkeypatch):
-    resolve = spectral._dstevd
-    monkeypatch.setattr(spectral, "_DSTEVD_SYMBOL", "no_such_lapack_symbol")
+    resolve = _lapack.dstevd
+    monkeypatch.setattr(_lapack, "DSTEVD_SYMBOL", "no_such_lapack_symbol")
     resolve.cache_clear()
     try:
         assert resolve() is None

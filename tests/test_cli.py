@@ -853,22 +853,31 @@ def test_figures_diagonalize_each_model_once(monkeypatch):
 
 
 def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
-    # Importing scipy.linalg costs about 23 MB of resident memory; only the
-    # theorem delta (bulk_gap) and the test oracle need scipy.  The bidiagonal
-    # SVD comes from numpy's own LAPACK, and these commands resolve it.
+    # Importing scipy.linalg or scipy.sparse.linalg costs 28-32 MB of
+    # resident memory; only the test oracles need scipy.  The bidiagonal
+    # SVD, and in theorem mode the ring's band LU, come from numpy's own
+    # LAPACK, and these commands resolve them.
+    for folder in ("theorem", "theorem-scan"):
+        (tmp_path / folder).mkdir()
     cfg = write_config(tmp_path, disordered_config(
         scan="length", geometry={"length": [10, 20], "convention": "cell"}))
+    theorem = write_config(tmp_path / "theorem", disordered_config(delta={"mode": "theorem"}))
+    theorem_scan = write_config(tmp_path / "theorem-scan", disordered_config(
+        scan="length", geometry={"length": [10, 20], "convention": "cell"}, delta={"mode": "theorem"}))
     commands = [
         ["reproduce", "fig3", "--out", str(tmp_path), "--reproducible"],
         ["reproduce", "fig4", "--out", str(tmp_path), "--reproducible"],
         ["scan", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")],
+        *([command, "--config", str(theorem), "--out", str(tmp_path / f"{command}.csv")]
+          for command in ("index", "bounds", "check")),
+        ["scan", "--config", str(theorem_scan), "--out", str(tmp_path / "theorem-scan.csv")],
     ]
     script = (
         "import json, sys\n"
         "from chiralchain.cli import main\n"
-        "from chiralchain import spectral\n"
+        "from chiralchain import _lapack\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "resolved = spectral._dstevd.cache_info().currsize == 1\n"
+        "resolved = [_lapack.dstevd.cache_info().currsize, _lapack.band_kernels.cache_info().currsize]\n"
         "print(json.dumps([codes, 'scipy' in sys.modules, resolved]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -877,16 +886,16 @@ def test_scans_and_figures_leave_scipy_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * 7, False, [1, 1]]
 
 
 def test_bidiagonal_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
-    from chiralchain import spectral
+    from chiralchain import _lapack
 
     def failing_kernel(*args):
         args[10]._obj.value = 3  # INFO: an eigenvalue did not converge
 
-    monkeypatch.setattr(spectral, "_dstevd", lambda: failing_kernel)
+    monkeypatch.setattr(_lapack, "dstevd", lambda: failing_kernel)
     cfg = write_config(tmp_path, disordered_config(
         scan="length", geometry={"length": [10, 20], "convention": "cell"}))
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
@@ -895,14 +904,31 @@ def test_bidiagonal_svd_failure_exits_2(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_bulk_gap_without_band_kernels_on_a_large_ring_exits_2(tmp_path, capsys, monkeypatch):
+    # A numpy whose LAPACK lacks the band kernels takes the dense ring only
+    # up to 1024 cells; the default ring of a 300-cell chain has 1200.
+    from chiralchain import _lapack
+
+    monkeypatch.setattr(_lapack, "band_kernels", lambda dtype: None)
+    raw = disordered_config(delta={"mode": "theorem"})
+    raw["geometry"]["length"] = 300
+    cfg = write_config(tmp_path, raw)
+    assert main(["index", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: bulk gap of a 1200-cell ring: numpy's LAPACK lacks the band kernels, "
+        "and the dense fallback takes at most 1024 cells\n"
+    )
+
+
 def test_bounds_command_leaves_scipy_special_unloaded(tmp_path):
-    # The Chebyshev tail of the propagator bound uses math.lgamma, not scipy.special.
+    # The Chebyshev tail of the propagator bound uses math.lgamma, not
+    # scipy.special, and the theorem delta's bulk gap uses no scipy at all.
     cfg = write_config(tmp_path, disordered_config(delta={"mode": "theorem"}))
     script = (
         "import sys\n"
         "from chiralchain.cli import main\n"
         "code = main(['bounds', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(code, 'scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "print(code, 'scipy' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -910,11 +936,11 @@ def test_bounds_command_leaves_scipy_special_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "True", "False"]
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is only needed by the test oracle and the bulk gap, which import it.
+    # scipy is only needed by the test oracles.
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c",

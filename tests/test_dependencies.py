@@ -1,4 +1,7 @@
-"""Every third-party module that the tests and the benchmark import is declared in pyproject.toml."""
+"""Every third-party module that the tests and the benchmark import is declared in pyproject.toml.
+
+The package itself imports no third-party module but numpy, its one runtime dependency.
+"""
 
 import ast
 import re
@@ -42,6 +45,21 @@ def test_test_and_bench_imports_are_declared():
     assert undeclared == {}
 
 
+_PACKAGE_MODULES = sorted((ROOT / "src" / "chiralchain").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _PACKAGE_MODULES, ids=lambda p: p.name)
+def test_package_imports_no_third_party_module_but_numpy(path):
+    # Relative imports (the package's own modules) have level > 0 and are not collected.
+    third_party = _top_level_imports(path) - set(sys.stdlib_module_names) - {"chiralchain", "numpy"}
+    assert sorted(third_party) == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert _requirement_names(project["dependencies"]) == {"numpy"}
+
+
 def _imported_names(tree: ast.Module) -> set:
     """Names bound by the module's imports, ``from __future__`` aside."""
     names = set()
@@ -54,7 +72,7 @@ def _imported_names(tree: ast.Module) -> set:
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in sorted((ROOT / "src" / "chiralchain").glob("*.py")) if p.name != "__init__.py"],
+    "path", [p for p in _PACKAGE_MODULES if p.name != "__init__.py"],
     ids=lambda p: p.name,
 )
 def test_package_modules_use_every_name_they_import(path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chiralchain import _lapack, hamiltonian
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
     _cell_block_norms,
@@ -23,7 +24,7 @@ from chiralchain.hamiltonian import (
     verify_chiral,
 )
 from chiralchain.lattice import Convention, make_geometry
-from oracles import dense_block, dense_ring, plain_cell_block_norms
+from oracles import dense_block, dense_ring, plain_cell_block_norms, sparse_ring_gap
 
 E = math.e
 
@@ -558,14 +559,14 @@ def test_bulk_gap_matches_dense_ring(data, cells, offsets, complex_valued, ring)
 
 def test_bulk_gap_near_underflow_is_numerical_error():
     # Bonds of 1e-200 and 1e-300 next to bonds of 2 leave a half gap near the
-    # float underflow; its inverse overflows inside ARPACK.
+    # float underflow; its inverse overflows.
     profile = CouplingProfile(np.array([2.0, 1e-200, 1e-200]), np.array([1e-200, 2.0, 1e-300]))
-    with pytest.raises(NumericalError, match="ARPACK"):
+    with pytest.raises(NumericalError, match="inverse overflows"):
         bulk_gap(profile, l_ring=3)
 
 
 def test_bulk_gap_near_underflow_keeps_stdout_clean(capfd):
-    # Non-finite values handed to ARPACK make its LAPACK calls print to fd 1.
+    # The overflow is caught before any LAPACK call sees a non-finite vector.
     profile = CouplingProfile(np.array([2.0, 1e-200, 1e-200]), np.array([1e-200, 2.0, 1e-300]))
     with pytest.raises(NumericalError):
         bulk_gap(profile, l_ring=3)
@@ -576,7 +577,7 @@ def test_bulk_gap_near_underflow_keeps_stdout_clean(capfd):
 @pytest.mark.parametrize("offsets", [(), (1,)])
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_bulk_gap_smallest_rings_match_dense_ring(l_ring, offsets, complex_valued):
-    # Two cells are below ARPACK's smallest complex dimension; three are just above it.
+    # Lanczos spans the whole ring in l_ring steps.
     for seed in range(4):
         profile = offsets_profile(5, offsets, complex_valued, seed=seed)
         assert abs(bulk_gap(profile, l_ring) - dense_gap(profile, l_ring)) <= 1e-12
@@ -590,16 +591,76 @@ def test_bulk_gap_two_cell_ring_keeps_a_graded_gap():
     assert bulk_gap(profile, l_ring=2) == pytest.approx(6.39978802923291e-06, rel=1e-14)
 
 
-def test_bulk_gap_arpack_failure_is_numerical_error(monkeypatch):
-    # ArpackNoConvergence is a RuntimeError; it must not read as a closed gap.
-    import scipy.sparse.linalg
+def test_bulk_gap_finds_the_smallest_of_a_close_cluster():
+    # Three copies of a strong dimer leave the ring's three smallest singular
+    # values within 2.3e-8 of each other: 0.25999999594594357229, then
+    # 0.26000000202702467707 twice (60-digit mpmath).  A stopping rule that
+    # takes the distance to the second Ritz value for the distance to the
+    # rest of the spectrum stops before the smallest is found, 2.3e-8 high.
+    profile = CouplingProfile(np.array([0.03, 0.5]), np.array([3.7e6, 0.26]))
+    assert bulk_gap(profile, l_ring=6) == pytest.approx(0.25999999594594357229, rel=1e-14)
 
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(NumericalError, match="no convergence"):
+def test_bulk_gap_lanczos_failure_is_numerical_error(monkeypatch):
+    # Lanczos that runs out of steps must not read as a closed gap.  With a
+    # basis of two vectors every restart keeps one Ritz vector, and on the
+    # clean 80-cell ring, whose band edge is a near-continuum, that does not
+    # converge within the 10 steps per cell.
+    monkeypatch.setattr(hamiltonian, "_LANCZOS_BASIS", 2)
+    with pytest.raises(NumericalError, match="Lanczos did not converge in 800 steps"):
         bulk_gap(CouplingProfile.constant(20, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("kl, ku", [(0, 0), (2, 2), (1, 3), (3, 1), (0, 3), (3, 0)])
+@pytest.mark.parametrize("dominant", [True, False])
+def test_band_lu_solves_match_dense(dtype, kl, ku, dominant):
+    # A column-dominant band factors with no row interchange; the others
+    # interchange rows wherever there is a subdiagonal.
+    rng = np.random.default_rng(kl + 4 * ku)
+    n = 40
+    A = np.zeros((n, n), dtype)
+    for k in range(-kl, ku + 1):
+        d = rng.standard_normal(n - abs(k))
+        A += np.diag(d + 1j * rng.standard_normal(n - abs(k)) if dtype is np.complex128 else d, k)
+    if dominant:
+        A += np.diag(np.full(n, 3.0 * (kl + ku + 1)))
+    ab = np.zeros((n, 2 * kl + ku + 1), dtype)
+    i, j = np.nonzero(A)
+    ab[j, kl + ku + i - j] = A[i, j]
+    lu = _lapack.BandLU(ab, kl)
+    assert not lu.singular
+    b = rng.standard_normal(n)
+    for trans, M in ((b"N", A), (b"C", A.conj().T)):
+        x = lu.solve(b, trans)
+        assert np.abs(M @ x - b).max() <= 1e-12 * np.abs(M).max() * np.abs(x).max()
+
+
+_CLEAN_RING = CouplingProfile.constant(250, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("profile", [
+    *(disordered_defect_profile(length, seed) for length in (40, 250, 1000, 2000) for seed in (1, 104729)),
+    _CLEAN_RING,  # the band edge is a near-continuum: Lanczos restarts
+    apply_defect(_CLEAN_RING.truncate(100), 0.2),
+    apply_disorder(_CLEAN_RING, 1, 1e-3),
+], ids=[*(f"L{length}-seed{seed}" for length in (40, 250, 1000, 2000) for seed in (1, 104729)),
+        "clean", "defect-only", "weak-disorder"])
+def test_bulk_gap_matches_sparse_ring_gap(profile):
+    # The default ring of four times the chain, as theorem mode takes it.
+    assert bulk_gap(profile) == pytest.approx(sparse_ring_gap(profile), rel=1e-14)
+
+
+def test_bulk_gap_without_band_kernels_takes_dense_svd(monkeypatch):
+    # A numpy whose LAPACK lacks the band kernels: the dense ring's smallest singular value.
+    monkeypatch.setattr(_lapack, "band_kernels", lambda dtype: None)
+    for profile, l_ring in [(disordered_defect_profile(10, 1), 40), (offsets_profile(7, (1, 3), True, seed=2), 11)]:
+        assert abs(bulk_gap(profile, l_ring) - dense_gap(profile, l_ring)) <= 1e-12
+    # The clean ring at t1 = t2 is closed: a singular value within rounding of zero reads as 0.0.
+    assert bulk_gap(CouplingProfile.constant(5, 1.0, 1.0), l_ring=10) == 0.0
+    # A ring too large for a dense matrix is an error, not a silent (l_ring)^2 array.
+    with pytest.raises(NumericalError, match="dense fallback takes at most 1024 cells"):
+        bulk_gap(disordered_defect_profile(300, 1))
 
 
 def test_bulk_gap_long_disordered_chain_stays_sparse():
