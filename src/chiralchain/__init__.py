@@ -30,7 +30,6 @@ from .hamiltonian import (
     build_ssh,
     bulk_gap,
     short_range_constant,
-    verify_chiral,
 )
 from .spectral import ChiralSpectrum, NumericalError, eigh
 from .indices import (

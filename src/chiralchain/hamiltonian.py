@@ -599,7 +599,7 @@ def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarr
     return out
 
 
-# Entries per pass of the closed form: its dozen work arrays then stay far
+# Entries per pass of the closed form: its dozen temporaries then stay far
 # below glibc's mmap threshold (128 KB at start), so they are reused from the
 # heap instead of being mapped, page-faulted and returned on every call.
 _CHUNK_ENTRIES = 4096
@@ -619,28 +619,17 @@ def _closed_form_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarra
     # Each block is scaled by its largest absolute entry so that squares
     # neither overflow nor underflow.  Its largest singular value squared is
     # the largest eigenvalue of the Gram matrix [[p, q], [conj(q), r]]; every
-    # term of that closed form is non-negative, so nothing cancels.  The
-    # intermediates go to a few reused buffers, each step the same ufunc on
-    # the same operands as the plain expression, so the bits are the same.
+    # term of that closed form is non-negative, so nothing cancels.
     dtype = np.result_type(a, b, c, d, float)
     entries = [e.astype(dtype, copy=False) for e in (a, b, c, d)]
-    scale = np.abs(entries[0])
-    work = np.empty_like(scale)
-    for e in entries[1:]:
-        np.maximum(scale, np.abs(e, out=work), out=scale)
+    mags = [np.abs(e) for e in entries]
+    scale = np.maximum(np.maximum(mags[0], mags[1]), np.maximum(mags[2], mags[3]))
     tiny = np.finfo(float).tiny
-    normal = scale >= tiny
-    a, b, c, d = (np.divide(e, scale, out=np.zeros_like(e), where=normal) for e in entries)
-    z1, z2 = np.empty_like(a), np.empty_like(a)
-    p, r = _abs2_sum(a, c, z1, z2), _abs2_sum(b, d, z1, z2)
-    half_diff = np.multiply(0.5, np.subtract(p, r, out=work), out=work)
-    half_sum = np.multiply(0.5, np.add(p, r, out=p), out=p)
-    # q = |conj(a) b + conj(c) d|
-    np.multiply(np.conjugate(a, out=z1), b, out=z1)
-    np.multiply(np.conjugate(c, out=z2), d, out=z2)
-    q = np.abs(np.add(z1, z2, out=z1), out=r)
-    norms = np.add(half_sum, np.hypot(half_diff, q, out=half_diff), out=half_sum)
-    norms = np.multiply(scale, np.sqrt(norms, out=norms), out=norms)
+    a, b, c, d = (np.divide(e, scale, out=np.zeros_like(e), where=scale >= tiny) for e in entries)
+    p = _abs2(a) + _abs2(c)
+    r = _abs2(b) + _abs2(d)
+    q = np.abs(a.conj() * b + c.conj() * d)
+    norms = scale * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
     subnormal = (scale > 0) & (scale < tiny)
     if subnormal.any():
         # numpy divides complex by real through 1 / scale, which overflows: lift by an exact 2^54.
@@ -648,15 +637,13 @@ def _closed_form_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarra
     return norms
 
 
-def _abs2_sum(x: np.ndarray, y: np.ndarray, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """|x|^2 + |y|^2 as (x conj(x)).real + (y conj(y)).real, through the work arrays zx and zy."""
-    np.multiply(x, np.conjugate(x, out=zx), out=zx)
-    np.multiply(y, np.conjugate(y, out=zy), out=zy)
-    return np.add(zx.real, zy.real)
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return (z * z.conj()).real
+    """|z|^2 entrywise; for complex z two squares and a sum, each rounded once."""
+    # numpy's complex multiply rounds z * conj(z) one way in its vector loop
+    # and another in its scalar loop, which a one-entry output in place takes.
+    if np.iscomplexobj(z):
+        return z.real**2 + z.imag**2
+    return z * z
 
 
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
@@ -703,16 +690,3 @@ def _band_offsets(H: ChiralHamiltonian) -> range:
     r = max(abs(k) for k in H.offsets)
     return range(-r, r + 1)
 
-
-def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:
-    """Largest absolute entry of M C + C M (0 for a chiral matrix).
-
-    C is the diagonal of the geometry's sublattice signs.
-    """
-    signs = geom.sublattice_signs
-    if matrix.shape != (signs.shape[0], signs.shape[0]):
-        raise ValueError(
-            f"dimension mismatch: matrix {matrix.shape}, geometry dim {signs.shape[0]}"
-        )
-    anticomm = matrix * signs[None, :] + signs[:, None] * matrix
-    return float(np.abs(anticomm).max())

@@ -17,7 +17,9 @@ A->B block.  The oracles here take the assembled matrix instead:
 - ``sparse_ring_gap``: the ring's half gap from SuperLU and ARPACK, the
   sparse route that ``bulk_gap`` replaced;
 - ``dense_block``: the open chain's T scattered into a dense L x L array,
-  the builder that the banded storage replaced.
+  the builder that the banded storage replaced;
+- ``verify_chiral``: the largest entry of HC + CH of an assembled matrix,
+  which ``check`` replaced by reading the stored diagonals of T.
 
 The forms the bound certificates replaced by exact identities stay here as
 their references:
@@ -29,8 +31,8 @@ their references:
 - ``full_commutator_trace_norm``: ||[G, theta]||_1 from the whole matrix;
 - ``full_index_diagonals``: both index diagonals from the whole L x L
   product X = U tanh(Sigma / delta) W^dag and every row of U and W;
-- ``plain_cell_block_norms``: the 2x2 closed form as plain expressions,
-  with a fresh array per step.
+- ``plain_cell_block_norms``: the 2x2 closed form on the whole array at
+  once, where the package takes it in chunks.
 
 Two dense checks that no command runs are kept as the tests' checks of the
 decay of S and of the bulk restriction: ``decay_profile``, the per-distance
@@ -200,21 +202,29 @@ def dense_block(geom: ChainGeometry, profile: CouplingProfile) -> np.ndarray:
     return np.ascontiguousarray(T[:, : geom.total_dim // 2])
 
 
-def exp_block_norms(H, t: float) -> np.ndarray:
-    """``block_norms`` of exp(itH) = cos(tH) + i sin(tH), read from its four complex blocks."""
-    t = float(t)
+def _propagator_blocks(H, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C_AA, C_BB, S_AB): the blocks of cos(tH) and sin(tH).
+
+    exp(i 0 H) is read as the identity: cos(0 H) from the eigenvectors
+    would carry their rounding off the diagonal.
+    """
+    if t == 0.0:
+        a, b = H.shape
+        return np.eye(a), np.eye(b), np.zeros((a, b))
     spec = eigh(H)
     C_AA, C_BB = even_blocks(spec, lambda w: np.cos(t * w))
-    S_AB = odd_block(spec, lambda w: np.sin(t * w))
+    return C_AA, C_BB, odd_block(spec, lambda w: np.sin(t * w))
+
+
+def exp_block_norms(H, t: float) -> np.ndarray:
+    """``block_norms`` of exp(itH) = cos(tH) + i sin(tH), read from its four complex blocks."""
+    C_AA, C_BB, S_AB = _propagator_blocks(H, float(t))
     return block_norms((C_AA, 1j * S_AB, 1j * S_AB.conj().T, C_BB), H.geometry)
 
 
 def propagator_block_norms(H, t: float) -> np.ndarray:
     """``block_norms`` of exp(itH) on the full grid, as those of (C_AA, S_AB, S_BA, -C_BB)."""
-    t = float(t)
-    spec = eigh(H)
-    C_AA, C_BB = even_blocks(spec, lambda w: np.cos(t * w))
-    S_AB = odd_block(spec, lambda w: np.sin(t * w))
+    C_AA, C_BB, S_AB = _propagator_blocks(H, float(t))
     return block_norms((C_AA, S_AB, S_AB.conj().T, np.negative(C_BB, out=C_BB)), H.geometry)
 
 
@@ -232,6 +242,15 @@ def full_grid_lieb_robinson(H, t: float, decay_length: float, coupling_norm: flo
     return BoundCertificate(
         f"lieb_robinson_t{t:g}", lhs, margin, margin >= 0.0, noise_floor=noise_floor
     )
+
+
+def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:
+    """Largest absolute entry of M C + C M (0 for a chiral matrix), C the diagonal of the sublattice signs."""
+    signs = geom.sublattice_signs
+    if matrix.shape != (signs.shape[0], signs.shape[0]):
+        raise ValueError(f"dimension mismatch: matrix {matrix.shape}, geometry dim {signs.shape[0]}")
+    anticomm = matrix * signs[None, :] + signs[:, None] * matrix
+    return float(np.abs(anticomm).max())
 
 
 def full_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:

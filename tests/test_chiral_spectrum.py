@@ -345,6 +345,14 @@ def test_propagator_block_norms_match_exp_blocks(H, t):
     H=_long_chain(Convention.CELL_C2, 80, 1.0 + 0.5j, (ExtraCoupling(2, np.full(80, 0.3j), np.full(80, -0.2)),)),
     t=0.4, d=2.0,
 )
+# At t = 0 both read the identity, exactly.
+@example(
+    H=ChiralHamiltonian(
+        (-1, 0), (np.array([2.0, 0.5]), np.array([0.9375, 1.5, 0.44140625])),
+        make_geometry(6, Convention.ALTERNATING_SITES),
+    ),
+    t=0.0, d=1.0,
+)
 def test_lieb_robinson_check_matches_full_grid(H, t, d):
     K = short_range_constant(H, d)
     got, want = lieb_robinson_check(H, t, d, K), full_grid_lieb_robinson(H, t, d, K)

@@ -18,11 +18,14 @@ from chiralchain.cli import (
     reproduce_fig3,
     reproduce_fig4,
     run,
+    _assembly_defect,
     self_check,
 )
-from chiralchain.hamiltonian import ChiralHamiltonian
+from chiralchain.hamiltonian import ChiralHamiltonian, CouplingProfile, build_ssh
 from chiralchain.indices import INDEX_CSV_HEADER
+from chiralchain.lattice import Convention, make_geometry
 from chiralchain.svgplot import emit_plot
+from oracles import verify_chiral
 
 
 def base_config(**overrides):
@@ -569,6 +572,52 @@ def test_self_check_passes_on_valid_model():
     assert all(ok for _, ok, _ in results)
 
 
+def dense_defects(H) -> tuple[float, float]:
+    """max |H - H^dag| and max |HC + CH|, scanned on the assembled matrix."""
+    M = H.matrix
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(M - M.conj().T).max()), verify_chiral(M, H.geometry)
+
+
+@pytest.mark.parametrize("geometry", [
+    {"length": 20, "convention": "cell"},
+    {"length": 41, "convention": "sites"},
+])
+def test_check_structure_lines_are_the_dense_reading(tmp_path, capsys, monkeypatch, geometry):
+    import chiralchain.cli as cli_module
+
+    built = []
+    build = cli_module.build_ssh
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_ssh", recorded)
+    assert main(["check", "--config", str(write_config(tmp_path, disordered_config(geometry=geometry)))]) == 0
+    herm, chir = dense_defects(built[0])
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"check hermiticity: ok (max |H - H^dag| = {herm:.3e})",
+        f"check chirality: ok (max |HC + CH| = {chir:.3e})",
+    ]
+
+
+@pytest.mark.parametrize("entry", [
+    1e308, -0.0, 1e308 - 1e308j, math.inf, -math.inf, math.nan,
+    complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0),
+])
+@pytest.mark.parametrize("convention", [Convention.CELL_C2, Convention.ALTERNATING_SITES])
+def test_assembly_defect_is_the_dense_scan_of_any_stored_entry(entry, convention):
+    # Entries the builder rejects reach H only through its constructor.
+    geom = make_geometry(7, convention)
+    H = build_ssh(geom, CouplingProfile.constant(geom.cells, 0.5, 1.0))
+    diagonals = [d.astype(type(entry)) for d in H.diagonals]
+    diagonals[-1][1] = entry
+    H = ChiralHamiltonian(H.offsets, tuple(diagonals), geom)
+    herm, chir = dense_defects(H)
+    assert repr(_assembly_defect(H)) == repr(herm) == repr(chir)
+
+
 # --- command line ------------------------------------------------------------------------
 
 
@@ -1052,9 +1101,9 @@ def _count_matrix_reads(monkeypatch) -> list:
 
 @pytest.mark.parametrize("convention", ["cell", "sites"])
 def test_production_commands_never_assemble_the_matrix(tmp_path, capsys, monkeypatch, convention):
-    # scan, index, bounds and the figures work on T and on the sublattice
-    # blocks of its functions; only check measures the Hermiticity and
-    # chirality of the assembled matrix.
+    # Every command works on the stored diagonals of T and on the sublattice
+    # blocks of its functions; check reads Hermiticity and chirality from
+    # the diagonals too.
     geometry = {"length": 41, "convention": convention}
     theorem = write_config(tmp_path, disordered_config(geometry=geometry, delta={"mode": "theorem"}))
     scan = tmp_path / "scan.json"
@@ -1065,6 +1114,7 @@ def test_production_commands_never_assemble_the_matrix(tmp_path, capsys, monkeyp
         ["scan", "--config", str(scan), "--reproducible"],
         ["index", "--config", str(theorem), "--reproducible"],
         ["bounds", "--config", str(theorem), "--reproducible"],
+        ["check", "--config", str(theorem)],
     ]
     if convention == "cell":
         commands += [["reproduce", fig, "--out", str(tmp_path), "--reproducible"]
@@ -1072,5 +1122,3 @@ def test_production_commands_never_assemble_the_matrix(tmp_path, capsys, monkeyp
     for argv in commands:
         assert main(argv) == 0, argv
         assert reads == [], argv
-    assert main(["check", "--config", str(theorem)]) == 0
-    assert len(reads) == 1

@@ -21,10 +21,9 @@ from chiralchain.hamiltonian import (
     build_ssh,
     bulk_gap,
     short_range_constant,
-    verify_chiral,
 )
 from chiralchain.lattice import Convention, make_geometry
-from oracles import dense_block, dense_ring, plain_cell_block_norms, sparse_ring_gap
+from oracles import dense_block, dense_ring, plain_cell_block_norms, sparse_ring_gap, verify_chiral
 
 E = math.e
 
@@ -720,7 +719,7 @@ def test_block_norms_match_svd(data, cells, complex_valued):
     got = block_norms(_sublattice_blocks(M), make_geometry(cells))
     assert np.all((got == 0) == (want == 0))
     assert np.all(np.abs(got - want) <= 8 * _EPS * want)
-    # The buffered closed form keeps every bit of the plain expressions.
+    # The package's closed form keeps every bit of the oracle's.
     assert got.tobytes() == plain_cell_block_norms(*_sublattice_blocks(M)).tobytes()
 
 
@@ -973,6 +972,11 @@ def full_grid_short_range_constant(H, decay_length):
 # A complex block whose largest entry is subnormal.
 @example(
     chain=(make_geometry(2), CouplingProfile(t1=[0j, 0j], t2=[2.22507386e-309j, 0j])),
+    decay_length=1.0,
+)
+# |2 + 1.75i|^2 on a one-entry band diagonal and among the four entries of the full grid.
+@example(
+    chain=(make_geometry(2), CouplingProfile(t1=[0, 0], t2=[2 + 1.75j, 0])),
     decay_length=1.0,
 )
 def test_banded_short_range_constant_is_the_full_grid_sum(chain, decay_length):
