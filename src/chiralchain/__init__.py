@@ -47,6 +47,7 @@ from .bounds import (
     anticommutator_trace_norms,
     correlation_length,
     edge_filter_decay_check,
+    gap_filter_blocks,
     lieb_robinson_check,
     trace_norm_checks,
 )

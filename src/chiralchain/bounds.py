@@ -2,7 +2,10 @@
 
 Each check reads a function of H only as its sublattice blocks: those of
 an even function from ``spectral.even_blocks``, the A-B block of an odd one
-from ``spectral.odd_block``.  It compares measured norms against a proven
+from ``spectral.odd_block``.  One pair of 1 - S^2 blocks
+(``gap_filter_blocks``) serves the edge filter and both trace norms.  The
+propagator check makes the same products only on the band of diagonals it
+reads (``_band_product``).  Each check compares measured norms against a proven
 envelope and reports the margin honestly: a certificate that fails is
 reported failing.  The big-O style statements are certified as "a
 polynomially bounded constant exists": gamma_star, the largest ratio of a
@@ -22,12 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, _as_positive, _band_offsets, _cell_block_norms, block_norms
+from .hamiltonian import (
+    _CHUNK_ENTRIES, ChiralHamiltonian, _as_positive, _band_offsets, _cell_block_norms, block_norms,
+)
 from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, step_length
-from .spectral import _ratio, _sech_sq, eigh, even_blocks, odd_block
+from .spectral import ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block
 
 BOUND_CSV_HEADER = ["bound_name", "L", "delta", "margin", "gamma_star", "pass"]
 
@@ -96,7 +102,8 @@ def lieb_robinson_check(
     from cos and b, c from sin, and the unitary diagonal factors keep the
     largest singular value of a cell block and every absolute entry.  So
     the norms are those of (C_AA, S_AB, S_BA, -C_BB): real matrices for a
-    real T, from three products of L x L factors instead of four complex ones.
+    real T, from three products instead of four complex ones, each made only
+    on the diagonals up to the reach (``_propagator_blocks``).
     """
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
@@ -108,16 +115,18 @@ def lieb_robinson_check(
     reach, tail = _propagator_band(H, t, noise_floor)
     offsets = [k for k in range(-reach, reach + 1) if abs(k) >= decay_length]
     spec = eigh(H)
-    C_AA, C_BB = even_blocks(spec, lambda w: np.cos(t * w))
-    S_AB = odd_block(spec, lambda w: np.sin(t * w))
-    blocks = (C_AA, S_AB, S_AB.conj().T, np.negative(C_BB, out=C_BB))
-    lhs = _diagonal_block_norms(blocks, offsets, H.geometry)
+    sizes = [last + 1 - abs(k) for k in offsets]
+    # The certificate keeps lhs: made before the bands, it leaves no hole in the heap when they are freed.
+    lhs = np.empty(sum(sizes))
+    cells = H.geometry.convention is Convention.CELL_C2
+    # A site diagonal 2m or 2m + 1 reads sublattice diagonals m and -(m + 1).
+    blocks = _propagator_blocks(spec, t, reach if cells else (reach + 1) // 2)
+    _diagonal_block_norms(blocks, offsets, H.geometry, lhs)
     # The largest norm on each in-band diagonal and, past the band, the tail at the farthest pair.
     far = reach < last and last >= decay_length
     dist = np.abs(np.array(offsets + ([last] if far else []), dtype=int))
     worst = np.full(dist.size, tail)
     if offsets:
-        sizes = [last + 1 - abs(k) for k in offsets]
         worst[: len(offsets)] = np.maximum.reduceat(lhs, np.cumsum([0] + sizes[:-1]))
     with np.errstate(over="ignore"):
         rhs = 2.0 * abs(t) * coupling_norm * np.exp(abs(t) * coupling_norm - dist / decay_length)
@@ -181,38 +190,116 @@ def _chebyshev_log_tail(x: float, degree: int) -> float:
     )
 
 
-def _diagonal_block_norms(
-    blocks: tuple[np.ndarray, ...], offsets: list[int], geom: ChainGeometry
-) -> np.ndarray:
-    """``block_norms`` of M on the position diagonals y - x = k, k in ``offsets``, one after the other.
+def _propagator_blocks(spec: ChiralSpectrum, t: float, half_width: int) -> tuple[Callable, ...]:
+    """(C_AA, S_AB, S_BA, -C_BB) of exp(itH), each as a function from offsets to those diagonals.
 
-    M is given as its four sublattice blocks, as ``block_norms`` takes them.
-    Under CELL_C2 the cell diagonals are those of the four blocks, through
-    one closed-form call.  Under ALTERNATING_SITES the site diagonal k = 2m
-    holds the entries of the A-A and B-B diagonals m, and k = 2m + 1 those
-    of the A-B diagonal m and the B-A diagonal m + 1.
+    The diagonals come one after the other, their offsets at most
+    ``half_width`` in size.  Each entry is made as
+    ``even_blocks`` and ``odd_block`` make it: C_AA and C_BB are the
+    Hermitian parts of U cos(t Sigma) U^dag and W cos(t Sigma) W^dag
+    (cos(0) on the zero modes), halved before they are added, S_AB is
+    U sin(t Sigma) W^dag and S_BA its conjugate transpose; only their bands
+    are computed.
+    """
+    U, W, k = spec.U, spec.W, spec.sigma.size
+    cos = _checked_values(lambda w: np.cos(t * w), spec.column_sigma(max(U.shape[1], W.shape[1])))
+    C_A = _band_product(U, cos[: U.shape[1]], U, half_width)
+    C_B = _band_product(W, cos[: W.shape[1]], W, half_width)
+    S = _band_product(U[:, :k], _checked_values(lambda w: np.sin(t * w), spec.sigma), W[:, :k], half_width)
+
+    def diagonals(band, offsets, cols):  # of the matrix with ``cols`` columns whose band is ``band``
+        rows = band.shape[1]
+        return np.concatenate([band[half_width + j, max(0, -j) : min(rows, cols - j)] for j in offsets])
+
+    def hermitian(band, offsets):
+        n = band.shape[1]
+        return diagonals(band, offsets, n) / 2.0 + diagonals(band, [-j for j in offsets], n).conj() / 2.0
+
+    return (
+        lambda offsets: hermitian(C_A, offsets),
+        lambda offsets: diagonals(S, offsets, W.shape[0]),
+        lambda offsets: diagonals(S, [-j for j in offsets], W.shape[0]).conj(),
+        lambda offsets: np.negative(hermitian(C_B, offsets)),
+    )
+
+
+# Rows of X per product of ``_band_product``: each reaches the columns of the
+# band beside it, so work falls with the rows until the calls' overhead rises.
+_BAND_ROWS = 64
+
+
+def _band_product(X: np.ndarray, d: np.ndarray, Y: np.ndarray, half_width: int) -> np.ndarray:
+    """Diagonals -h..h of M = X diag(d) Y^dag, h = half_width: ``band[h + k, i] = M[i, i + k]``.
+
+    M is made _BAND_ROWS rows at a time, each row block against only the
+    rows of Y its band reaches, in one reused buffer: every entry is the dot
+    product of the full product, and no array of M's size is formed.  Entries
+    of ``band`` that fall outside M are left unset.  A zero d gives zeros,
+    as ``spectral`` skips that product.
+    """
+    m, n, h = X.shape[0], Y.shape[0], half_width
+    dtype = np.result_type(X, d, Y)
+    band = np.empty((2 * h + 1, m), dtype)
+    if not np.any(d):
+        band.fill(0.0)
+        return band
+    rows = min(m, _BAND_ROWS)
+    scaled = np.empty_like(X[:rows], dtype)  # X's layout, so BLAS is called as for X * d
+    block = np.empty((rows, rows + 2 * h), dtype)  # column c holds M's column i - h + c
+    strides = (block.strides[0] + block.strides[1], block.strides[1])
+    for i in range(0, m, rows):
+        r = min(rows, m - i)
+        lo, hi = max(0, i - h), min(n, i + r + h)
+        np.multiply(X[i : i + r], d, out=scaled[:r])
+        np.matmul(scaled[:r], Y[lo:hi].conj().T, out=block[:r, lo - i + h : hi - i + h])
+        # Row p of the block holds diagonal k of M at column p + h + k: a view one column further per row.
+        band[:, i : i + r] = np.ndarray((r, 2 * h + 1), dtype, block, strides=strides).T
+    return band
+
+
+def _diagonal_block_norms(
+    blocks: tuple[Callable, ...], offsets: list[int], geom: ChainGeometry, out: np.ndarray
+) -> None:
+    """Write ``block_norms`` of M on the position diagonals y - x = k, k in ``offsets``, into ``out``.
+
+    The diagonals come one after the other.  M is given as its four
+    sublattice blocks, as ``block_norms`` takes them, each as a function
+    from a list of offsets to those diagonals.  Under
+    CELL_C2 the cell diagonals are those of the four blocks, through the
+    closed form, a chunk's worth of diagonals per call.  Under
+    ALTERNATING_SITES the site diagonal k = 2m holds the entries of the A-A
+    and B-B diagonals m, and k = 2m + 1 those of the A-B diagonal m and the
+    B-A diagonal m + 1.
     """
     if not offsets:
-        return np.zeros(0)
+        return
     if geom.convention is Convention.CELL_C2:
-        return _cell_block_norms(*(np.concatenate([np.diagonal(M, k) for k in offsets]) for M in blocks))
+        per_call, start = max(1, _CHUNK_ENTRIES // geom.length), 0
+        for i in range(0, len(offsets), per_call):
+            norms = _cell_block_norms(*(M(offsets[i : i + per_call]) for M in blocks))
+            out[start : start + norms.size] = norms
+            start += norms.size
+        return
     AA, AB, BA, BB = blocks
     parts = []
     for k in offsets:
         m = k // 2
         pairs = ((AA, m), (BB, m)) if k % 2 == 0 else ((AB, m), (BA, m + 1))
-        parts += [np.diagonal(M, j) for M, j in pairs]
-    return np.abs(np.concatenate(parts))
+        parts += [M([j]) for M, j in pairs]
+    np.abs(np.concatenate(parts), out=out)
 
 
 def edge_filter_decay_check(
-    H: ChiralHamiltonian, delta: float, half_gap: float, correlation_length: float
+    H: ChiralHamiltonian, delta: float, half_gap: float, correlation_length: float,
+    filter_blocks: tuple[np.ndarray, np.ndarray],
 ) -> BoundCertificate:
     """Certify ||(1-S^2)_{x,y}|| <= gamma * (e^{-max(d_x,d_y)/(2 d')} + e^{-2 Delta/delta}).
 
     Reports gamma_star, the largest measured ratio against the envelope, and
-    passes when it stays under 10 L^2.  1 - S^2 is even in H, so its A-B
-    and B-A blocks are zero.
+    passes when it stays under 10 L^2.  ``filter_blocks`` is
+    ``gap_filter_blocks(H, delta)``.  1 - S^2 is even in H, so its A-B and
+    B-A blocks are zero, and under CELL_C2 the norm of each cell block
+    [[a, 0], [0, d]] is max(|a|, |d|) exactly.
 
     An overstated half gap is caught only where the edge term
     e^{-L / (4 d')} at mid-chain falls below the sech^2 norms there by more
@@ -226,9 +313,13 @@ def edge_filter_decay_check(
     half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
     correlation_length = _as_positive("correlation_length", correlation_length)
     geom = H.geometry
-    G_A, G_B = even_blocks(eigh(H), lambda w: _sech_sq(_ratio(w, delta)))
-    zero = np.zeros((G_A.shape[0], G_B.shape[0]))
-    lhs = block_norms((G_A, zero, zero.T, G_B), geom)
+    G_A, G_B = filter_blocks
+    if geom.convention is Convention.CELL_C2:
+        lhs = np.abs(G_A)
+        np.maximum(lhs, np.abs(G_B), out=lhs)
+    else:
+        zero = np.zeros((G_A.shape[0], G_B.shape[0]))
+        lhs = block_norms((G_A, zero, zero.T, G_B), geom)
     P = lhs.shape[0]
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
@@ -243,14 +334,15 @@ def _trace_norm(M: np.ndarray) -> float:
 
 
 def anticommutator_trace_norms(
-    H: ChiralHamiltonian, delta: float, switch: SwitchFunction
+    H: ChiralHamiltonian, delta: float, switch: SwitchFunction, filter_blocks: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float]:
     """Trace norms of {A, S} with A = (1/2) C {theta, 1-S^2}, and of [1-S^2, theta].
 
     Both are exponentially small in the chain size and in the gap-to-delta
     ratio; they control the deviation of the indices from an integer.
     Computed exactly from singular values of L x L blocks.  In sublattice
-    order 1 - S^2 = diag(G_A, G_B) and S = [[0, X], [X^dag, 0]], so with
+    order 1 - S^2 = diag(G_A, G_B), given as ``filter_blocks`` =
+    ``gap_filter_blocks(H, delta)``, and S = [[0, X], [X^dag, 0]], so with
     P = (1/2) {theta_A, G_A} and Q = (1/2) {theta_B, G_B},
     {A, S} = [[0, Y], [Y^dag, 0]] for Y = P X - X Q, whose trace norm is
     2 ||Y||_1, and ||[1-S^2, theta]||_1 = ||[G_A, theta_A]||_1 + ||[G_B, theta_B]||_1.
@@ -258,16 +350,26 @@ def anticommutator_trace_norms(
     geom = H.geometry
     check_switch_compatible(geom, switch)
     delta = _as_positive("delta", delta)
-    spec = eigh(H)
-    G_A, G_B = even_blocks(spec, lambda e: _sech_sq(_ratio(e, delta)))
-    X = odd_block(spec, lambda e: np.tanh(_ratio(e, delta)))
+    X = odd_block(eigh(H), lambda e: np.tanh(_ratio(e, delta)))
     theta = switch.basis_values()
-    theta_a, theta_b = theta[0::2], theta[1::2]
-    P = 0.5 * (theta_a[:, None] * G_A + G_A * theta_a[None, :])
-    Q = 0.5 * (theta_b[:, None] * G_B + G_B * theta_b[None, :])
+    thetas = (theta[0::2], theta[1::2])
+    P, Q = (_step_anticommutator(G, step_length(t)) for G, t in zip(filter_blocks, thetas))
     norm_anti = 2.0 * _trace_norm(P @ X - X @ Q)
-    norm_comm = sum(_step_commutator_trace_norm(G, t) for G, t in ((G_A, theta_a), (G_B, theta_b)))
+    norm_comm = sum(_step_commutator_trace_norm(G, t) for G, t in zip(filter_blocks, thetas))
     return norm_anti, norm_comm
+
+
+def _step_anticommutator(G: np.ndarray, p: int) -> np.ndarray:
+    """(1/2) {theta, G} for a step theta, 1 on the first p entries and 0 after.
+
+    Entry (i, j) is (theta_i + theta_j) G_ij / 2: G itself where both are 1,
+    half of it where one is, and zero where neither is.
+    """
+    P = G.copy()
+    P[p:, p:] = 0.0
+    P[:p, p:] *= 0.5
+    P[p:, :p] *= 0.5
+    return P
 
 
 def _step_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
@@ -282,12 +384,12 @@ def _step_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
 
 def trace_norm_checks(
     H: ChiralHamiltonian, delta: float, switch: SwitchFunction,
-    half_gap: float, correlation_length: float,
+    half_gap: float, correlation_length: float, filter_blocks: tuple[np.ndarray, np.ndarray],
 ) -> tuple[BoundCertificate, BoundCertificate]:
     """Certify both ``anticommutator_trace_norms`` against e^{-2 Delta/delta} + e^{-L/(48 d')}."""
     half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
     correlation_length = _as_positive("correlation_length", correlation_length)
-    norms = anticommutator_trace_norms(H, delta, switch)  # checks delta and the switch
+    norms = anticommutator_trace_norms(H, delta, switch, filter_blocks)  # checks delta and the switch
     L = H.geometry.length
     envelope = float(np.exp(-2.0 * half_gap / delta) + np.exp(-L / (48.0 * correlation_length)))
     names = ("anticommutator_trace_norm", "filter_switch_commutator_trace_norm")
@@ -296,9 +398,12 @@ def trace_norm_checks(
     )
 
 
+def gap_filter_blocks(H: ChiralHamiltonian, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G_A, G_B): the A-A and B-B blocks of 1 - S^2 = sech^2(H / delta), its only nonzero ones."""
+    delta = _as_positive("delta", delta)
+    return even_blocks(eigh(H), lambda e: _sech_sq(_ratio(e, delta)))
+
+
 def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
     """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
-    delta = _as_positive("delta", delta)
-    G_A, G_B = even_blocks(eigh(H), lambda e: _sech_sq(_ratio(e, delta)))
-    return min(float(np.linalg.eigvalsh(G).min()) for G in (G_A, G_B))
-
+    return min(float(np.linalg.eigvalsh(G).min()) for G in gap_filter_blocks(H, delta))

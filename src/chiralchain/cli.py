@@ -32,6 +32,7 @@ from .bounds import (
     BOUND_CSV_HEADER,
     correlation_length,
     edge_filter_decay_check,
+    gap_filter_blocks,
     gap_filter_min_eigenvalue,
     lieb_robinson_check,
     trace_norm_checks,
@@ -418,7 +419,9 @@ def build_profile(model: ModelConfig, length: int, seed: int | None) -> Coupling
         for cell, value in model.boundary_potential:
             _expect(0 <= cell < length, "model.boundary_potential",
                     f"cell {cell} outside [0, {length})")
-            boundary[cell] += value
+            # A sum past the float range is reported by CouplingProfile's finiteness check.
+            with np.errstate(over="ignore"):
+                boundary[cell] += value
     try:
         profile = CouplingProfile(t1, t2, boundary=boundary)
         if model.disorder.amplitude > 0:
@@ -616,8 +619,10 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
     corr_len = correlation_length(delta, d, coupling_norm)
 
     certificates = [lieb_robinson_check(H, t, d, coupling_norm) for t in BOUNDS_TIMES]
-    certificates.append(edge_filter_decay_check(H, delta, half_gap, corr_len))
-    certificates += trace_norm_checks(H, delta, switch, half_gap, corr_len)
+    # One 1 - S^2 serves the edge filter and both trace norms.
+    filter_blocks = gap_filter_blocks(H, delta)
+    certificates.append(edge_filter_decay_check(H, delta, half_gap, corr_len, filter_blocks))
+    certificates += trace_norm_checks(H, delta, switch, half_gap, corr_len, filter_blocks)
     table = ResultTable(list(BOUND_CSV_HEADER), provenance=_provenance(config, config.seed))
     table.rows += [cert.csv_row(H.geometry.length, delta) for cert in certificates]
     return table

@@ -100,6 +100,9 @@ class CouplingProfile:
             if boundary.shape != (L,):
                 raise ValueError(f"boundary must have length {L}")
             _require_finite("boundary", boundary)
+            # The chain adds it to t1, and two finite values can sum past the float range.
+            with np.errstate(over="ignore"):
+                _require_finite("t1 + boundary", t1 + boundary)
             support = np.nonzero(boundary)[0]
             if support.size:
                 # Edge width needed to cover each support point from its nearer edge.

@@ -135,7 +135,8 @@ def _bidiagonal_svd(kernel, diag: np.ndarray, sub: np.ndarray) -> ChiralSpectrum
         lam, Ut = _lapack.tridiagonal_eigh(kernel, -square, -(d[:-1] * e))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"bidiagonal SVD of the A->B block failed: {exc}") from exc
-    bound = (_RECOVERED_FRACTION * largest / scale) ** 2
+    # largest / scale first: the product with the fraction underflows to 0 for the smallest subnormal.
+    bound = (_RECOVERED_FRACTION * (largest / scale)) ** 2
     k = int(np.count_nonzero(-lam >= bound)) if largest > 0 else 0
     # Row i of Wt is T^T u_i = d u_i + e u_i[1:]; rows k: are replaced below.
     Wt, sigma = Ut * d, np.empty(n)

@@ -8,7 +8,7 @@ boundary values were frozen from verified seeded runs.
 
 import numpy as np
 
-from chiralchain.bounds import anticommutator_trace_norms, lieb_robinson_check
+from chiralchain.bounds import anticommutator_trace_norms, gap_filter_blocks, lieb_robinson_check
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
     CouplingProfile,
@@ -217,7 +217,7 @@ def test_criterion_09_trace_norm_decay():
     for L in (30, 60):
         H = ssh(L, 0.5, 1.0)
         norms[L] = anticommutator_trace_norms(
-            H, delta, switch_function(H.geometry, "middle")
+            H, delta, switch_function(H.geometry, "middle"), gap_filter_blocks(H, delta)
         )
     anti_ratio = norms[30][0] / norms[60][0]
     comm_ratio = norms[30][1] / norms[60][1]

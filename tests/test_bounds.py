@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chiralchain import bounds, cli, spectral
 from chiralchain.bounds import (
     _TAIL_FRACTION,
     _chebyshev_log_tail,
     _propagator_band,
+    _step_anticommutator,
     anticommutator_trace_norms,
     correlation_length,
     edge_filter_decay_check,
+    gap_filter_blocks,
     lieb_robinson_check,
     trace_norm_checks,
 )
@@ -187,6 +191,77 @@ def test_lieb_robinson_undersized_constant_reports_failure():
     assert cert.margin < -0.1
 
 
+def _count_parity_blocks(monkeypatch):
+    """Record (name, f at the probe energies) for each even_blocks and odd_block call, wherever bound."""
+    calls = []
+    for name in ("even_blocks", "odd_block"):
+        original = getattr(spectral, name)
+
+        def counted(spec, f, _name=name, _original=original):
+            calls.append((_name, f(np.array([0.0, 0.3, 2.0]))))
+            return _original(spec, f)
+
+        for module in (spectral, bounds):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_lieb_robinson_check_reads_no_parity_block(monkeypatch):
+    calls = _count_parity_blocks(monkeypatch)
+    for convention in (Convention.CELL_C2, Convention.ALTERNATING_SITES):
+        geom = make_geometry(151, convention)
+        H = build_ssh(geom, disordered_defect_profile(geom.cells, seed=3))
+        for t in (0.0, 0.5, 40.0):  # 40 reaches across the chain
+            assert lieb_robinson_check(H, t, 1.0, short_range_constant(H, 1.0)).passed
+    assert calls == []
+
+
+def test_lieb_robinson_check_forms_no_chain_sized_array():
+    # One 2000 x 2000 float array is 32 MB; the bands, the row-block buffers
+    # and lhs together stay under a quarter of that.
+    geom = make_geometry(2000)
+    H = build_ssh(geom, disordered_defect_profile(2000, seed=1))
+    K = short_range_constant(H, 1.0)
+    spectral.eigh(H)
+    tracemalloc.start()
+    try:
+        cert = lieb_robinson_check(H, 1.0, 1.0, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert peak < 8 * 2**20
+
+
+def test_bound_table_forms_one_gap_filter_pair(monkeypatch):
+    # The edge filter and the trace norms share one sech^2 pair, and the
+    # trace norms form one tanh block.
+    calls = _count_parity_blocks(monkeypatch)
+    config = cli.parse_config({
+        "model": {"t1": 0.5, "t2": 1.0, "disorder": {"amplitude": 0.1}, "defect": {"height": 0.2}},
+        "geometry": {"length": 60, "convention": "cell"},
+        "delta": {"mode": "theorem"}, "switch": "middle", "scan": "none", "seed": 1,
+    })
+    table = cli.bound_table(config)
+    delta = float(table.rows[0][2])
+    probe = np.array([0.0, 0.3, 2.0]) / delta
+    assert [name for name, _ in calls] == ["even_blocks", "odd_block"]
+    assert np.array_equal(calls[0][1], spectral._sech_sq(probe))
+    assert np.array_equal(calls[1][1], np.tanh(probe))
+
+
+@pytest.mark.parametrize("p", [0, 1, 7, 12])
+def test_step_anticommutator_is_the_switch_products(p):
+    # (theta G + G theta) / 2 for the step theta, up to the sign of its zeros.
+    rng = np.random.default_rng(p)
+    G = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    theta = np.where(np.arange(12) < p, 1.0, 0.0)
+    expected = 0.5 * (theta[:, None] * G + G * theta[None, :])
+    got = _step_anticommutator(G, p)
+    assert np.array_equal(got, expected)
+    assert got.dtype == G.dtype
+
+
 # --- gap filter decay -----------------------------------------------------------
 
 
@@ -204,7 +279,7 @@ def test_correlation_length():
 def test_edge_filter_decay_dimerized_trivial():
     H = ssh(20, 1.0, 0.0)
     delta = 0.05
-    cert = edge_filter_decay_check(H, delta, 1.0, corr_for(H, delta))
+    cert = edge_filter_decay_check(H, delta, 1.0, corr_for(H, delta), gap_filter_blocks(H, delta))
     assert cert.passed
     # Flat bands at +-1: every entry sits under the bulk-leakage term alone.
     assert np.all(cert.lhs <= 4 * math.exp(-2 / delta) + 1e-15)
@@ -213,7 +288,7 @@ def test_edge_filter_decay_dimerized_trivial():
 def test_edge_filter_decay_clean_topological():
     H = ssh(60, 0.5, 1.0)
     delta = 0.1
-    cert = edge_filter_decay_check(H, delta, 0.5, corr_for(H, delta))
+    cert = edge_filter_decay_check(H, delta, 0.5, corr_for(H, delta), gap_filter_blocks(H, delta))
     assert cert.passed
     assert cert.gamma_star <= 10 * 60 * 60
 
@@ -244,7 +319,7 @@ def test_edge_filter_envelope_is_the_pair_expression(P, corr):
 def test_edge_filter_gamma_star_matches_the_pair_envelope():
     H = build_ssh(make_geometry(251), disordered_defect_profile(251, seed=1))
     delta, half_gap, corr = 0.05, 0.3, 3.5
-    cert = edge_filter_decay_check(H, delta, half_gap, corr)
+    cert = edge_filter_decay_check(H, delta, half_gap, corr, gap_filter_blocks(H, delta))
     x = np.arange(251)
     edge_dist = np.minimum(x, 250 - x)
     pair_dist = np.maximum(edge_dist[:, None], edge_dist[None, :])
@@ -253,14 +328,26 @@ def test_edge_filter_gamma_star_matches_the_pair_envelope():
 
 
 @pytest.mark.parametrize("convention", [Convention.CELL_C2, Convention.ALTERNATING_SITES])
-def test_edge_filter_norms_are_those_of_the_assembled_filter(convention):
-    # The certificate reads the even blocks only, with zero arrays for the
-    # A-B and B-A blocks; the assembled 1 - S^2 must give the same bits.
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_edge_filter_norms_are_those_of_the_assembled_filter(convention, complex_valued):
+    # The certificate reads the even blocks only.  Under CELL_C2 the norm of
+    # a cell block [[a, 0], [0, d]] is max(|a|, |d|) exactly, which the
+    # closed form on the assembled 1 - S^2 rounds by at most an ulp for real
+    # entries and a few for complex ones (it squares their real and
+    # imaginary parts); under ALTERNATING_SITES both place the same
+    # absolute entries.
     geom = make_geometry(41, convention)
-    H = build_ssh(geom, disordered_defect_profile(geom.cells, seed=2))
-    cert = edge_filter_decay_check(H, 0.1, 0.3, 2.0)
+    profile = disordered_defect_profile(geom.cells, seed=2)
+    if complex_valued:
+        profile = CouplingProfile(profile.t1 * np.exp(0.3j), profile.t2 * (0.6 + 0.8j))
+    H = build_ssh(geom, profile)
+    cert = edge_filter_decay_check(H, 0.1, 0.3, 2.0, gap_filter_blocks(H, 0.1))
     assembled = block_norms(_sublattice_blocks(gap_filter(H, 0.1)), geom)
-    assert cert.lhs.tobytes() == assembled.tobytes()
+    assert cert.lhs.shape == assembled.shape
+    ulps = np.abs(cert.lhs.view(np.int64) - assembled.view(np.int64))  # both non-negative
+    assert ulps.max() <= (4 if complex_valued else 1)
+    if convention is Convention.ALTERNATING_SITES:
+        assert cert.lhs.tobytes() == assembled.tobytes()
 
 
 def test_edge_filter_fails_an_overstated_half_gap():
@@ -269,8 +356,9 @@ def test_edge_filter_fails_an_overstated_half_gap():
     # is e^{-25} in the middle of the chain: both far below the sech^2
     # norms there, so gamma_star passes 10 L^2.
     H = ssh(100, 0.5, 1.0)
-    assert edge_filter_decay_check(H, 0.1, 0.5, 1.0).passed
-    overstated = edge_filter_decay_check(H, 0.1, 5.0, 1.0)
+    G = gap_filter_blocks(H, 0.1)
+    assert edge_filter_decay_check(H, 0.1, 0.5, 1.0, G).passed
+    overstated = edge_filter_decay_check(H, 0.1, 5.0, 1.0, G)
     assert not overstated.passed
     assert overstated.margin < 0
     assert overstated.gamma_star > 10 * 100 * 100
@@ -320,7 +408,7 @@ def test_trace_norms_vanish_for_constant_switch():
     H = ssh(16, 0.5, 1.0)
     geom = H.geometry
     full = SwitchFunction(np.ones(geom.length), geom.length, geom)
-    _, comm_norm = anticommutator_trace_norms(H, 0.1, full)
+    _, comm_norm = anticommutator_trace_norms(H, 0.1, full, gap_filter_blocks(H, 0.1))
     assert comm_norm < 1e-12
 
 
@@ -330,17 +418,18 @@ def test_trace_norms_need_a_step_switch():
     geom = H.geometry
     bump = SwitchFunction(np.where(np.arange(geom.length) == 3, 1.0, 0.0), 4, geom)
     with pytest.raises(SwitchError, match="not a step"):
-        anticommutator_trace_norms(H, 0.1, bump)
+        anticommutator_trace_norms(H, 0.1, bump, gap_filter_blocks(H, 0.1))
 
 
 def test_trace_norm_checks_certify_the_raw_norms():
     L, delta, half_gap, corr = 30, 0.05, 0.5, 2.0
     H = ssh(L, 0.5, 1.0)
     sw = switch_function(H.geometry, "middle")
-    certs = trace_norm_checks(H, delta, sw, half_gap, corr)
+    G = gap_filter_blocks(H, delta)
+    certs = trace_norm_checks(H, delta, sw, half_gap, corr, G)
     envelope = math.exp(-2.0 * half_gap / delta) + math.exp(-L / (48.0 * corr))
     names = ("anticommutator_trace_norm", "filter_switch_commutator_trace_norm")
-    for cert, name, norm in zip(certs, names, anticommutator_trace_norms(H, delta, sw)):
+    for cert, name, norm in zip(certs, names, anticommutator_trace_norms(H, delta, sw, G)):
         assert cert.bound_name == name
         assert cert.gamma_star == pytest.approx(norm / envelope, rel=1e-12)
         assert cert.margin == 10.0 * L * L - cert.gamma_star
@@ -352,7 +441,7 @@ def test_trace_norms_decay_with_length():
     for L in (30, 60):
         H = ssh(L, 0.5, 1.0)
         values[L] = anticommutator_trace_norms(
-            H, 1.0 / 20.0, switch_function(H.geometry, "middle")
+            H, 1.0 / 20.0, switch_function(H.geometry, "middle"), gap_filter_blocks(H, 1.0 / 20.0)
         )
     anti30, comm30 = values[30]
     anti60, comm60 = values[60]
@@ -362,7 +451,9 @@ def test_trace_norms_decay_with_length():
 
 def test_trace_norms_dimerized_topological():
     H = ssh(30, 0.0, 1.0)
-    anti, comm = anticommutator_trace_norms(H, 0.05, switch_function(H.geometry, "middle"))
+    anti, comm = anticommutator_trace_norms(
+        H, 0.05, switch_function(H.geometry, "middle"), gap_filter_blocks(H, 0.05)
+    )
     assert anti < 1e-10
     assert comm < 1e-10
 
@@ -377,7 +468,7 @@ def test_trace_norm_dominates_absolute_trace():
     theta = sw.basis_values()
     A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
     anti = A @ S + S @ A
-    anti_norm, _ = anticommutator_trace_norms(H, delta, sw)
+    anti_norm, _ = anticommutator_trace_norms(H, delta, sw, gap_filter_blocks(H, delta))
     assert abs(np.trace(anti)) <= anti_norm + 1e-10
     assert anti_norm <= np.abs(anti).sum() + 1e-10
 
@@ -390,7 +481,7 @@ def test_edge_index_error_tracks_trace_norm():
         H = ssh(L, 0.5, 1.0)
         sw = switch_function(H.geometry, "middle")
         errs.append(abs(index_report(H, 1.0 / 20.0, sw.transition).edge_index - 1.0))
-        norms.append(anticommutator_trace_norms(H, 1.0 / 20.0, sw)[0])
+        norms.append(anticommutator_trace_norms(H, 1.0 / 20.0, sw, gap_filter_blocks(H, 1.0 / 20.0))[0])
     assert errs[1] < errs[0]
     assert norms[1] < norms[0]
 
@@ -403,13 +494,14 @@ def test_bulk_gap_feeds_edge_filter_envelope():
     delta = 1.0 / math.sqrt(2 * L)
     half_gap = bulk_gap(profile)
     corr = correlation_length(delta, 1.0, short_range_constant(H, 1.0))
-    cert = edge_filter_decay_check(H, delta, half_gap, corr)
+    cert = edge_filter_decay_check(H, delta, half_gap, corr, gap_filter_blocks(H, delta))
     assert cert.passed
 
 
 # --- parameter validation ------------------------------------------------------------
 
 _H20 = ssh(20, 0.5, 1.0)
+_G20 = gap_filter_blocks(_H20, 0.1)
 _BAD = [math.nan, math.inf, -math.inf, -1.0]
 
 
@@ -417,7 +509,7 @@ def _invalid_parameter_cases():
     """(function, arguments) pairs that must raise ValueError: each puts one invalid
     value into an otherwise valid call on a 20-cell chain."""
     lr = dict(t=0.5, decay_length=1.0, coupling_norm=2.0)
-    ef = dict(delta=0.1, half_gap=0.5, correlation_length=2.0)
+    ef = dict(delta=0.1, half_gap=0.5, correlation_length=2.0, filter_blocks=_G20)
     cases = []
     for name, values in (("t", [math.nan, math.inf]), ("decay_length", _BAD + [0.0]),
                          ("coupling_norm", _BAD)):
@@ -450,7 +542,9 @@ def test_certificate_parameters_must_be_finite_and_positive(fn, kwargs):
 def test_trace_norm_checks_parameters_must_be_finite_and_positive(name, value):
     kwargs = {"half_gap": 0.5, "correlation_length": 2.0, name: value}
     with pytest.raises(ValueError, match="must be finite"):
-        trace_norm_checks(_H20, 0.1, switch_function(_H20.geometry, "middle"), **kwargs)
+        trace_norm_checks(
+            _H20, 0.1, switch_function(_H20.geometry, "middle"), filter_blocks=_G20, **kwargs
+        )
 
 
 def test_certificates_accept_zero_gap_and_zero_constant():
@@ -458,7 +552,7 @@ def test_certificates_accept_zero_gap_and_zero_constant():
     zero = build_ssh(make_geometry(20), CouplingProfile.constant(20, 0.0, 0.0))
     assert short_range_constant(zero, 1.0) == 0.0
     assert lieb_robinson_check(zero, 0.5, 1.0, 0.0).passed
-    assert edge_filter_decay_check(_H20, 0.1, 0.0, 2.0).gamma_star > 0
+    assert edge_filter_decay_check(_H20, 0.1, 0.0, 2.0, _G20).gamma_star > 0
     middle = switch_function(_H20.geometry, "middle")
-    assert all(c.gamma_star >= 0 for c in trace_norm_checks(_H20, 0.1, middle, 0.0, 2.0))
+    assert all(c.gamma_star >= 0 for c in trace_norm_checks(_H20, 0.1, middle, 0.0, 2.0, _G20))
     assert correlation_length(0.1, 1.0, 0.0) == 1.0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from chiralchain import _lapack, spectral
 from chiralchain.bounds import (
     _propagator_band, _step_commutator_trace_norm, anticommutator_trace_norms,
-    gap_filter_min_eigenvalue, lieb_robinson_check,
+    gap_filter_blocks, gap_filter_min_eigenvalue, lieb_robinson_check,
 )
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
@@ -151,6 +151,8 @@ PARITY_FUNCTIONS = {
     H=_long_chain(Convention.CELL_C2, 9, 1.0 + 0.5j, (ExtraCoupling(2, np.full(9, 0.3j), np.full(9, -0.2)),)),
     delta=0.3, t=-2.0,
 )
+# T = diag(0, 5e-324): the recovery bound once underflowed to 0 here, and w = T^T u / sigma divided 0 by 0.
+@example(H=build_ssh(make_geometry(2), CouplingProfile(np.array([0.0, 5e-324]), np.zeros(2))), delta=0.1, t=1.0)
 def test_parity_blocks_match_dense_sublattice_blocks(name, H, delta, t):
     even, f_of, lipschitz = PARITY_FUNCTIONS[name]
 
@@ -311,13 +313,64 @@ def dense_trace_norms(H, delta, switch):
     return tuple(float(np.linalg.svd(M, compute_uv=False).sum()) for M in (anti, comm))
 
 
+@st.composite
+def _seeded_chains(draw):
+    """Chains of up to 150 cells or sites, long enough for several row blocks of the band.
+
+    Seeded couplings in [-1, 1], real or complex, and on some cell chains a
+    coupling two cells out.
+    """
+    convention = draw(st.sampled_from([Convention.CELL_C2, Convention.ALTERNATING_SITES]))
+    geom = make_geometry(draw(st.integers(2, 150)), convention)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_valued = draw(st.booleans())
+
+    def values():
+        v = rng.uniform(-1.0, 1.0, geom.cells)
+        return v + 1j * rng.uniform(-1.0, 1.0, geom.cells) if complex_valued else v
+
+    extra = ()
+    if convention is Convention.CELL_C2 and draw(st.booleans()):
+        extra = (ExtraCoupling(2, values(), values()),)
+    return build_ssh(geom, CouplingProfile(values(), values(), extra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=_seeded_chains(), t=st.floats(-3.0, 3.0), d=st.sampled_from([1.0, 1.5, 2.0]))
+@example(H=_long_chain(Convention.CELL_C2, 2, 1.0), t=1.0, d=1.0)
+@example(H=_long_chain(Convention.ALTERNATING_SITES, 2, 1.0), t=-0.5, d=1.0)
+@example(H=_long_chain(Convention.ALTERNATING_SITES, 143, 1.0), t=0.7, d=1.0)  # odd: a zero mode
+@example(H=_long_chain(Convention.CELL_C2, 150, 1.0 + 0.5j), t=0.0, d=1.0)
+# |t| a past the chain: the reach covers every pair, over several row blocks.
+@example(H=_long_chain(Convention.CELL_C2, 130, 1.0), t=60.0, d=1.0)
+@example(H=_long_chain(Convention.ALTERNATING_SITES, 141, 1.0), t=-60.0, d=1.5)
+def test_lieb_robinson_band_matches_the_full_products(H, t, d):
+    # The band's row blocks take the dot products of the full products, so
+    # an entry can move only by the order in which BLAS adds partial sums:
+    # within the noise floor, 2L eps, that the certificate already grants.
+    K = short_range_constant(H, d)
+    got, want = lieb_robinson_check(H, t, d, K), full_grid_lieb_robinson(H, t, d, K)
+    floor = got.noise_floor
+    assert got.passed == want.passed
+    assert math.isclose(got.margin, want.margin, rel_tol=0.0, abs_tol=floor)
+    reach, _ = _propagator_band(H, t, floor)
+    norms = propagator_block_norms(H, t)
+    P = norms.shape[0]
+    offsets = [k for k in range(-reach, reach + 1) if abs(k) >= d]
+    assert got.lhs.size == sum(P - abs(k) for k in offsets)
+    # lhs holds each diagonal's norms in its own order under ALTERNATING_SITES (A rows, then B rows).
+    pieces = np.split(got.lhs, np.cumsum([P - abs(k) for k in offsets])[:-1]) if offsets else []
+    for k, piece in zip(offsets, pieces):
+        assert np.abs(np.sort(piece) - np.sort(np.diagonal(norms, k))).max() <= floor, k
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), H=_cell_chains() | _site_chains(), log_delta=st.floats(-3.0, 1.0))
 def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
     delta = 10.0**log_delta
     switch = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1)))
     n = H.dim
-    for got, want in zip(anticommutator_trace_norms(H, delta, switch),
+    for got, want in zip(anticommutator_trace_norms(H, delta, switch, gap_filter_blocks(H, delta)),
                          dense_trace_norms(H, delta, switch)):
         assert abs(got - want) <= 1e-13 * n * max(1.0, want)
     min_eig = float(np.linalg.eigvalsh(gap_filter(H, delta)).min())
@@ -485,6 +538,9 @@ def _bands_with_small_sigma(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(bands=_bands_with_small_sigma(), exponent=st.sampled_from([-300, 0, 300]))
+# Every entry subnormal: sigma = 3.14e-316 carries about 30 bits, and its residual read 4.8e-9.
+@example(bands=(np.array([0.0, 0.0, 0.0, 0.0, 2.220446049250313e-16, 0.0]),
+                np.array([0.0, 0.0, 0.0, 0.0, 2.220446049250313e-16])), exponent=-300)
 def test_bidiagonal_svd_pairs_several_small_singular_values(bands, exponent):
     d, e = (band * 10.0**exponent for band in bands)
     if not (np.any(d) or np.any(e)):
@@ -494,8 +550,9 @@ def test_bidiagonal_svd_pairs_several_small_singular_values(bands, exponent):
     largest = float(np.abs(T).max())
     assert np.count_nonzero(spec.sigma < largest / 8.0) >= 2
     # ||T w_i - sigma_i u_i|| relative to the largest entry, without overflow.
+    # A subnormal sigma is a multiple of 2^-1074, as in assert_bidiagonal_svd.
     residual = np.linalg.norm((T / largest) @ spec.W - spec.U * (spec.sigma / largest), axis=0)
-    assert residual.max() <= 1e-13
+    assert residual.max() <= 1e-13 + d.size * 2.0**-1074 / largest
 
 
 @settings(max_examples=80, deadline=None)

@@ -684,6 +684,26 @@ def test_main_nan_coupling_is_config_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["index", "check"])
+@pytest.mark.parametrize("model, field", [
+    ({"t1": 1.5e308, "boundary_potential": [[0, 1.5e308]]}, "t1 + boundary"),
+    ({"boundary_potential": [[0, 1.5e308], [0, 1.5e308]]}, "boundary"),
+])
+def test_finite_couplings_that_sum_past_the_float_range_are_a_config_error(tmp_path, command, model, field):
+    # Each value is finite, but the chain adds them: the sums are checked
+    # with the boundary, so the run stops with a config error and no warning.
+    raw = base_config()
+    raw["model"].update(model)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "chiralchain", command, "--config", str(write_config(tmp_path, raw))],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"config error: model: {field} contains non-finite entries\n"
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [

@@ -6,6 +6,7 @@ import pytest
 from chiralchain.bounds import (
     anticommutator_trace_norms,
     correlation_length,
+    gap_filter_blocks,
     gap_filter_min_eigenvalue,
     trace_norm_checks,
 )
@@ -332,8 +333,11 @@ DELTA_TAKERS = {
     "correlation_length": lambda H, sw, d: correlation_length(d, 1.0, 1.0),
     "restriction_discrepancy": lambda H, sw, d: restriction_discrepancy(
         CouplingProfile.constant(6, 0.5, 1.0), 6, (2, 4), gap_filter, d),
-    "anticommutator_trace_norms": lambda H, sw, d: anticommutator_trace_norms(H, d, sw),
-    "trace_norm_checks": lambda H, sw, d: trace_norm_checks(H, d, sw, 0.5, 2.0),
+    # The gap filter comes at a valid delta, so that the function's own check meets the bad one.
+    "anticommutator_trace_norms": lambda H, sw, d: anticommutator_trace_norms(
+        H, d, sw, gap_filter_blocks(H, 0.1)),
+    "trace_norm_checks": lambda H, sw, d: trace_norm_checks(H, d, sw, 0.5, 2.0, gap_filter_blocks(H, 0.1)),
+    "gap_filter_blocks": lambda H, sw, d: gap_filter_blocks(H, d),
     "gap_filter_min_eigenvalue": lambda H, sw, d: gap_filter_min_eigenvalue(H, d),
 }
 
