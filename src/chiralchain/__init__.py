@@ -26,7 +26,6 @@ from .hamiltonian import (
     ExtraCoupling,
     apply_defect,
     apply_disorder,
-    block_norms,
     build_ssh,
     bulk_gap,
     short_range_constant,

@@ -25,14 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import (
-    _CHUNK_ENTRIES, ChiralHamiltonian, _as_positive, _band_offsets, _cell_block_norms, block_norms,
-)
-from .lattice import ChainGeometry, Convention, SwitchFunction, check_switch_compatible, step_length
+from .hamiltonian import ChiralHamiltonian, _adjoint_band, _as_positive, _band_radius, _position_band_norms
+from .lattice import Convention, SwitchFunction, check_switch_compatible, step_length
 from .spectral import ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block
 
 BOUND_CSV_HEADER = ["bound_name", "L", "delta", "margin", "gamma_star", "pass"]
@@ -113,21 +110,18 @@ def lieb_robinson_check(
     noise_floor = H.geometry.total_dim * float(np.finfo(float).eps)
     last = H.geometry.length - 1
     reach, tail = _propagator_band(H, t, noise_floor)
-    offsets = [k for k in range(-reach, reach + 1) if abs(k) >= decay_length]
-    spec = eigh(H)
-    sizes = [last + 1 - abs(k) for k in offsets]
-    # The certificate keeps lhs: made before the bands, it leaves no hole in the heap when they are freed.
-    lhs = np.empty(sum(sizes))
     cells = H.geometry.convention is Convention.CELL_C2
     # A site diagonal 2m or 2m + 1 reads sublattice diagonals m and -(m + 1).
-    blocks = _propagator_blocks(spec, t, reach if cells else (reach + 1) // 2)
-    _diagonal_block_norms(blocks, offsets, H.geometry, lhs)
+    half_width = reach if cells else (reach + 1) // 2
+    norms = _position_band_norms(_propagator_blocks(eigh(H), t, half_width), H.geometry, reach)
+    k, x = np.arange(-reach, reach + 1), np.arange(last + 1)
+    checked = np.abs(k) >= decay_length
+    # The in-band pairs at distance >= d, one diagonal y - x = k after the other, each in ascending x.
+    lhs = norms[(x >= -k[:, None]) & (x <= last - k[:, None]) & checked[:, None]]
     # The largest norm on each in-band diagonal and, past the band, the tail at the farthest pair.
     far = reach < last and last >= decay_length
-    dist = np.abs(np.array(offsets + ([last] if far else []), dtype=int))
-    worst = np.full(dist.size, tail)
-    if offsets:
-        worst[: len(offsets)] = np.maximum.reduceat(lhs, np.cumsum([0] + sizes[:-1]))
+    dist = np.abs(np.append(k[checked], [last] if far else []))
+    worst = np.append(norms.max(axis=1)[checked], [tail] if far else [])
     with np.errstate(over="ignore"):
         rhs = 2.0 * abs(t) * coupling_norm * np.exp(abs(t) * coupling_norm - dist / decay_length)
     # No pair at distance d or more leaves nothing to check: margin inf.
@@ -162,7 +156,7 @@ def _propagator_band(H: ChiralHamiltonian, t: float, noise_floor: float) -> tupl
             rows[i : i + v.size] += v
             cols[i + k : i + k + v.size] += v
     x = abs(t) * float(max(rows.max(), cols.max()))
-    width = 2 * _band_offsets(H).stop - 1
+    width = 2 * _band_radius(H) + 1
     cells = H.geometry.convention is Convention.CELL_C2
     last = H.geometry.length - 1
     log_target = math.log(_TAIL_FRACTION * noise_floor)
@@ -190,37 +184,29 @@ def _chebyshev_log_tail(x: float, degree: int) -> float:
     )
 
 
-def _propagator_blocks(spec: ChiralSpectrum, t: float, half_width: int) -> tuple[Callable, ...]:
-    """(C_AA, S_AB, S_BA, -C_BB) of exp(itH), each as a function from offsets to those diagonals.
+def _propagator_blocks(spec: ChiralSpectrum, t: float, half_width: int) -> tuple[np.ndarray, ...]:
+    """The bands of (C_AA, S_AB, S_BA, -C_BB) of exp(itH), of half width ``half_width``.
 
-    The diagonals come one after the other, their offsets at most
-    ``half_width`` in size.  Each entry is made as
-    ``even_blocks`` and ``odd_block`` make it: C_AA and C_BB are the
-    Hermitian parts of U cos(t Sigma) U^dag and W cos(t Sigma) W^dag
-    (cos(0) on the zero modes), halved before they are added, S_AB is
-    U sin(t Sigma) W^dag and S_BA its conjugate transpose; only their bands
-    are computed.
+    Each entry is made as ``even_blocks`` and ``odd_block`` make it: C_AA
+    and C_BB are the Hermitian parts of U cos(t Sigma) U^dag and
+    W cos(t Sigma) W^dag (cos(0) on the zero modes), halved before they are
+    added, S_AB is U sin(t Sigma) W^dag and S_BA its conjugate transpose;
+    only their bands are computed.
     """
     U, W, k = spec.U, spec.W, spec.sigma.size
     cos = _checked_values(lambda w: np.cos(t * w), spec.column_sigma(max(U.shape[1], W.shape[1])))
-    C_A = _band_product(U, cos[: U.shape[1]], U, half_width)
-    C_B = _band_product(W, cos[: W.shape[1]], W, half_width)
     S = _band_product(U[:, :k], _checked_values(lambda w: np.sin(t * w), spec.sigma), W[:, :k], half_width)
+    S_BA = _adjoint_band(S, W.shape[0])
+    # Each Hermitian part is formed as soon as its product is made, so one padded band at a time is live.
+    C_A, C_B = (_hermitian_band(_band_product(X, cos[: X.shape[1]], X, half_width)) for X in (U, W))
+    return C_A, S, S_BA, np.negative(C_B, out=C_B)
 
-    def diagonals(band, offsets, cols):  # of the matrix with ``cols`` columns whose band is ``band``
-        rows = band.shape[1]
-        return np.concatenate([band[half_width + j, max(0, -j) : min(rows, cols - j)] for j in offsets])
 
-    def hermitian(band, offsets):
-        n = band.shape[1]
-        return diagonals(band, offsets, n) / 2.0 + diagonals(band, [-j for j in offsets], n).conj() / 2.0
-
-    return (
-        lambda offsets: hermitian(C_A, offsets),
-        lambda offsets: diagonals(S, offsets, W.shape[0]),
-        lambda offsets: diagonals(S, [-j for j in offsets], W.shape[0]).conj(),
-        lambda offsets: np.negative(hermitian(C_B, offsets)),
-    )
+def _hermitian_band(band: np.ndarray) -> np.ndarray:
+    """The band of M / 2 + M^dag / 2 from that of a square M, in place, as ``spectral._hermitian_part`` adds them."""
+    np.divide(band, 2.0, out=band)
+    band += _adjoint_band(band, band.shape[1])
+    return band
 
 
 # Rows of X per product of ``_band_product``: each reaches the columns of the
@@ -234,8 +220,8 @@ def _band_product(X: np.ndarray, d: np.ndarray, Y: np.ndarray, half_width: int) 
     M is made _BAND_ROWS rows at a time, each row block against only the
     rows of Y its band reaches, in one reused buffer: every entry is the dot
     product of the full product, and no array of M's size is formed.  Entries
-    of ``band`` that fall outside M are left unset.  A zero d gives zeros,
-    as ``spectral`` skips that product.
+    of ``band`` that fall outside M are zero, and so is all of it for a zero
+    d, as ``spectral`` skips that product.
     """
     m, n, h = X.shape[0], Y.shape[0], half_width
     dtype = np.result_type(X, d, Y)
@@ -252,41 +238,10 @@ def _band_product(X: np.ndarray, d: np.ndarray, Y: np.ndarray, half_width: int) 
         lo, hi = max(0, i - h), min(n, i + r + h)
         np.multiply(X[i : i + r], d, out=scaled[:r])
         np.matmul(scaled[:r], Y[lo:hi].conj().T, out=block[:r, lo - i + h : hi - i + h])
+        block[:r, : lo - i + h] = block[:r, hi - i + h :] = 0.0  # M's columns before 0 and from n
         # Row p of the block holds diagonal k of M at column p + h + k: a view one column further per row.
         band[:, i : i + r] = np.ndarray((r, 2 * h + 1), dtype, block, strides=strides).T
     return band
-
-
-def _diagonal_block_norms(
-    blocks: tuple[Callable, ...], offsets: list[int], geom: ChainGeometry, out: np.ndarray
-) -> None:
-    """Write ``block_norms`` of M on the position diagonals y - x = k, k in ``offsets``, into ``out``.
-
-    The diagonals come one after the other.  M is given as its four
-    sublattice blocks, as ``block_norms`` takes them, each as a function
-    from a list of offsets to those diagonals.  Under
-    CELL_C2 the cell diagonals are those of the four blocks, through the
-    closed form, a chunk's worth of diagonals per call.  Under
-    ALTERNATING_SITES the site diagonal k = 2m holds the entries of the A-A
-    and B-B diagonals m, and k = 2m + 1 those of the A-B diagonal m and the
-    B-A diagonal m + 1.
-    """
-    if not offsets:
-        return
-    if geom.convention is Convention.CELL_C2:
-        per_call, start = max(1, _CHUNK_ENTRIES // geom.length), 0
-        for i in range(0, len(offsets), per_call):
-            norms = _cell_block_norms(*(M(offsets[i : i + per_call]) for M in blocks))
-            out[start : start + norms.size] = norms
-            start += norms.size
-        return
-    AA, AB, BA, BB = blocks
-    parts = []
-    for k in offsets:
-        m = k // 2
-        pairs = ((AA, m), (BB, m)) if k % 2 == 0 else ((AB, m), (BA, m + 1))
-        parts += [M([j]) for M, j in pairs]
-    np.abs(np.concatenate(parts), out=out)
 
 
 def edge_filter_decay_check(
@@ -317,9 +272,10 @@ def edge_filter_decay_check(
     if geom.convention is Convention.CELL_C2:
         lhs = np.abs(G_A)
         np.maximum(lhs, np.abs(G_B), out=lhs)
-    else:
-        zero = np.zeros((G_A.shape[0], G_B.shape[0]))
-        lhs = block_norms((G_A, zero, zero.T, G_B), geom)
+    else:  # the absolute entries, A on the even and B on the odd sites
+        lhs = np.zeros((geom.total_dim, geom.total_dim))
+        np.abs(G_A, out=lhs[0::2, 0::2])
+        np.abs(G_B, out=lhs[1::2, 1::2])
     P = lhs.shape[0]
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
@@ -352,10 +308,10 @@ def anticommutator_trace_norms(
     delta = _as_positive("delta", delta)
     X = odd_block(eigh(H), lambda e: np.tanh(_ratio(e, delta)))
     theta = switch.basis_values()
-    thetas = (theta[0::2], theta[1::2])
-    P, Q = (_step_anticommutator(G, step_length(t)) for G, t in zip(filter_blocks, thetas))
+    steps = (step_length(theta[0::2]), step_length(theta[1::2]))
+    P, Q = (_step_anticommutator(G, p) for G, p in zip(filter_blocks, steps))
     norm_anti = 2.0 * _trace_norm(P @ X - X @ Q)
-    norm_comm = sum(_step_commutator_trace_norm(G, t) for G, t in zip(filter_blocks, thetas))
+    norm_comm = sum(_step_commutator_trace_norm(G, p) for G, p in zip(filter_blocks, steps))
     return norm_anti, norm_comm
 
 
@@ -372,13 +328,12 @@ def _step_anticommutator(G: np.ndarray, p: int) -> np.ndarray:
     return P
 
 
-def _step_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
+def _step_commutator_trace_norm(G: np.ndarray, p: int) -> float:
     """||[G, theta]||_1 for a Hermitian G and a step theta: 1 on the first p entries, 0 after.
 
     [G, theta] = [[0, -G[:p, p:]], [G[p:, :p], 0]] with G[p:, :p] = G[:p, p:]^dag,
     so its singular values are those of the p x (n - p) block, twice.
     """
-    p = step_length(theta)
     return 2.0 * _trace_norm(G[:p, p:])
 
 

@@ -19,6 +19,13 @@ open chain of the periodically tiled profile plus the wrap bonds
 x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell chain of
 (L + 1) // 2 cells cropped to its first L basis states.
 
+Norms of position blocks, which the short-range constant and the bound
+certificates read, come from bands: ``band[h + k, i] = M[i, i + k]`` for the
+diagonals -h..h of a sublattice block M, zero outside M.
+``_position_band_norms`` turns the bands of the four sublattice blocks into
+``out[h + k, x] = ||M_{x, x + k}||`` in either convention, and
+``_adjoint_band`` gives the band of M^dag from that of M.
+
 Chirality and Hermiticity are structural here: H = [[0, T], [T^dag, 0]] in
 sublattice order, so ``H C + C H = 0`` and ``H = H^dag`` hold exactly.  A
 matrix from elsewhere is checked once, by ``ChiralHamiltonian.from_matrix``.
@@ -580,28 +587,6 @@ def _top_eigenvalue(apply, start: np.ndarray) -> float:
     raise NumericalError(f"Lanczos did not converge in {_LANCZOS_STEPS_PER_CELL * n} steps")
 
 
-def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarray:
-    """Operator norms of the position-space blocks of M, one per position pair.
-
-    M is given as its four sublattice blocks (M_AA, M_AB, M_BA, M_BB), A on
-    the even and B on the odd basis vectors, so it is never assembled.
-    Exact 2x2 spectral norms under CELL_C2 (largest singular value, in
-    closed form), absolute entries placed by basis parity under
-    ALTERNATING_SITES.
-    """
-    n = geom.total_dim
-    a, b = (n + 1) // 2, n // 2
-    shapes = [np.shape(m) for m in blocks]
-    if shapes != [(a, a), (a, b), (b, a), (b, b)]:
-        raise ValueError(f"sublattice blocks of shapes {shapes} do not match geometry dim {n}")
-    if geom.convention is Convention.CELL_C2:
-        return _cell_block_norms(*blocks)
-    mags = [np.abs(m) for m in blocks]
-    out = np.empty((n, n), dtype=np.result_type(*mags))
-    out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = mags
-    return out
-
-
 # Entries per pass of the closed form: its dozen temporaries then stay far
 # below glibc's mmap threshold (128 KB at start), so they are reused from the
 # heap instead of being mapped, page-faulted and returned on every call.
@@ -613,9 +598,10 @@ def _cell_block_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
     rows = max(1, _CHUNK_ENTRIES // max(1, math.prod(np.shape(a)[1:])))
     if len(a) <= rows:
         return _closed_form_norms(a, b, c, d)
-    return np.concatenate([
-        _closed_form_norms(*(e[i : i + rows] for e in (a, b, c, d))) for i in range(0, len(a), rows)
-    ])
+    out = np.empty(np.shape(a))
+    for i in range(0, len(a), rows):
+        out[i : i + rows] = _closed_form_norms(*(e[i : i + rows] for e in (a, b, c, d)))
+    return out
 
 
 def _closed_form_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -649,47 +635,76 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z * z
 
 
+def _adjoint_band(band: np.ndarray, n: int) -> np.ndarray:
+    """The band of M^dag from the band of M, m x n: ``out[h + k, j] = conj(M[j + k, j])``.
+
+    Bands are stored as ``band[h + k, i] = M[i, i + k]``, zero outside M.
+    The result is a view into an array padded by h zero columns on each
+    side, into which the conjugated ``band`` is written through a strided
+    view in one pass.
+    """
+    h, m = band.shape[0] // 2, band.shape[1]
+    padded = np.zeros((2 * h + 1, h + max(m, n) + h), band.dtype)
+    # band[r, i] = M[i, i + r - h] is M^dag[i + r - h, i]: row 2h - r, column i + r of padded.
+    rows, cols = padded.strides
+    np.conjugate(band, out=np.lib.stride_tricks.as_strided(padded[::-1], band.shape, (cols - rows, cols)))
+    return padded[:, h : h + n]
+
+
+def _position_band_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry, h: int) -> np.ndarray:
+    """``out[h + k, x] = ||M_{x, x + k}||`` for |k| <= h, 0 where x + k leaves the chain.
+
+    M is given as the bands of its sublattice blocks (M_AA, M_AB, M_BA,
+    M_BB), A on the even and B on the odd basis vectors, so it is never
+    assembled.  Under CELL_C2 the bands have half width h and hold the
+    entries of the cell blocks, whose exact 2x2 spectral norms come from the
+    closed form.  Under ALTERNATING_SITES they have half width (h + 1) // 2
+    and the norms are the absolute entries: site diagonal k = 2m holds the
+    A-A and B-B diagonals m, and k = 2m + 1 the A-B diagonal m and the B-A
+    diagonal m + 1, each on its own parity of x.
+    """
+    if geom.convention is Convention.CELL_C2:
+        return _cell_block_norms(*blocks)
+    AA, AB, BA, BB = blocks
+    out = np.empty((2 * h + 1, geom.total_dim))
+    p = h % 2  # row of the first even k
+    even, odd = out[p::2], out[1 - p :: 2]
+    np.abs(AA[p : p + len(even)], out=even[:, 0::2])
+    np.abs(BB[p : p + len(even)], out=even[:, 1::2])
+    np.abs(AB[: len(odd)], out=odd[:, 0::2])
+    np.abs(BA[1 : 1 + len(odd)], out=odd[:, 1::2])
+    return out
+
+
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains.
 
     Only the diagonals T[i, i + k] with |k| up to the farthest stored one
-    are read, so the cost grows with L times the coupling range.  Under
-    CELL_C2 the cell block (x, x + k) is [[0, T[x, x + k]], [conj(T[x + k, x]), 0]],
-    through the closed form of ``block_norms``; under ALTERNATING_SITES
-    T[a, b] is the entry of the site pairs (2a, 2b + 1) and (2b + 1, 2a).
-    Only the nonzero blocks are weighted, so a long chain never multiplies a
-    zero block by an overflowed weight.
+    are read, as the band of T, so the cost grows with L times the coupling
+    range.  The position blocks of H are those of the sublattice blocks
+    (0, T, T^dag, 0), through ``_position_band_norms``.  Each row is summed
+    down the band, in ascending y as the full grid sums it, and only the
+    nonzero blocks are weighted, so a long chain never multiplies a zero
+    block by an overflowed weight.
     """
     decay_length = _as_positive("decay_length", decay_length)
-    cells = H.geometry.convention is Convention.CELL_C2
-    xs, ys, norms = [], [], []
-    for k in _band_offsets(H):
-        forward = H.diagonal(k)
-        a = np.arange(forward.size) + max(0, -k)
-        if cells:
-            zero = np.zeros_like(forward)
-            xs.append(a)
-            ys.append(a + k)
-            norms.append(_cell_block_norms(zero, forward, H.diagonal(-k).conj(), zero))
-        else:
-            b = a + k
-            xs += [2 * a, 2 * b + 1]
-            ys += [2 * b + 1, 2 * a]
-            norms += [np.abs(forward)] * 2
-    x, y, norms = (np.concatenate(v) for v in (xs, ys, norms))
-    # np.bincount adds each row's weights in list order.  Diagonals listed by
-    # ascending k put each CELL_C2 row in ascending y, as the full grid sums
-    # it; an ALTERNATING_SITES row has at most two blocks, so order is moot.
-    nonzero = norms != 0
-    x, y, norms = x[nonzero], y[nonzero], norms[nonzero]
+    r = _band_radius(H)
+    # T[a, a + k] sits at sites 2a and 2a + 2k + 1, so the site band reaches 2r + 1.
+    h, hs = (r, r) if H.geometry.convention is Convention.CELL_C2 else (2 * r + 1, r + 1)
+    a, b = H.shape
+    T = np.zeros((2 * hs + 1, a), H.dtype)
+    for k, d in zip(H.offsets, H.diagonals):
+        T[hs + k, max(0, -k) : max(0, -k) + d.size] = d
+    zero = np.zeros_like(T)
+    norms = _position_band_norms((zero, T, _adjoint_band(T, b), zero[:, :b]), H.geometry, h)
     # A weight that overflows makes the constant infinite, which is its value.
     with np.errstate(over="ignore"):
-        weighted = norms * np.exp(np.abs(x - y) / decay_length)
-    return float(np.bincount(x, weights=weighted, minlength=H.shape[0] if cells else H.dim).max())
+        weights = np.exp(np.abs(np.arange(-h, h + 1)) / decay_length)
+    np.multiply(norms, weights[:, None], out=norms, where=norms != 0)
+    return float(norms.sum(axis=0).max())
 
 
-def _band_offsets(H: ChiralHamiltonian) -> range:
-    """Offsets -r..r of the diagonals of T, where r is the farthest stored one."""
-    r = max(abs(k) for k in H.offsets)
-    return range(-r, r + 1)
+def _band_radius(H: ChiralHamiltonian) -> int:
+    """r, the offset of the farthest stored diagonal of T: T's band is its diagonals -r..r."""
+    return max(abs(k) for k in H.offsets)
 

@@ -19,7 +19,9 @@ A->B block.  The oracles here take the assembled matrix instead:
 - ``dense_block``: the open chain's T scattered into a dense L x L array,
   the builder that the banded storage replaced;
 - ``verify_chiral``: the largest entry of HC + CH of an assembled matrix,
-  which ``check`` replaced by reading the stored diagonals of T.
+  which ``check`` replaced by reading the stored diagonals of T;
+- ``dense_band`` and ``band_grid``: a band of diagonals, as the package
+  stores it, read from a dense array and placed back into one.
 
 The forms the bound certificates replaced by exact identities stay here as
 their references:
@@ -31,6 +33,9 @@ their references:
 - ``full_commutator_trace_norm``: ||[G, theta]||_1 from the whole matrix;
 - ``full_index_diagonals``: both index diagonals from the whole L x L
   product X = U tanh(Sigma / delta) W^dag and every row of U and W;
+- ``block_norms``: the norm of every position block of a matrix given as
+  its four dense sublattice blocks, where the package reads only the band
+  of diagonals a certificate needs (``hamiltonian._position_band_norms``);
 - ``plain_cell_block_norms``: the 2x2 closed form on the whole array at
   once, where the package takes it in chunks.
 
@@ -51,7 +56,7 @@ import scipy.linalg
 from chiralchain.bounds import BoundCertificate
 from chiralchain.hamiltonian import (
     ChiralHamiltonian, CouplingProfile, NumericalError, _abs2, _as_positive, _block_entries,
-    _chain_bonds, _check_hermitian, _ring_bonds, _sublattice_blocks, block_norms, build_ssh,
+    _chain_bonds, _check_hermitian, _ring_bonds, _sublattice_blocks, build_ssh,
 )
 from chiralchain.lattice import ChainGeometry, Convention, make_geometry
 from chiralchain.spectral import ChiralSpectrum, _ratio, _sech_sq, eigh, even_blocks, odd_block
@@ -275,6 +280,46 @@ def full_index_diagonals(H, delta: float, switch) -> tuple[np.ndarray, np.ndarra
     bulk_diag[a] = 0.5 * (X2 @ theta_b - theta_a * X2.sum(axis=1))
     bulk_diag[b] = -0.5 * (X2.T @ theta_a - theta_b * X2.sum(axis=0))
     return edge_diag, bulk_diag
+
+
+def dense_band(M: np.ndarray, h: int) -> np.ndarray:
+    """Diagonals -h..h of a dense M as the package stores a band: ``band[h + k, i] = M[i, i + k]``, zero outside M."""
+    band = np.zeros((2 * h + 1, M.shape[0]), M.dtype)
+    for k in range(-h, h + 1):
+        d = np.diagonal(M, k)
+        band[h + k, max(0, -k) : max(0, -k) + d.size] = d
+    return band
+
+
+def band_grid(band: np.ndarray, n: int) -> np.ndarray:
+    """The n x n array whose diagonals -h..h are those of ``band`` (``grid[x, x + k] = band[h + k, x]``), zero past them."""
+    h = band.shape[0] // 2
+    grid = np.zeros((n, n), band.dtype)
+    for k in range(-h, h + 1):
+        x = np.arange(max(0, -k), min(n, n - k))
+        grid[x, x + k] = band[h + k, x]
+    return grid
+
+
+def block_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry) -> np.ndarray:
+    """Operator norms of the position-space blocks of M, one per position pair.
+
+    M is given as its four sublattice blocks (M_AA, M_AB, M_BA, M_BB), A on
+    the even and B on the odd basis vectors.  Exact 2x2 spectral norms under
+    CELL_C2 (``plain_cell_block_norms``), absolute entries placed by basis
+    parity under ALTERNATING_SITES.
+    """
+    n = geom.total_dim
+    a, b = (n + 1) // 2, n // 2
+    shapes = [np.shape(m) for m in blocks]
+    if shapes != [(a, a), (a, b), (b, a), (b, b)]:
+        raise ValueError(f"sublattice blocks of shapes {shapes} do not match geometry dim {n}")
+    if geom.convention is Convention.CELL_C2:
+        return plain_cell_block_norms(*blocks)
+    mags = [np.abs(m) for m in blocks]
+    out = np.empty((n, n), dtype=np.result_type(*mags))
+    out[0::2, 0::2], out[0::2, 1::2], out[1::2, 0::2], out[1::2, 1::2] = mags
+    return out
 
 
 def plain_cell_block_norms(a, b, c, d) -> np.ndarray:

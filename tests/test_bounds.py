@@ -6,7 +6,9 @@ import pytest
 
 from chiralchain import bounds, cli, spectral
 from chiralchain.bounds import (
+    _BAND_ROWS,
     _TAIL_FRACTION,
+    _band_product,
     _chebyshev_log_tail,
     _propagator_band,
     _step_anticommutator,
@@ -22,14 +24,13 @@ from chiralchain.hamiltonian import (
     _sublattice_blocks,
     apply_defect,
     apply_disorder,
-    block_norms,
     build_ssh,
     bulk_gap,
     short_range_constant,
 )
 from chiralchain.indices import index_report
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
-from oracles import decay_profile, flattened_sign, gap_filter, restriction_discrepancy
+from oracles import block_norms, decay_profile, dense_band, flattened_sign, gap_filter, restriction_discrepancy
 
 
 def ssh(L, t1, t2):
@@ -214,6 +215,25 @@ def test_lieb_robinson_check_reads_no_parity_block(monkeypatch):
         for t in (0.0, 0.5, 40.0):  # 40 reaches across the chain
             assert lieb_robinson_check(H, t, 1.0, short_range_constant(H, 1.0)).passed
     assert calls == []
+
+
+@pytest.mark.parametrize("m, n", [(150, 150), (151, 150), (150, 151)])
+@pytest.mark.parametrize("h", [0, 5, 70, 200])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_band_product_is_zero_outside_the_product(m, n, h, complex_valued):
+    # Several row blocks, so the last one's buffer holds columns of the one before.
+    assert m > 2 * _BAND_ROWS
+    rng = np.random.default_rng(m + n + h)
+    X, Y = rng.normal(size=(m, 40)), rng.normal(size=(n, 40))
+    if complex_valued:
+        X = X + 1j * rng.normal(size=(m, 40))
+    d = rng.normal(size=40)
+    band = _band_product(X, d, Y, h)
+    want = dense_band((X * d) @ Y.conj().T, h)
+    x, k = np.arange(m), np.arange(-h, h + 1)[:, None]
+    outside = (x + k < 0) | (x + k >= n)
+    assert band.shape == want.shape and np.all(band[outside] == 0.0)
+    assert np.allclose(band, want, rtol=1e-13, atol=1e-13)
 
 
 def test_lieb_robinson_check_forms_no_chain_sized_array():

@@ -30,7 +30,7 @@ from chiralchain.hamiltonian import (
     short_range_constant,
 )
 from chiralchain.indices import DeltaPolicy, _index_diagonals, index_report
-from chiralchain.lattice import Convention, make_geometry, switch_function
+from chiralchain.lattice import Convention, make_geometry, step_length, switch_function
 from chiralchain.spectral import ChiralSpectrum, NumericalError, _sech_sq, eigh, even_blocks, odd_block
 from oracles import (
     dense_eigh, dense_function, exp_block_norms, flattened_sign, full_commutator_trace_norm,
@@ -358,10 +358,10 @@ def test_lieb_robinson_band_matches_the_full_products(H, t, d):
     P = norms.shape[0]
     offsets = [k for k in range(-reach, reach + 1) if abs(k) >= d]
     assert got.lhs.size == sum(P - abs(k) for k in offsets)
-    # lhs holds each diagonal's norms in its own order under ALTERNATING_SITES (A rows, then B rows).
+    # lhs holds each diagonal's norms in ascending x, in both conventions.
     pieces = np.split(got.lhs, np.cumsum([P - abs(k) for k in offsets])[:-1]) if offsets else []
     for k, piece in zip(offsets, pieces):
-        assert np.abs(np.sort(piece) - np.sort(np.diagonal(norms, k))).max() <= floor, k
+        assert np.abs(piece - np.diagonal(norms, k)).max() <= floor, k
 
 
 @settings(max_examples=80, deadline=None)
@@ -427,7 +427,7 @@ def test_step_commutator_trace_norm_matches_full_matrix(data, H, log_delta):
     G_A, G_B = even_blocks(eigh(H), lambda e: _sech_sq(e / delta))
     for G, t in ((G_A, theta[0::2]), (G_B, theta[1::2])):
         want = full_commutator_trace_norm(G, t)
-        assert abs(_step_commutator_trace_norm(G, t) - want) <= 1e-13 * max(1.0, want)
+        assert abs(_step_commutator_trace_norm(G, step_length(t)) - want) <= 1e-13 * max(1.0, want)
 
 
 # --- the bidiagonal route: LAPACK dstevd on -T T^T for a real lower-bidiagonal T -----

@@ -79,3 +79,29 @@ def test_package_modules_use_every_name_they_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported_names(tree) - used) == []
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """Private names the module defines at its top level: functions, classes and assignments, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_of_the_package_is_used_in_it():
+    # A name counts as used where it is read, as a name or as a module attribute.
+    defined, used = {}, set()
+    for path in _PACKAGE_MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update((name, path.name) for name in _private_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []

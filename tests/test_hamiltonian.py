@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from chiralchain import _lapack, hamiltonian
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
+    _adjoint_band,
     _cell_block_norms,
+    _position_band_norms,
     _chain_bonds,
     CouplingProfile,
     ExtraCoupling,
@@ -17,13 +19,14 @@ from chiralchain.hamiltonian import (
     _sublattice_blocks,
     apply_defect,
     apply_disorder,
-    block_norms,
     build_ssh,
     bulk_gap,
     short_range_constant,
 )
 from chiralchain.lattice import Convention, make_geometry
-from oracles import dense_block, dense_ring, plain_cell_block_norms, sparse_ring_gap, verify_chiral
+from oracles import (
+    band_grid, block_norms, dense_band, dense_block, dense_ring, plain_cell_block_norms, sparse_ring_gap, verify_chiral,
+)
 
 E = math.e
 
@@ -716,11 +719,14 @@ def test_block_norms_match_svd(data, cells, complex_valued):
             M[2 * x : 2 * x + 2, 2 * y : 2 * y + 2] = data.draw(_block(complex_valued))
     blocks = M.reshape(cells, 2, cells, 2).transpose(0, 2, 1, 3)
     want = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-    got = block_norms(_sublattice_blocks(M), make_geometry(cells))
+    # The package's norms on the band of every diagonal, the full grid.
+    bands = tuple(dense_band(B, cells - 1) for B in _sublattice_blocks(M))
+    got = band_grid(_position_band_norms(bands, make_geometry(cells), cells - 1), cells)
     assert np.all((got == 0) == (want == 0))
     assert np.all(np.abs(got - want) <= 8 * _EPS * want)
-    # The package's closed form keeps every bit of the oracle's.
+    # They keep every bit of the oracle's closed form.
     assert got.tobytes() == plain_cell_block_norms(*_sublattice_blocks(M)).tobytes()
+    assert got.tobytes() == block_norms(_sublattice_blocks(M), make_geometry(cells)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(300, 70), (10000,)])
@@ -740,11 +746,67 @@ def test_block_norms_in_chunks_keep_every_bit(shape, complex_valued):
     assert _cell_block_norms(*blocks).tobytes() == want.tobytes()
 
 
+@st.composite
+def _banded_cases(draw):
+    """(M, geometry, h): a dense matrix, real or complex, with zeros and wide exponents, and a band half width."""
+    geom = make_geometry(draw(st.integers(2, 9)), draw(st.sampled_from(list(Convention))))
+    n = geom.total_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.normal(size=(n, n))
+    if draw(st.booleans()):
+        M = M + 1j * rng.normal(size=(n, n))
+    M *= (rng.random((n, n)) < 0.8) * 10.0 ** rng.choice([0, -300, 300], size=(n, n), p=[0.8, 0.1, 0.1])
+    return M, geom, draw(st.integers(0, geom.length - 1))
+
+
+def _example_case(L, convention, h, complex_valued=False):
+    geom = make_geometry(L, convention)
+    M = np.arange(geom.total_dim**2, dtype=float).reshape(geom.total_dim, -1) - 7.5
+    return M * (1 - 0.5j) if complex_valued else M, geom, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_banded_cases())
+@example(case=_example_case(2, Convention.CELL_C2, 1))
+@example(case=_example_case(2, Convention.ALTERNATING_SITES, 1, complex_valued=True))
+@example(case=_example_case(7, Convention.ALTERNATING_SITES, 6))  # odd: |A| = |B| + 1, the full grid
+@example(case=_example_case(7, Convention.ALTERNATING_SITES, 3, complex_valued=True))
+@example(case=_example_case(5, Convention.CELL_C2, 4, complex_valued=True))
+def test_position_band_norms_are_the_dense_block_norms_on_the_band(case):
+    M, geom, h = case
+    blocks = _sublattice_blocks(M)
+    width = h if geom.convention is Convention.CELL_C2 else (h + 1) // 2
+    got = _position_band_norms(tuple(dense_band(B, width) for B in blocks), geom, h)
+    P = geom.length
+    assert got.shape == (2 * h + 1, P)
+    # Zero past the chain's ends.
+    x, k = np.arange(P), np.arange(-h, h + 1)[:, None]
+    assert np.all(got[(x + k < 0) | (x + k >= P)] == 0.0)
+    # Every bit of the oracle's on the diagonals -h..h.
+    want = block_norms(blocks, geom)
+    in_band = np.abs(x[:, None] - x[None, :]) <= h
+    assert band_grid(got, P).tobytes() == np.where(in_band, want, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (5, 4), (4, 5)])  # square, and |A| = |B| + 1 either way
+@pytest.mark.parametrize("h", [0, 1, 3, 6])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_adjoint_band_is_the_band_of_the_conjugate_transpose(shape, h, complex_valued):
+    rng = np.random.default_rng(h)
+    M = rng.normal(size=shape)
+    if complex_valued:
+        M = M + 1j * rng.normal(size=shape)
+    M[1] = 0.0
+    got = _adjoint_band(dense_band(M, h), shape[1])
+    # np.diagonal(M.conj().T, k) on each diagonal, zero past the matrix.
+    assert got.shape == (2 * h + 1, shape[1])
+    assert got.tobytes() == dense_band(M.conj().T, h).tobytes()
+
+
 def test_block_norms_of_integer_matrix():
     M = np.arange(16).reshape(4, 4)
-    geom = make_geometry(2)
-    got = block_norms(_sublattice_blocks(M), geom)
-    assert np.array_equal(got, block_norms(_sublattice_blocks(M.astype(float)), geom))
+    got = _cell_block_norms(*_sublattice_blocks(M))
+    assert np.array_equal(got, _cell_block_norms(*_sublattice_blocks(M.astype(float))))
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -755,7 +817,8 @@ def test_sites_block_norms_are_the_absolute_entries(n, complex_valued):
     if complex_valued:
         M = M + 1j * rng.normal(size=(n, n))
     M[2] = -0.0  # signed zeros come out as the absolute value gives them
-    got = block_norms(_sublattice_blocks(M), make_geometry(n, Convention.ALTERNATING_SITES))
+    bands = tuple(dense_band(B, n // 2) for B in _sublattice_blocks(M))
+    got = band_grid(_position_band_norms(bands, make_geometry(n, Convention.ALTERNATING_SITES), n - 1), n)
     want = np.abs(M)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -781,7 +844,7 @@ def test_subnormal_complex_blocks_keep_their_norm():
     z = 2.22507386e-309j
     zero = np.zeros((2, 2), dtype=complex)
     single = np.array([[0, z], [0, 0]])
-    norms = block_norms((zero, single, zero, zero), make_geometry(2))
+    norms = _cell_block_norms(zero, single, zero, zero)
     assert norms.tolist() == [[0.0, abs(z)], [0.0, 0.0]]
     assert norms.tobytes() == plain_cell_block_norms(zero, single, zero, zero).tobytes()
     H = build_ssh(make_geometry(2), CouplingProfile(t1=[0j, 0j], t2=[z, 0j]))
