@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, _adjoint_band, _as_positive, _band_radius, _position_band_norms
+from .hamiltonian import ChiralHamiltonian, _adjoint_band, _as_positive, _position_band_norms
 from .lattice import Convention, SwitchFunction, check_switch_compatible, step_length
 from .spectral import ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block
 
@@ -139,7 +139,7 @@ def _propagator_band(H: ChiralHamiltonian, t: float, noise_floor: float) -> tupl
     larger of the largest row and column sums of |T|, bounds ||H||.  As
     ||T_n(H / a)|| <= 1, every block of the terms past degree N is at most
     2 sum_{n>N} |J_n(x)| <= ``exp(_chebyshev_log_tail(x, N))``.  H couples
-    basis vectors at most w = 2 r + 1 apart, r the coupling range of T, so
+    basis vectors at most w = 2 r + 1 apart, r the half width of T's band, so
     the first N terms are zero past basis distance N w: past
     (N w + 1) // 2 cells or N w sites, the reach.  N is the smallest degree
     whose tail is at most _TAIL_FRACTION * noise_floor, so the tail never
@@ -147,16 +147,13 @@ def _propagator_band(H: ChiralHamiltonian, t: float, noise_floor: float) -> tupl
     inside that fraction.  Once the reach covers the chain, as it does for
     a non-finite x, every pair is read: (P - 1, 0.0).
     """
-    rows, cols = np.zeros(H.shape[0]), np.zeros(H.shape[1])
     # A sum that overflows makes x infinite: then every pair is read.
     with np.errstate(over="ignore"):
-        for k, d in zip(H.offsets, H.diagonals):
-            v = np.abs(d)
-            i = max(0, -k)
-            rows[i : i + v.size] += v
-            cols[i + k : i + k + v.size] += v
+        # Both sums run in ascending k: T[j - k, j] sits in row h - k of T^dag's band, read bottom up.
+        rows = np.abs(H.band).sum(axis=0)
+        cols = np.abs(_adjoint_band(H.band, H.shape[1]))[::-1].sum(axis=0)
     x = abs(t) * float(max(rows.max(), cols.max()))
-    width = 2 * _band_radius(H) + 1
+    width = H.band.shape[0]
     cells = H.geometry.convention is Convention.CELL_C2
     last = H.geometry.length - 1
     log_target = math.log(_TAIL_FRACTION * noise_floor)

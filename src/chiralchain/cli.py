@@ -634,13 +634,13 @@ def bound_table(config: ExperimentConfig) -> ResultTable:
 
 
 def _assembly_defect(H: ChiralHamiltonian) -> float:
-    """max |H - H^dag| and max |HC + CH| of the assembled matrix, read from the stored diagonals of T.
+    """max |H - H^dag| and max |HC + CH| of the assembled matrix, read from the stored band of T.
 
     H = [[0, T], [T^dag, 0]] is assembled from T alone, so every entry of
-    either matrix is 0 or t - t for a stored entry t of T: both defects are
+    either matrix is 0 or t - t for an entry t of T's band: both defects are
     0.0 when every t is finite and NaN otherwise.
     """
-    return 0.0 if all(np.isfinite(d).all() for d in H.diagonals) else math.nan
+    return 0.0 if np.isfinite(H.band).all() else math.nan
 
 
 def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:

@@ -8,20 +8,22 @@ locality bounds.
 
 One builder places every bond, as (row, col, value) triplets of the upper
 triangle, and both chains read them as entries of their A->B block.  The
-open chain adds them into the nonzero diagonals of T, the only data a
-``ChiralHamiltonian`` stores: every chain the CLI builds is banded, so that
-is about 2L numbers where the dense T would hold L^2 and the 2L x 2L matrix
-4 L^2.  ``bulk_gap`` places the ring's into a band T_ring, folded so that
-the wrap bonds stay in the band, and takes its smallest singular value by
-Lanczos on the inverse of T_ring T_ring^dag, applied through one band LU
-factorization, so its cost grows with L * coupling_range.  The ring is the
-open chain of the periodically tiled profile plus the wrap bonds
-x -> (x + k) mod L, and the ``sites`` chain of L sites is the cell chain of
-(L + 1) // 2 cells cropped to its first L basis states.
+open chain adds them into the band of T, ``band[h + k, i] = T[i, i + k]``
+for the diagonals -h..h of T, zero outside T, h its farthest nonzero
+diagonal: the only data a ``ChiralHamiltonian`` stores.  Every chain the
+CLI builds is banded, so that is about 3L numbers where the dense T would
+hold L^2 and the 2L x 2L matrix 4 L^2.  ``bulk_gap`` places the ring's
+into a band T_ring, folded so that the wrap bonds stay in the band, and
+takes its smallest singular value by Lanczos on the inverse of
+T_ring T_ring^dag, applied through one band LU factorization, so its cost
+grows with L * coupling_range.  The ring is the open chain of the
+periodically tiled profile plus the wrap bonds x -> (x + k) mod L, and the
+``sites`` chain of L sites is the cell chain of (L + 1) // 2 cells cropped
+to its first L basis states.
 
 Norms of position blocks, which the short-range constant and the bound
-certificates read, come from bands: ``band[h + k, i] = M[i, i + k]`` for the
-diagonals -h..h of a sublattice block M, zero outside M.
+certificates read, come from bands in that layout, one per sublattice
+block M: ``band[h + k, i] = M[i, i + k]``, zero outside M.
 ``_position_band_norms`` turns the bands of the four sublattice blocks into
 ``out[h + k, x] = ||M_{x, x + k}||`` in either convention, and
 ``_adjoint_band`` gives the band of M^dag from that of M.
@@ -156,37 +158,38 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class ChiralHamiltonian:
-    """H = [[0, T], [T^dag, 0]], stored as the nonzero diagonals of its |A| x |B| block T = H[A, B].
+    """H = [[0, T], [T^dag, 0]], stored as the band of its |A| x |B| block T = H[A, B].
 
-    ``diagonals[i]`` is np.diagonal(T, offsets[i]); the offsets ascend and
-    hold 0 and every diagonal with a nonzero entry, all of one dtype.  A is
-    on the even and B on the odd basis vectors in both conventions, so H is
-    Hermitian and chiral by construction.  ``from_matrix`` validates an
-    n x n matrix; ``T`` and ``matrix`` assemble the dense arrays on each
-    read.  The diagonals are read-only: the first ``spectral.eigh(H)``
-    stores the spectrum in ``_spectrum``, so it lives and dies with H.
-    ``dataclasses.replace`` starts with no spectrum.
+    ``band[h + k, i] = T[i, i + k]`` for the diagonals -h..h of T, zero
+    outside T: a (2h + 1) x |A| array.  A is on the even and B on the odd
+    basis vectors in both conventions, so H is Hermitian and chiral by
+    construction.  ``from_matrix`` validates an n x n matrix; ``T`` and
+    ``matrix`` assemble the dense arrays on each read.  The band is
+    read-only: the first ``spectral.eigh(H)`` stores the spectrum in
+    ``_spectrum``, so it lives and dies with H.  ``dataclasses.replace``
+    starts with no spectrum.
     """
 
-    offsets: tuple[int, ...]
-    diagonals: tuple[np.ndarray, ...]
+    band: np.ndarray
     geometry: ChainGeometry
     _spectrum: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lengths = [_diagonal_length(self.shape, k) for k in self.offsets]
-        if (
-            0 not in self.offsets or list(self.offsets) != sorted(set(self.offsets))
-            or [np.shape(d) for d in self.diagonals] != [(n,) for n in lengths] or 0 in lengths
-        ):
+        band, (a, b) = self.band, self.shape
+        if not isinstance(band, np.ndarray):
+            raise ValueError(f"band must be a numpy array, got {type(band).__name__}")
+        if band.ndim != 2 or band.shape[0] % 2 == 0 or band.shape[1] != a:
             raise ValueError(
-                f"diagonals {list(self.offsets)} of lengths {[np.size(d) for d in self.diagonals]} "
-                f"do not match geometry dim {self.geometry.total_dim}"
+                f"band of shape {band.shape} is not (2h + 1) x {a} for geometry dim {self.geometry.total_dim}"
             )
-        if len({d.dtype for d in self.diagonals}) != 1:
-            raise ValueError("diagonals must share one dtype")
-        for d in self.diagonals:
-            d.setflags(write=False)
+        # Only the corners can fall outside T: i + k < 0 in the first h
+        # columns, i + k >= |B| in the last h + 1.
+        h = band.shape[0] // 2
+        w = min(h + 1, a)
+        c_k = np.arange(-h, h + 1)[:, None] + np.arange(w)  # column + k in either slice
+        if band[:, :w][c_k < 0].any() or band[:, a - w :][c_k >= b - a + w].any():
+            raise ValueError("band has a nonzero entry outside T")
+        band.setflags(write=False)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, geometry: ChainGeometry) -> "ChiralHamiltonian":
@@ -204,8 +207,12 @@ class ChiralHamiltonian:
             raise NumericalError("matrix is not chiral: its A-A or B-B block is nonzero")
         # With zero A-A and B-B blocks, M = M^dag exactly when T = (M_BA)^dag.
         _check_hermitian(T, BA)
-        offsets = [k for k in range(1 - T.shape[0], T.shape[1]) if k == 0 or np.any(np.diagonal(T, k))]
-        return cls(tuple(offsets), tuple(np.diagonal(T, k).copy() for k in offsets), geometry)
+        rows, cols = np.nonzero(T)
+        h = int(np.abs(cols - rows).max(initial=0))
+        band = np.zeros((2 * h + 1, T.shape[0]), T.dtype)
+        inside, i, j = _band_entries(h, T.shape)
+        band[inside] = T[i, j]
+        return cls(band, geometry)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -219,21 +226,14 @@ class ChiralHamiltonian:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.diagonals[0].dtype
-
-    def diagonal(self, k: int) -> np.ndarray:
-        """np.diagonal(T, k): the stored diagonal, or zeros where none is stored."""
-        if k in self.offsets:
-            return self.diagonals[self.offsets.index(k)]
-        return np.zeros(_diagonal_length(self.shape, k), self.dtype)
+        return self.band.dtype
 
     @property
     def T(self) -> np.ndarray:
         """The dense |A| x |B| block, assembled read-only on every read."""
         T = np.zeros(self.shape, self.dtype)
-        for k, d in zip(self.offsets, self.diagonals):
-            rows = np.arange(d.size) + max(0, -k)
-            T[rows, rows + k] = d
+        inside, i, j = _band_entries(self.band.shape[0] // 2, self.shape)
+        T[i, j] = self.band[inside]
         T.setflags(write=False)
         return T
 
@@ -248,9 +248,11 @@ class ChiralHamiltonian:
         return M
 
 
-def _diagonal_length(shape: tuple[int, int], k: int) -> int:
-    """Entries on the diagonal k of an array of this shape (0 past its corners)."""
-    return max(0, min(shape[0], shape[1] - k) if k >= 0 else min(shape[0] + k, shape[1]))
+def _band_entries(h: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inside, i, j): the entries ``band[inside]`` of a half-width-h band of an M of this shape are M[i, j]."""
+    j = np.arange(shape[0]) + np.arange(-h, h + 1)[:, None]
+    inside = (j >= 0) & (j < shape[1])
+    return inside, np.nonzero(inside)[1], j[inside]
 
 
 def _sublattice_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -298,9 +300,9 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
     perturbations are CELL_C2-only features.  A bond (x,A)->(y,B) lands at
     T[x, y] and a bond (x,B)->(y,A) at T[y, x], conjugated; the two kinds
     never share an entry, so T is bit-identical to the symmetrized sum.
-    The entries are added into T's diagonals, each starting from zeros as a
-    dense T would, in the order listed; a diagonal that stays zero is not
-    stored, except the main one.  The odd ``sites`` chain drops the last
+    The entries are added into T's band, starting from zeros as a dense T
+    would, in the order listed; the band is then cut to the farthest
+    diagonal with a nonzero entry.  The odd ``sites`` chain drops the last
     cell's B state, the entries past T's last column.
     """
     if profile.length != geom.cells:
@@ -315,18 +317,15 @@ def build_ssh(geom: ChainGeometry, profile: CouplingProfile) -> ChiralHamiltonia
             "under the CELL_C2 convention"
         )
     a, b, values = _block_entries(_chain_bonds(profile, ring=False))
-    shape = (profile.length, geom.total_dim // 2)
-    kept = b < shape[1]
-    a, b, values, offset = a[kept], b[kept], values[kept], (b - a)[kept]
-    offsets, diagonals = [], []
-    for k in sorted({0, *offset.tolist()}):
-        on = offset == k
-        d = np.zeros(_diagonal_length(shape, k), values.dtype)
-        np.add.at(d, np.minimum(a[on], b[on]), values[on])
-        if k == 0 or np.any(d):
-            offsets.append(k)
-            diagonals.append(d)
-    return ChiralHamiltonian(tuple(offsets), tuple(diagonals), geom)
+    kept = b < geom.total_dim // 2
+    a, k, values = a[kept], (b - a)[kept], values[kept]
+    h = int(np.abs(k).max(initial=0))
+    band = np.zeros((2 * h + 1, profile.length), values.dtype)
+    np.add.at(band, (h + k, a), values)
+    nonzero = np.flatnonzero(band.any(axis=1))
+    r = max(h - nonzero[0], nonzero[-1] - h) if nonzero.size else 0
+    # A copy once cut, so that H does not keep the zero rows alive.
+    return ChiralHamiltonian(band if r == h else band[h - r : h + r + 1].copy(), geom)
 
 
 _Bonds = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -679,8 +678,7 @@ def _position_band_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry, h:
 def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     """max_x sum_y ||H_{x,y}|| exp(|x-y| / decay_length), exact for banded chains.
 
-    Only the diagonals T[i, i + k] with |k| up to the farthest stored one
-    are read, as the band of T, so the cost grows with L times the coupling
+    Only the band of T is read, so the cost grows with L times the coupling
     range.  The position blocks of H are those of the sublattice blocks
     (0, T, T^dag, 0), through ``_position_band_norms``.  Each row is summed
     down the band, in ascending y as the full grid sums it, and only the
@@ -688,13 +686,14 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     block by an overflowed weight.
     """
     decay_length = _as_positive("decay_length", decay_length)
-    r = _band_radius(H)
-    # T[a, a + k] sits at sites 2a and 2a + 2k + 1, so the site band reaches 2r + 1.
-    h, hs = (r, r) if H.geometry.convention is Convention.CELL_C2 else (2 * r + 1, r + 1)
-    a, b = H.shape
-    T = np.zeros((2 * hs + 1, a), H.dtype)
-    for k, d in zip(H.offsets, H.diagonals):
-        T[hs + k, max(0, -k) : max(0, -k) + d.size] = d
+    r, (a, b) = H.band.shape[0] // 2, H.shape
+    if H.geometry.convention is Convention.CELL_C2:
+        h, T = r, H.band
+    else:
+        # T[a, a + k] sits at sites 2a and 2a + 2k + 1, so the site band reaches
+        # 2r + 1, and the sublattice bands it reads r + 1: one zero row more on each side.
+        h, T = 2 * r + 1, np.zeros((2 * r + 3, a), H.dtype)
+        T[1:-1] = H.band
     zero = np.zeros_like(T)
     norms = _position_band_norms((zero, T, _adjoint_band(T, b), zero[:, :b]), H.geometry, h)
     # A weight that overflows makes the constant infinite, which is its value.
@@ -702,9 +701,3 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
         weights = np.exp(np.abs(np.arange(-h, h + 1)) / decay_length)
     np.multiply(norms, weights[:, None], out=norms, where=norms != 0)
     return float(norms.sum(axis=0).max())
-
-
-def _band_radius(H: ChiralHamiltonian) -> int:
-    """r, the offset of the farthest stored diagonal of T: T's band is its diagonals -r..r."""
-    return max(abs(k) for k in H.offsets)
-

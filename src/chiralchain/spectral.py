@@ -4,10 +4,11 @@ Everything downstream (indices, bound certificates) runs through functions of
 one Hermitian matrix: S = tanh(H / delta), 1 - S^2 = sech^2(H / delta), and
 cos(tH) and sin(tH) for the propagator.  In sublattice order a chiral
 Hamiltonian is H = [[0, T], [T^dag, 0]], and a ``ChiralHamiltonian`` stores
-only the nonzero diagonals of T, so ``eigh`` takes one SVD of
-T = U Sigma W^dag, directly and with no input checks (they run once, in the
-constructor): the spectrum is +-sigma.  A square T stored as float64
-diagonals 0 and -1 only (every chain the CLI builds except an odd-length
+only the band of T, ``band[h + k, i] = T[i, i + k]`` for the diagonals -h..h
+of T, zero outside T, so ``eigh`` takes one SVD of T = U Sigma W^dag,
+directly and with no input checks (they run once, in the constructor): the
+spectrum is +-sigma.  A square float64 T whose nonzero entries all lie on
+diagonals 0 and -1 (every chain the CLI builds except an odd-length
 ``sites`` chain) takes one call of LAPACK's tridiagonal divide-and-conquer
 eigensolver ``dstevd`` on -T T^T, from the OpenBLAS that numpy.linalg has
 loaded (``_lapack``); the dense T is never assembled.  T is first scaled by
@@ -92,13 +93,15 @@ def eigh(H: ChiralHamiltonian) -> ChiralSpectrum:
 
 
 def _chiral_svd(H: ChiralHamiltonian) -> ChiralSpectrum:
+    band, h = H.band, H.band.shape[0] // 2
     if (
         H.dtype == np.float64
         and H.shape[0] == H.shape[1]
-        and set(H.offsets) <= {0, -1}
+        # Diagonals 0 and -1 hold every nonzero entry.
+        and not np.any(band[: max(h - 1, 0)]) and not np.any(band[h + 1 :])
         and (kernel := _lapack.dstevd()) is not None
     ):
-        return _bidiagonal_svd(kernel, H.diagonal(0), H.diagonal(-1))
+        return _bidiagonal_svd(kernel, band[h], band[h - 1, 1:] if h else np.zeros(H.shape[0] - 1))
     try:
         U, sigma, Wh = np.linalg.svd(H.T, full_matrices=True)
     except np.linalg.LinAlgError as exc:

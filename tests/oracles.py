@@ -19,7 +19,7 @@ A->B block.  The oracles here take the assembled matrix instead:
 - ``dense_block``: the open chain's T scattered into a dense L x L array,
   the builder that the banded storage replaced;
 - ``verify_chiral``: the largest entry of HC + CH of an assembled matrix,
-  which ``check`` replaced by reading the stored diagonals of T;
+  which ``check`` replaced by reading the stored band of T;
 - ``dense_band`` and ``band_grid``: a band of diagonals, as the package
   stores it, read from a dense array and placed back into one.
 

@@ -401,7 +401,7 @@ def test_propagator_block_norms_match_exp_blocks(H, t):
 # At t = 0 both read the identity, exactly.
 @example(
     H=ChiralHamiltonian(
-        (-1, 0), (np.array([2.0, 0.5]), np.array([0.9375, 1.5, 0.44140625])),
+        np.array([[0.0, 2.0, 0.5], [0.9375, 1.5, 0.44140625], [0.0, 0.0, 0.0]]),
         make_geometry(6, Convention.ALTERNATING_SITES),
     ),
     t=0.0, d=1.0,
@@ -623,6 +623,20 @@ def _zero_bond_chain(offsets):
     return build_ssh(make_geometry(12), CouplingProfile(np.full(12, 0.7), t2, extra))
 
 
+def _padded(H):
+    """H with its band padded by one zero row on each side."""
+    band = np.zeros((H.band.shape[0] + 2, H.band.shape[1]), H.dtype)
+    band[1:-1] = H.band
+    return ChiralHamiltonian(band, H.geometry)
+
+
+def _with_superdiagonal_entry(H):
+    """The chiral matrix of H's T plus one entry on its +1 diagonal, through from_matrix."""
+    M = H.matrix
+    M[0, 3] = M[3, 0] = 0.25  # T[0, 1]
+    return ChiralHamiltonian.from_matrix(M, H.geometry)
+
+
 def _dense_chiral_matrix(cells):
     T = np.random.default_rng(cells).uniform(-1.0, 1.0, (cells, cells))
     M = np.zeros((2 * cells, 2 * cells))
@@ -645,10 +659,22 @@ def _dense_chiral_matrix(cells):
     (ChiralHamiltonian.from_matrix(_chain(12, offsets=(3,)).matrix, make_geometry(12)), "svd"),
     (_zero_bond_chain(()), "dstevd"),  # an explicit zero on the subdiagonal
     (_zero_bond_chain((2,)), "dstevd"),  # a block of zeros stores no diagonal
+    (_padded(_chain(12)), "dstevd"),  # zero rows past diagonals -1 and 0: h = 2
+    (_padded(_chain(13, Convention.ALTERNATING_SITES)), "svd"),
+    (_with_superdiagonal_entry(_chain(12)), "svd"),
     (ChiralHamiltonian.from_matrix(_dense_chiral_matrix(12), make_geometry(12)), "svd"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_solver_route(monkeypatch, H, route):
     assert _Routes(monkeypatch).solve(H) == route
+
+
+def test_zero_padded_band_solves_as_the_trimmed_band():
+    H = _chain(40)
+    padded = _padded(H)
+    assert padded.band.shape == (5, 40)
+    want, got = eigh(H), eigh(padded)
+    for name in ("U", "sigma", "W"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_disordered_defect_chain_takes_dstevd(monkeypatch):
@@ -699,9 +725,9 @@ def test_missing_kernel_falls_back_to_dense_svd(monkeypatch):
 
 
 def test_non_finite_band_is_numerical_error():
-    # from_matrix rejects such a matrix; the constructor takes the diagonals unchecked.
+    # from_matrix rejects such a matrix; the constructor checks only the entries outside T.
     H = _chain(4)
-    diagonals = [d.copy() for d in H.diagonals]
-    diagonals[H.offsets.index(0)][1] = np.nan
+    band = H.band.copy()
+    band[band.shape[0] // 2, 1] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
-        eigh(ChiralHamiltonian(H.offsets, tuple(diagonals), H.geometry))
+        eigh(ChiralHamiltonian(band, H.geometry))

@@ -611,9 +611,9 @@ def test_assembly_defect_is_the_dense_scan_of_any_stored_entry(entry, convention
     # Entries the builder rejects reach H only through its constructor.
     geom = make_geometry(7, convention)
     H = build_ssh(geom, CouplingProfile.constant(geom.cells, 0.5, 1.0))
-    diagonals = [d.astype(type(entry)) for d in H.diagonals]
-    diagonals[-1][1] = entry
-    H = ChiralHamiltonian(H.offsets, tuple(diagonals), geom)
+    band = H.band.astype(type(entry))
+    band[band.shape[0] // 2, 1] = entry  # T[1, 1]
+    H = ChiralHamiltonian(band, geom)
     herm, chir = dense_defects(H)
     assert repr(_assembly_defect(H)) == repr(herm) == repr(chir)
 
@@ -1121,9 +1121,9 @@ def _count_matrix_reads(monkeypatch) -> list:
 
 @pytest.mark.parametrize("convention", ["cell", "sites"])
 def test_production_commands_never_assemble_the_matrix(tmp_path, capsys, monkeypatch, convention):
-    # Every command works on the stored diagonals of T and on the sublattice
+    # Every command works on the stored band of T and on the sublattice
     # blocks of its functions; check reads Hermiticity and chirality from
-    # the diagonals too.
+    # the band too.
     geometry = {"length": 41, "convention": convention}
     theorem = write_config(tmp_path, disordered_config(geometry=geometry, delta={"mode": "theorem"}))
     scan = tmp_path / "scan.json"

@@ -926,10 +926,12 @@ def test_banded_builder_matches_the_scatter_builder(chain):
     H = build_ssh(geom, profile)
     want = dense_block(geom, profile)
     assert H.T.dtype == want.dtype and H.T.tobytes() == want.tobytes()
-    nonzero = [k for k in range(1 - want.shape[0], want.shape[1]) if np.any(np.diagonal(want, k))]
-    assert H.offsets == tuple(sorted({0, *nonzero}))
+    r = max((abs(k) for k in range(1 - want.shape[0], want.shape[1]) if np.any(np.diagonal(want, k))), default=0)
+    band = dense_band(want, r)
+    assert H.band.shape == band.shape and H.band.dtype == band.dtype and H.band.tobytes() == band.tobytes()
     again = ChiralHamiltonian.from_matrix(H.matrix, geom)
-    assert again.offsets == H.offsets and again.T.tobytes() == want.tobytes()
+    assert again.band.shape == band.shape and again.band.tobytes() == band.tobytes()
+    assert again.T.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sites", [2, 3, 5])
@@ -945,11 +947,38 @@ def test_block_storage_is_read_only_and_sized_by_geometry():
     with pytest.raises(ValueError):
         H.T[0, 0] = 1.0
     with pytest.raises(ValueError):
-        H.diagonals[0][0] = 1.0
-    with pytest.raises(ValueError, match="do not match geometry dim"):
-        ChiralHamiltonian((0,), (np.zeros(6),), make_geometry(5))
+        H.band[1, 0] = 1.0
+    with pytest.raises(ValueError, match="for geometry dim 10"):
+        ChiralHamiltonian(np.zeros((1, 6)), make_geometry(5))
     # The assembled matrix is a fresh array on every read, never a cache.
     assert H.matrix is not H.matrix
+
+
+@pytest.mark.parametrize("geom", [
+    make_geometry(5),
+    make_geometry(6, Convention.ALTERNATING_SITES),
+    make_geometry(7, Convention.ALTERNATING_SITES),  # |A| = |B| + 1
+])
+def test_constructor_takes_only_a_band_of_T(geom):
+    a, b = (geom.total_dim + 1) // 2, geom.total_dim // 2
+    for band in (np.zeros((2, a)), np.zeros((3, a + 1)), np.zeros(a), [np.zeros(a)], (np.zeros(a),)):
+        with pytest.raises(ValueError, match="band"):
+            ChiralHamiltonian(band, geom)
+    # h = 3 reaches past both corners of T, and for |A| = 3 takes whole rows outside it.
+    h = 3
+    j = np.arange(a) + np.arange(-h, h + 1)[:, None]
+    outside = (j < 0) | (j >= b)
+    for entry in np.argwhere(outside):
+        for value in (1.0, -2.5, np.nan):
+            band = np.zeros((2 * h + 1, a))
+            band[tuple(entry)] = value
+            with pytest.raises(ValueError, match="outside T"):
+                ChiralHamiltonian(band, geom)
+    # Explicit zeros outside T are accepted, and the band is kept read-only.
+    band = np.where(outside, 0.0, 1.0 + np.arange(a))
+    H = ChiralHamiltonian(band, geom)
+    assert H.band is band and not band.flags.writeable
+    assert H.T.tobytes() == band_grid(band, max(a, b))[:a, :b].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -977,8 +1006,8 @@ def test_build_ssh_memory_is_linear():
     import tracemalloc
 
     # The dense 2L x 2L builder peaked at 64 MB here and the dense L x L one
-    # at 8 MB.  The bonds and the two stored diagonals take about 130 bytes
-    # per cell (0.13 MB at L = 1000).
+    # at 8 MB.  The bonds and the band of diagonals -1..1 take about 120
+    # bytes per cell (0.12 MB at L = 1000).
     for L in (1000, 4000):
         profile = disordered_defect_profile(L, 1)
         tracemalloc.start()
@@ -987,8 +1016,25 @@ def test_build_ssh_memory_is_linear():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert H.offsets == (-1, 0) and H.shape == (L, L)
+        assert H.band.shape == (3, L) and H.shape == (L, L)
         assert peak < 250 * L
+
+
+def test_build_ssh_keeps_only_the_band_up_to_its_farthest_nonzero_diagonal():
+    import tracemalloc
+
+    # An all-zero block at offset 250 widens the band being built to 501
+    # rows (4 MB); H keeps the 3 rows of diagonals -1..1.
+    L = 1000
+    profile = disordered_defect_profile(L, 1)
+    profile = CouplingProfile(profile.t1, profile.t2, (ExtraCoupling(250, np.zeros(L), np.zeros(L)),))
+    tracemalloc.start()
+    try:
+        H = build_ssh(make_geometry(L), profile)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert H.band.shape == (3, L) and kept < 100 * L
 
 
 def test_chain_of_1e5_cells_builds_and_bounds_in_linear_cost():
