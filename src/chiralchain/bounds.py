@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, _adjoint_band, _as_positive, _position_band_norms
-from .lattice import Convention, SwitchFunction, check_switch_compatible, step_length
+from .lattice import Convention, SwitchFunction
 from .spectral import ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block
 
 BOUND_CSV_HEADER = ["bound_name", "L", "delta", "margin", "gamma_star", "pass"]
@@ -300,12 +300,9 @@ def anticommutator_trace_norms(
     {A, S} = [[0, Y], [Y^dag, 0]] for Y = P X - X Q, whose trace norm is
     2 ||Y||_1, and ||[1-S^2, theta]||_1 = ||[G_A, theta_A]||_1 + ||[G_B, theta_B]||_1.
     """
-    geom = H.geometry
-    check_switch_compatible(geom, switch)
+    steps = switch.split(H.geometry)
     delta = _as_positive("delta", delta)
     X = odd_block(eigh(H), lambda e: np.tanh(_ratio(e, delta)))
-    theta = switch.basis_values()
-    steps = (step_length(theta[0::2]), step_length(theta[1::2]))
     P, Q = (_step_anticommutator(G, p) for G, p in zip(filter_blocks, steps))
     norm_anti = 2.0 * _trace_norm(P @ X - X @ Q)
     norm_comm = sum(_step_commutator_trace_norm(G, p) for G, p in zip(filter_blocks, steps))

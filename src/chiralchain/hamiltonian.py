@@ -144,12 +144,12 @@ class CouplingProfile:
         boundary = None if self.boundary is None else self.boundary[:cells]
         return CouplingProfile(self.t1[:cells], self.t2[:cells], extra, boundary)
 
-    def tiled(self, cells: int, shift: int = 0) -> "CouplingProfile":
-        """Periodic extension to ``cells`` cells: cell x gets the couplings of (x - shift) mod L.
+    def tiled(self, cells: int) -> "CouplingProfile":
+        """Periodic extension to ``cells`` cells: cell x gets the couplings of x mod L.
 
         Boundary perturbations are an open-chain feature, so they are dropped.
         """
-        idx = (np.arange(cells) - shift) % self.length
+        idx = np.arange(cells) % self.length
         extra = tuple(
             ExtraCoupling(blk.offset, blk.a[idx], blk.b[idx]) for blk in self.extra
         )

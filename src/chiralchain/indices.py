@@ -25,15 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, CouplingProfile, _abs2, _as_positive, build_ssh
-from .lattice import (
-    Convention,
-    SwitchFunction,
-    check_switch_compatible,
-    chiral_polarization,
-    make_geometry,
-    step_length,
-    switch_function,
-)
+from .lattice import Convention, SwitchFunction, chiral_polarization, make_geometry, switch_function
 from .spectral import BLOCK_ROWS, _ratio, _sech_sq, eigh
 
 INDEX_CSV_HEADER = [
@@ -154,9 +146,7 @@ def _index_diagonals(
     """
     delta = _as_positive("delta", delta)
     geom = H.geometry
-    check_switch_compatible(geom, switch)
-    theta = switch.basis_values()
-    p_a, p_b = step_length(theta[0::2]), step_length(theta[1::2])
+    p_a, p_b = switch.split(geom)
     spec = eigh(H)
     U, W, k = spec.U, spec.W, spec.sigma.size
     n_a, n_b = U.shape[0], W.shape[0]

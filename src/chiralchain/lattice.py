@@ -1,11 +1,14 @@
-"""Chain geometry, switch functions and sublattice bookkeeping.
+"""Chain geometry and the step switch function.
 
 Two basis conventions are supported.  Under ``CELL_C2`` the chain has L unit
 cells with two internal states (A, B) per cell and the basis is ordered
 cell-major: ``(0,A), (0,B), (1,A), (1,B), ...``.  Under ``ALTERNATING_SITES``
 the chain has L single-state sites and the sublattice is encoded in the site
 parity, A on even sites.  Both conventions are fixed so that matrix dumps are
-bit-comparable across runs.
+bit-comparable across runs.  In both, A is on the even and B on the odd basis
+vectors, so a step switch, 1 below its transition and 0 from it on, is 1 on
+the first p_A A and the first p_B B vectors: ``SwitchFunction.split`` gives
+that pair, and it is all the indices and the trace norms read of the switch.
 """
 
 from __future__ import annotations
@@ -58,23 +61,23 @@ class ChainGeometry:
             return np.repeat(np.arange(self.length), 2)
         return np.arange(self.length)
 
-    @property
-    def sublattice_signs(self) -> np.ndarray:
-        """+1 on A (even basis vectors), -1 on B (odd ones): the diagonal of the chiral operator C."""
-        return np.where(np.arange(self.total_dim) % 2 == 0, 1.0, -1.0)
-
 
 @dataclass(frozen=True)
 class SwitchFunction:
     """Step profile on cell/site coordinates: 1 below ``transition``, 0 from it on."""
 
-    values: np.ndarray
     transition: int
     geometry: ChainGeometry
 
-    def basis_values(self) -> np.ndarray:
-        """Expand the per-position profile to one value per basis vector."""
-        return self.values[self.geometry.positions]
+    def split(self, geom: ChainGeometry) -> tuple[int, int]:
+        """(p_A, p_B): the A (even) and B (odd) basis vectors whose position is below the transition.
+
+        Positions do not decrease along the basis, so those are its first p_A + p_B vectors.
+        """
+        if geom != self.geometry:
+            raise SwitchError("switch function was built for a different geometry")
+        below = int(np.count_nonzero(geom.positions < self.transition))
+        return (below + 1) // 2, below // 2
 
 
 def make_geometry(length: int, convention: Convention = Convention.CELL_C2) -> ChainGeometry:
@@ -99,22 +102,7 @@ def switch_function(geom: ChainGeometry, transition: int | str = "middle") -> Sw
     ell = int(transition)
     if not 0 < ell < L:
         raise SwitchError(f"switch transition must satisfy 0 < transition < {L}, got {ell}")
-    values = np.where(np.arange(L) < ell, 1.0, 0.0)
-    return SwitchFunction(values, ell, geom)
-
-
-def check_switch_compatible(geom: ChainGeometry, switch: SwitchFunction) -> None:
-    if switch.geometry != geom or switch.values.shape != (geom.length,):
-        raise SwitchError("switch function was built for a different geometry")
-
-
-def step_length(theta: np.ndarray) -> int:
-    """p for a step theta, 1 on its first p entries and 0 after; any other theta is a SwitchError."""
-    p = int(np.count_nonzero(theta))
-    # With p nonzeros, the first p entries all 1 leave only zeros after them.
-    if not (theta[:p] == 1.0).all():
-        raise SwitchError("switch function is not a step")
-    return p
+    return SwitchFunction(ell, geom)
 
 
 def chiral_polarization(geom: ChainGeometry, switch: SwitchFunction) -> int:
@@ -124,6 +112,5 @@ def chiral_polarization(geom: ChainGeometry, switch: SwitchFunction) -> int:
     under ALTERNATING_SITES this is the sublattice imbalance entering the
     finite-size index correspondence.
     """
-    check_switch_compatible(geom, switch)
-    per_basis = switch.basis_values() * geom.sublattice_signs
-    return int(round(float(per_basis.sum())))
+    p_a, p_b = switch.split(geom)
+    return p_a - p_b

@@ -46,10 +46,10 @@ class _Axis:
     def ticks(self) -> list[tuple[float, float]]:
         """(value, pixel) of each tick that lands on the axis, within one pixel."""
         if self.log:
-            lo_e = math.floor(math.log10(10.0**self.lo))
-            hi_e = math.ceil(math.log10(10.0**self.hi))
+            lo_e, hi_e = math.floor(self.lo), math.ceil(self.hi)
             step = max(1, (hi_e - lo_e) // 6)
-            values = [10.0**e for e in range(lo_e, hi_e + 1, step)]
+            # A padded floor can reach below the smallest subnormal: those ticks underflow to 0 and are left out.
+            values = [v for e in range(lo_e, hi_e + 1, step) if (v := 10.0**e) > 0.0]
         else:
             values = list(np.linspace(self.lo, self.hi, 5))
         first, last = sorted((self.start, self.stop))

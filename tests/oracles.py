@@ -20,6 +20,9 @@ A->B block.  The oracles here take the assembled matrix instead:
   the builder that the banded storage replaced;
 - ``verify_chiral``: the largest entry of HC + CH of an assembled matrix,
   which ``check`` replaced by reading the stored band of T;
+- ``sublattice_signs`` and ``dense_theta``: the diagonals of the chiral
+  operator C and of a switch theta, one entry per basis vector, where the
+  package reads a step switch as its two counts ``SwitchFunction.split``;
 - ``dense_band`` and ``band_grid``: a band of diagonals, as the package
   stores it, read from a dense array and placed back into one.
 
@@ -55,7 +58,7 @@ import scipy.linalg
 
 from chiralchain.bounds import BoundCertificate
 from chiralchain.hamiltonian import (
-    ChiralHamiltonian, CouplingProfile, NumericalError, _abs2, _as_positive, _block_entries,
+    ChiralHamiltonian, CouplingProfile, ExtraCoupling, NumericalError, _abs2, _as_positive, _block_entries,
     _chain_bonds, _check_hermitian, _ring_bonds, _sublattice_blocks, build_ssh,
 )
 from chiralchain.lattice import ChainGeometry, Convention, make_geometry
@@ -249,9 +252,19 @@ def full_grid_lieb_robinson(H, t: float, decay_length: float, coupling_norm: flo
     )
 
 
+def sublattice_signs(geom: ChainGeometry) -> np.ndarray:
+    """+1 on A (even basis vectors), -1 on B (odd ones): the diagonal of the chiral operator C."""
+    return np.where(np.arange(geom.total_dim) % 2 == 0, 1.0, -1.0)
+
+
+def dense_theta(switch) -> np.ndarray:
+    """The switch's value on each basis vector: 1.0 where its position is below the transition, 0.0 after."""
+    return np.where(switch.geometry.positions < switch.transition, 1.0, 0.0)
+
+
 def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:
     """Largest absolute entry of M C + C M (0 for a chiral matrix), C the diagonal of the sublattice signs."""
-    signs = geom.sublattice_signs
+    signs = sublattice_signs(geom)
     if matrix.shape != (signs.shape[0], signs.shape[0]):
         raise ValueError(f"dimension mismatch: matrix {matrix.shape}, geometry dim {signs.shape[0]}")
     anticomm = matrix * signs[None, :] + signs[:, None] * matrix
@@ -265,7 +278,7 @@ def full_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
 
 def full_index_diagonals(H, delta: float, switch) -> tuple[np.ndarray, np.ndarray]:
     """The diagonals of ``indices._index_diagonals`` for any 0/1 theta, from the full X."""
-    theta = switch.basis_values()
+    theta = dense_theta(switch)
     spec = eigh(H)
     U, W, k = spec.U, spec.W, spec.sigma.size
     a, b = slice(0, None, 2), slice(1, None, 2)
@@ -409,7 +422,12 @@ def restriction_discrepancy(
     geom = make_geometry(length, Convention.CELL_C2)
     H_open = build_ssh(geom, profile)
     padded_geom = make_geometry(length + 2 * pad, Convention.CELL_C2)
-    H_pad = build_ssh(padded_geom, profile.tiled(length + 2 * pad, shift=pad))
+    # Rolled by pad, so that the window's cells get the couplings of cells 0..L-1 of the profile.
+    rolled = CouplingProfile(
+        np.roll(profile.t1, pad), np.roll(profile.t2, pad),
+        tuple(ExtraCoupling(blk.offset, np.roll(blk.a, pad), np.roll(blk.b, pad)) for blk in profile.extra),
+    )
+    H_pad = build_ssh(padded_geom, rolled.tiled(length + 2 * pad))
 
     F_open = kind(H_open, delta)
     window = slice(2 * pad, 2 * (pad + length))

@@ -284,3 +284,33 @@ def test_criterion_12_reproduction_determinism():
         ok,
         f"4 tables compared twice, byte sizes {sizes}",
     )
+
+
+def winding_chain(L, offset, on, disorder):
+    """t1 = 0.2, t2 = 0.3 plus one unit coupling at ``offset`` on ``a`` or ``b``, and seed-7 disorder."""
+    unit, zero = np.ones(L), np.zeros(L)
+    extra = ExtraCoupling(offset, unit if on == "a" else zero, unit if on == "b" else zero)
+    profile = apply_disorder(CouplingProfile(np.full(L, 0.2), np.full(L, 0.3), (extra,)), 7, disorder)
+    return build_ssh(make_geometry(L), profile)
+
+
+def test_criterion_13_higher_winding_numbers():
+    failures, q80 = [], []
+    for w, offset, on in ((-2, 2, "a"), (2, 2, "b"), (3, 3, "b")):
+        for disorder in (0.0, 0.05):
+            reports = {L: index_report(winding_chain(L, offset, on, disorder), 0.05) for L in (40, 80, 160)}
+            for L, r in reports.items():
+                if r.nearest_integer != w or not r.correspondence_residual < 1e-10:
+                    failures.append(
+                        f"w={w} disorder={disorder} L={L}: {r.nearest_integer}, {r.correspondence_residual:.1e}"
+                    )
+            q = {L: r.quantization_error for L, r in reports.items()}
+            if not q[80] < min(q[40], 1e-9):
+                failures.append(f"w={w} disorder={disorder}: q(40)={q[40]:.1e}, q(80)={q[80]:.1e}")
+            q80.append(q[80])
+    _criterion(
+        13,
+        "winding -2, 2 and 3 chains, clean and disordered, at L = 40, 80, 160 (delta 0.05)",
+        not failures,
+        "; ".join(failures) or f"nearest integer w, residual < 1e-10, q(80) < q(40) with q(80) <= {max(q80):.1e}",
+    )

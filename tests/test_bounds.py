@@ -30,7 +30,10 @@ from chiralchain.hamiltonian import (
 )
 from chiralchain.indices import index_report
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
-from oracles import block_norms, decay_profile, dense_band, flattened_sign, gap_filter, restriction_discrepancy
+from oracles import (
+    block_norms, decay_profile, dense_band, dense_theta, flattened_sign, gap_filter, restriction_discrepancy,
+    sublattice_signs,
+)
 
 
 def ssh(L, t1, t2):
@@ -427,18 +430,17 @@ def test_restriction_requires_enough_padding():
 def test_trace_norms_vanish_for_constant_switch():
     H = ssh(16, 0.5, 1.0)
     geom = H.geometry
-    full = SwitchFunction(np.ones(geom.length), geom.length, geom)
+    full = SwitchFunction(geom.length, geom)
     _, comm_norm = anticommutator_trace_norms(H, 0.1, full, gap_filter_blocks(H, 0.1))
     assert comm_norm < 1e-12
 
 
-def test_trace_norms_need_a_step_switch():
-    # The commutator norm reads one off-diagonal block, which holds only for a step.
+def test_trace_norms_reject_a_switch_of_another_geometry():
+    # The commutator norm reads (p_A, p_B) of the switch, which are counted on its own geometry.
     H = ssh(16, 0.5, 1.0)
-    geom = H.geometry
-    bump = SwitchFunction(np.where(np.arange(geom.length) == 3, 1.0, 0.0), 4, geom)
-    with pytest.raises(SwitchError, match="not a step"):
-        anticommutator_trace_norms(H, 0.1, bump, gap_filter_blocks(H, 0.1))
+    for other in (make_geometry(12), make_geometry(16, Convention.ALTERNATING_SITES)):
+        with pytest.raises(SwitchError, match="different geometry"):
+            anticommutator_trace_norms(H, 0.1, switch_function(other, 6), gap_filter_blocks(H, 0.1))
 
 
 def test_trace_norm_checks_certify_the_raw_norms():
@@ -484,8 +486,8 @@ def test_trace_norm_dominates_absolute_trace():
     sw = switch_function(H.geometry, "middle")
     G = gap_filter(H, delta)
     S = flattened_sign(H, delta)
-    signs = H.geometry.sublattice_signs
-    theta = sw.basis_values()
+    signs = sublattice_signs(H.geometry)
+    theta = dense_theta(sw)
     A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
     anti = A @ S + S @ A
     anti_norm, _ = anticommutator_trace_norms(H, delta, sw, gap_filter_blocks(H, delta))

@@ -30,18 +30,18 @@ from chiralchain.hamiltonian import (
     short_range_constant,
 )
 from chiralchain.indices import DeltaPolicy, _index_diagonals, index_report
-from chiralchain.lattice import Convention, make_geometry, step_length, switch_function
+from chiralchain.lattice import Convention, make_geometry, switch_function
 from chiralchain.spectral import ChiralSpectrum, NumericalError, _sech_sq, eigh, even_blocks, odd_block
 from oracles import (
-    dense_eigh, dense_function, exp_block_norms, flattened_sign, full_commutator_trace_norm,
+    dense_eigh, dense_function, dense_theta, exp_block_norms, flattened_sign, full_commutator_trace_norm,
     full_grid_lieb_robinson, full_index_diagonals, gap_filter, propagator, propagator_block_norms,
-    spectrum_values, tanh_oracle,
+    spectrum_values, sublattice_signs, tanh_oracle,
 )
 
 
 def dense_index_diagonals(H, delta, switch):
-    signs = H.geometry.sublattice_signs
-    theta = switch.basis_values()
+    signs = sublattice_signs(H.geometry)
+    theta = dense_theta(switch)
     eig = dense_eigh(H.matrix)
     w, V = eig
     edge = signs * theta * ((np.abs(V) ** 2) @ _sech_sq(w / delta))
@@ -305,8 +305,8 @@ def test_spectrum_lives_and_dies_with_its_hamiltonian():
 def dense_trace_norms(H, delta, switch):
     """The trace norms as first written: SVDs of 2L x 2L matrices assembled from the spectrum."""
     S, G = flattened_sign(H, delta), gap_filter(H, delta)
-    signs = H.geometry.sublattice_signs
-    theta = switch.basis_values()
+    signs = sublattice_signs(H.geometry)
+    theta = dense_theta(switch)
     A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
     anti = A @ S + S @ A
     comm = G * theta[None, :] - theta[:, None] * G
@@ -423,11 +423,12 @@ def test_lieb_robinson_check_matches_full_grid(H, t, d):
 @given(data=st.data(), H=_cell_chains() | _site_chains(), log_delta=st.floats(-3.0, 1.0))
 def test_step_commutator_trace_norm_matches_full_matrix(data, H, log_delta):
     delta = 10.0**log_delta
-    theta = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1))).basis_values()
+    switch = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1)))
+    theta = dense_theta(switch)
     G_A, G_B = even_blocks(eigh(H), lambda e: _sech_sq(e / delta))
-    for G, t in ((G_A, theta[0::2]), (G_B, theta[1::2])):
+    for G, t, p in zip((G_A, G_B), (theta[0::2], theta[1::2]), switch.split(H.geometry)):
         want = full_commutator_trace_norm(G, t)
-        assert abs(_step_commutator_trace_norm(G, step_length(t)) - want) <= 1e-13 * max(1.0, want)
+        assert abs(_step_commutator_trace_norm(G, p) - want) <= 1e-13 * max(1.0, want)
 
 
 # --- the bidiagonal route: LAPACK dstevd on -T T^T for a real lower-bidiagonal T -----

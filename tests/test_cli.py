@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -476,6 +478,16 @@ def test_emit_plot_log_scale_omits_non_positive_points():
         emit_plot(zeros, x_column="delta", y_column="q_error", log_y=True)
 
 
+def test_emit_plot_log_scale_with_subnormal_value():
+    # log10(4.6e-311) is -310.3; padded by 6 % of the span the axis reaches -328.8,
+    # below the smallest subnormal, so its lowest ticks would underflow to 0.
+    table = ResultTable(["delta", "q_error"], [[1e-3, 4.6e-311], [1e-2, 1e-3]], {})
+    svg = emit_plot(table, "delta", "q_error", log_y=True)
+    assert svg.count("<circle") == 2
+    y_ticks = [float(t) for t in re.findall(r'text-anchor="end">([^<]+)</text>', svg)]
+    assert y_ticks and all(t > 0.0 for t in y_ticks)
+
+
 def test_emit_plot_per_site():
     rows = [[c, 0.1 * c, "edge"] for c in range(5)] + [[c, -0.05 * c, "bulk"] for c in range(5)]
     table = ResultTable(["cell", "value", "kind"], rows, {})
@@ -823,6 +835,25 @@ def test_main_reproduce_fig4_with_zero_q_error(tmp_path):
     q_errors = [ln.rsplit(",", 1)[1] for ln in lines if not ln.startswith("#")][1:]
     assert "0.0" in q_errors
     assert (tmp_path / "fig4_delta_scan.svg").read_text().count("<circle") == len(q_errors) - 1
+
+
+def test_main_reproduce_fig4_with_subnormal_q_error(tmp_path):
+    # At seed 2394 one q_error is 4.6e-311, so the padded log axis reaches
+    # below 1e-323 and its lowest tick would underflow to 0.
+    assert main(["reproduce", "fig4", "--seed", "2394", "--out", str(tmp_path),
+                 "--reproducible"]) == 0
+    names = ("fig4_switch_scan", "fig4_delta_scan")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{n}.{ext}" for n in names for ext in ("csv", "svg")
+    )
+    for name in names:
+        root = ElementTree.parse(tmp_path / f"{name}.svg").getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    lines = (tmp_path / "fig4_delta_scan.csv").read_text().splitlines()
+    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    q_errors = [float(ln.rsplit(",", 1)[1]) for ln in rows]
+    assert 0.0 < min(q_errors) < 1e-308
+    assert (tmp_path / "fig4_delta_scan.svg").read_text().count("<circle") == len(q_errors)
 
 
 def test_main_unwritable_output_is_config_error(tmp_path, capsys):

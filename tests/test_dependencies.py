@@ -93,15 +93,35 @@ def _private_definitions(tree: ast.Module) -> set:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def _read_names(tree: ast.Module) -> set:
+    """Names the module reads, as a name or as a module attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def test_every_private_name_of_the_package_is_used_in_it():
-    # A name counts as used where it is read, as a name or as a module attribute.
     defined, used = {}, set()
     for path in _PACKAGE_MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         defined.update((name, path.name) for name in _private_definitions(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _read_names(tree)
+    assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
+
+
+def test_every_public_function_and_class_of_the_package_is_exported_or_used_in_it():
+    # Exported means imported by __init__, so that a public helper no module reads any more is caught.
+    defined, used = {}, _imported_names(ast.parse((ROOT / "src" / "chiralchain" / "__init__.py").read_text()))
+    for path in _PACKAGE_MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update(
+            (node.name, path.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+        used |= _read_names(tree)
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []

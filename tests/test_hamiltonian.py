@@ -456,13 +456,13 @@ def test_ring_ignores_boundary_perturbation():
     assert_same_matrix(dense_ring(perturbed, 24), dense_ring(plain, 24))
 
 
-def test_tiled_profile_shifts_and_drops_boundary():
+def test_tiled_profile_repeats_and_drops_boundary():
     boundary = np.zeros(8)
     boundary[0] = 0.2
     profile = CouplingProfile(np.arange(8.0), np.arange(8.0) + 10, boundary=boundary)
-    tiled = profile.tiled(12, shift=3)
+    tiled = profile.tiled(12)
     assert tiled.boundary is None
-    assert list(tiled.t1) == [5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0]
+    assert list(tiled.t1) == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3]
     assert list(tiled.t2) == list(tiled.t1 + 10)
 
 

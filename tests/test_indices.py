@@ -27,7 +27,7 @@ from chiralchain.indices import (
     windowed_edge_index,
 )
 from chiralchain.lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
-from oracles import gap_filter, restriction_discrepancy
+from oracles import dense_theta, gap_filter, restriction_discrepancy, sublattice_signs
 
 
 def ssh(L, t1, t2, convention=Convention.CELL_C2):
@@ -85,19 +85,18 @@ def test_bulk_equals_edge_under_cell_convention():
 
 
 @pytest.mark.parametrize("kind", list(IndexKind))
-def test_index_density_needs_a_step_switch(kind):
-    # The index diagonals read only the rows and the two X quadrants where a step theta is 1.
+def test_index_density_rejects_a_switch_of_another_geometry(kind):
+    # The index diagonals read (p_A, p_B) of the switch, which are counted on its own geometry.
     H = ssh(16, 0.5, 1.0)
-    geom = H.geometry
-    bump = SwitchFunction(np.where(np.arange(geom.length) == 3, 1.0, 0.0), 4, geom)
-    with pytest.raises(SwitchError, match="not a step"):
-        index_density(H, 0.1, bump, kind)
+    for other in (make_geometry(12), make_geometry(16, Convention.ALTERNATING_SITES)):
+        with pytest.raises(SwitchError, match="different geometry"):
+            index_density(H, 0.1, switch_function(other, 6), kind)
 
 
 def test_bulk_index_vanishes_for_constant_switch():
     H = random_chiral(10, seed=1)
     geom = H.geometry
-    full = SwitchFunction(np.ones(geom.length), geom.length, geom)
+    full = SwitchFunction(geom.length, geom)
     assert abs(index_density(H, 0.2, full, IndexKind.BULK).sum()) < 1e-12
 
 
@@ -121,8 +120,8 @@ def sector_oracle_edge_index(H, delta, switch):
     """
     M = np.asarray(H.matrix)
     geom = H.geometry
-    signs = geom.sublattice_signs
-    theta = switch.basis_values()
+    signs = sublattice_signs(geom)
+    theta = dense_theta(switch)
     H2 = M @ M
     total = 0.0
     for sign in (1.0, -1.0):

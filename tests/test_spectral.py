@@ -8,7 +8,7 @@ from chiralchain.lattice import Convention, make_geometry
 from chiralchain.spectral import NumericalError, eigh, even_blocks, odd_block
 from oracles import (
     OracleRangeError, dense_eigh, dense_function, flattened_sign, gap_filter, placed, propagator,
-    spectrum_values, tanh_oracle,
+    spectrum_values, sublattice_signs, tanh_oracle,
 )
 
 
@@ -122,7 +122,7 @@ def test_flattened_sign_norm_below_one():
 
 def test_chiral_conjugation_flips_sign():
     H = ssh(12, 0.5, 1.0)
-    c = H.geometry.sublattice_signs
+    c = sublattice_signs(H.geometry)
     S = flattened_sign(H, 0.1)
     assert np.abs(c[:, None] * S * c[None, :] + S).max() < 1e-10
     G = gap_filter(H, 0.1)
