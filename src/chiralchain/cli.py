@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -55,7 +56,7 @@ from .indices import (
     index_report,
     resolve_delta,
 )
-from .lattice import Convention, SwitchError, SwitchFunction, make_geometry, switch_function
+from .lattice import Convention, SwitchError, make_geometry, switch_function
 from .spectral import NumericalError
 from .svgplot import emit_plot
 
@@ -353,10 +354,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSON text is UTF-8; a BOM is a JSONDecodeError.
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     return parse_config(raw)
 
@@ -443,79 +445,58 @@ def _as_cells(value, length: int, path: str) -> np.ndarray:
     return np.full(length, float(value))
 
 
-def _model(
-    config: ExperimentConfig, length: int
-) -> tuple[CouplingProfile, ChiralHamiltonian, DeltaPolicy]:
-    """Profile, open-chain H and delta policy of one model.
+def _points(config: ExperimentConfig) -> Iterator[tuple]:
+    """Yield ``(profile, H, policy, switch, delta)`` per scan point, scan axis ascending.
 
-    The theorem policy's bulk gap and short-range constant depend on the
-    model alone, so they are measured here, once per model.  A delta scan
-    skips them: its points use a manual delta.
+    The loops nest as length -> switch -> delta; only the scanned axis has
+    more than one value.  Each length builds its profile and open-chain H
+    once, so the points of a switch or delta scan share one spectrum.  The
+    theorem policy's bulk gap and short-range constant depend on the model
+    alone, so they are measured once per length; a delta scan skips them,
+    because its points use a manual delta.  H is dropped before the next
+    length's is built: a caller that drops its own reference too holds at
+    most one H (and spectrum) at a time.  ``next(_points(config))`` builds
+    only the first (smallest) point.
     """
-    geom = make_geometry(length, config.convention)
-    profile = build_profile(config.model, geom.cells, config.seed)
-    H = build_ssh(geom, profile)
-    policy = config.delta
-    if policy.mode is DeltaMode.THEOREM and config.scan is not ScanAxis.DELTA:
-        policy = dataclasses.replace(
-            policy,
-            half_gap=bulk_gap(profile),
-            coupling_norm=short_range_constant(H, policy.decay_length),
-        )
-    return profile, H, policy
-
-
-def _point(
-    config: ExperimentConfig, point: dict, model: tuple | None = None
-) -> tuple[tuple, SwitchFunction, float]:
-    """Model, switch function and delta of one scan point.
-
-    The model is built at the point's length unless a shared one is given.
-    """
-    if model is None:
-        model = _model(config, point.get("length", config.length))
-    _, H, policy = model
-    try:
-        switch = switch_function(H.geometry, point.get("switch", config.switch))
-    except SwitchError as exc:
-        raise ConfigError(f"switch: {exc}") from exc
-    if "delta" in point:
-        policy = DeltaPolicy.manual(point["delta"])
-    return model, switch, resolve_delta(policy, H.geometry.length)
-
-
-def _scan_points(config: ExperimentConfig) -> list[dict]:
-    # Rows are emitted scan-axis ascending regardless of the config's order.
-    if config.scan is ScanAxis.LENGTH:
-        return [{"length": L} for L in sorted(config.length)]
-    if config.scan is ScanAxis.DELTA:
-        return [{"delta": d} for d in sorted(config.delta_values)]
-    if config.scan is ScanAxis.SWITCH:
-        return [{"switch": s} for s in sorted(config.switch)]
-    return [{}]
+    scan = config.scan
+    lengths = sorted(config.length) if scan is ScanAxis.LENGTH else [config.length]
+    switches = sorted(config.switch) if scan is ScanAxis.SWITCH else [config.switch]
+    deltas = sorted(config.delta_values) if scan is ScanAxis.DELTA else [None]
+    for length in lengths:
+        geom = make_geometry(length, config.convention)
+        profile = build_profile(config.model, geom.cells, config.seed)
+        H = build_ssh(geom, profile)
+        policy = config.delta
+        if policy.mode is DeltaMode.THEOREM and scan is not ScanAxis.DELTA:
+            policy = dataclasses.replace(
+                policy,
+                half_gap=bulk_gap(profile),
+                coupling_norm=short_range_constant(H, policy.decay_length),
+            )
+        for transition in switches:
+            try:
+                switch = switch_function(geom, transition)
+            except SwitchError as exc:
+                raise ConfigError(f"switch: {exc}") from exc
+            for d in deltas:
+                point_policy = policy if d is None else DeltaPolicy.manual(d)
+                yield profile, H, point_policy, switch, resolve_delta(point_policy, length)
+        del H  # before the next length builds its own
 
 
 def run(config: ExperimentConfig) -> ResultTable:
-    """Evaluate every scan point into one CSV row, in scan-axis order.
-
-    Only a length scan changes the model between points.  Every other scan
-    builds the model once, so its points share one spectrum and one set of
-    theorem constants.  A length scan drops each point's model before it
-    builds the next, so at most one point's H (and spectrum) is alive at a
-    time.
-    """
+    """Evaluate every scan point of ``_points`` into one CSV row."""
     seed = config.seed
     table = ResultTable(list(INDEX_CSV_HEADER), provenance=_provenance(config, seed))
-    shared = None if config.scan is ScanAxis.LENGTH else _model(config, config.length)
-    for point in _scan_points(config):
-        (_, H, _), switch, delta = _point(config, point, shared)
+    for _, H, _, switch, delta in _points(config):
         report = index_report(H, delta, switch.transition)
         del H  # before a length scan builds the next point's
         # The finite-size correspondence is exact algebra; a visible residual
         # means the numerics are broken and the row must not be emitted.
         if report.correspondence_residual >= 1e-10:
             raise NumericalError(
-                f"bulk-edge identity violated at scan point {point or 'single'}: "
+                f"bulk-edge identity violated at L = {report.length}, "
+                f"ell = {report.transition}, delta = {report.delta!r}: "
                 f"residual {report.correspondence_residual:.3e}"
             )
         table.rows.append(report.csv_row(seed))
@@ -542,7 +523,7 @@ def disordered_defect_model(seed: int) -> ModelConfig:
 
 
 def _density_table(config: ExperimentConfig, delta: float) -> ResultTable:
-    (_, H, _), switch, delta = _point(config, {"delta": delta})
+    _, H, _, switch, _ = next(_points(config))
     table = ResultTable(list(DENSITY_CSV_HEADER), provenance=_provenance(config, config.seed))
     table.provenance["delta"] = repr(delta)
     for kind in (IndexKind.EDGE, IndexKind.BULK):
@@ -609,7 +590,7 @@ def reproduce_fig4(seed: int = 1) -> tuple[ResultTable, ResultTable]:
 
 def bound_table(config: ExperimentConfig) -> ResultTable:
     """Certificates for one scan point: propagator bound, filter decay, trace norms."""
-    (profile, H, policy), switch, delta = _point(config, _scan_points(config)[0])
+    profile, H, policy, switch, delta = next(_points(config))
     d = config.delta.decay_length
     # The theorem policy measured K at this decay length already.
     coupling_norm = policy.coupling_norm
@@ -645,7 +626,7 @@ def _assembly_defect(H: ChiralHamiltonian) -> float:
 
 def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """Structural checks on the configured model at its first scan point."""
-    (_, H, _), switch, delta = _point(config, _scan_points(config)[0])
+    _, H, _, switch, delta = next(_points(config))
 
     defect = _assembly_defect(H)
     results = [

@@ -198,7 +198,7 @@ class ChiralHamiltonian:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise NumericalError(f"expected a square matrix, got shape {M.shape}")
         if M.shape[0] != geometry.total_dim:
-            raise NumericalError(f"matrix shape {M.shape} does not match {geometry.total_dim} sublattice signs")
+            raise NumericalError(f"matrix shape {M.shape} does not match {geometry.total_dim} basis vectors")
         # NaN compares False with every tolerance below, and inf - inf is NaN.
         if not np.all(np.isfinite(M)):
             raise NumericalError("matrix has non-finite entries")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,10 +6,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralchain.cli import (
     ConfigError,
@@ -21,10 +25,17 @@ from chiralchain.cli import (
     reproduce_fig4,
     run,
     _assembly_defect,
+    build_profile,
     self_check,
 )
-from chiralchain.hamiltonian import ChiralHamiltonian, CouplingProfile, build_ssh
-from chiralchain.indices import INDEX_CSV_HEADER
+from chiralchain.hamiltonian import (
+    ChiralHamiltonian,
+    CouplingProfile,
+    build_ssh,
+    bulk_gap,
+    short_range_constant,
+)
+from chiralchain.indices import INDEX_CSV_HEADER, DeltaMode, DeltaPolicy, index_report
 from chiralchain.lattice import Convention, make_geometry
 from chiralchain.svgplot import emit_plot
 from oracles import verify_chiral
@@ -687,6 +698,20 @@ def test_main_missing_file_exit_code(tmp_path, capsys):
     assert main(["index", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["index", "scan", "bounds", "check"])
+@pytest.mark.parametrize("prefix, reason", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    (b"\xef\xbb\xbf", "Unexpected UTF-8 BOM"),
+])
+def test_main_undecodable_config_is_config_error(tmp_path, capsys, command, prefix, reason):
+    # JSON text is UTF-8: a file that does not decode is a config error naming the file.
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(prefix + json.dumps(base_config()).encode())
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config: invalid JSON in {cfg}: ") and reason in err
+
+
 def test_main_nan_coupling_is_config_error(tmp_path, capsys):
     raw = base_config()
     raw["model"]["t1"] = float("nan")
@@ -1133,6 +1158,107 @@ def test_length_scan_holds_one_hamiltonian_at_a_time(monkeypatch):
     run(parse_config(disordered_config(
         scan="length", geometry={"length": [10, 20, 30], "convention": "cell"})))
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("scan, single", [
+    ({"scan": "length", "geometry": {"length": [30, 10, 20], "convention": "cell"},
+      "delta": {"mode": "theorem"}},
+     {"geometry": {"length": 10, "convention": "cell"}, "delta": {"mode": "theorem"}}),
+    ({"scan": "delta", "delta_values": [0.3, 0.05]},
+     {"delta": {"mode": "manual", "value": 0.05}}),
+])
+def test_bounds_and_check_build_only_the_smallest_scan_point(monkeypatch, scan, single):
+    import chiralchain.cli as cli_module
+
+    point = parse_config(disordered_config(**single))
+    rows, checks = bound_table(point).rows, self_check(point)
+    config = parse_config(disordered_config(**scan))
+    builds = _count_calls(monkeypatch, cli_module, "build_ssh")
+    assert bound_table(config).rows == rows
+    assert len(builds) == 1
+    assert self_check(config) == checks
+    assert len(builds) == 2
+
+
+def test_run_refuses_a_row_with_a_visible_residual(tmp_path, capsys, monkeypatch):
+    import chiralchain.cli as cli_module
+
+    report = cli_module.index_report
+    seen = []
+
+    def broken(H, delta, transition):
+        seen.append(transition)
+        r = report(H, delta, transition)
+        return dataclasses.replace(r, correspondence_residual=1e-9) if transition == 12 else r
+
+    monkeypatch.setattr(cli_module, "index_report", broken)
+    cfg = write_config(tmp_path, disordered_config(
+        scan="switch", switch=[18, 6, 12], geometry={"length": 24, "convention": "cell"}))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert seen == [6, 12] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: bulk-edge identity violated at L = 24, ell = 12, delta = ")
+    assert err.rstrip().endswith("residual 1.000e-09")
+
+
+def _point_row(config, length, transition, delta):
+    """One index row from the library alone, with H and theorem constants built for this point."""
+    geom = make_geometry(length, config.convention)
+    profile = build_profile(config.model, geom.cells, config.seed)
+    H = build_ssh(geom, profile)
+    policy = config.delta
+    if delta is not None:
+        policy = DeltaPolicy.manual(delta)
+    elif policy.mode is DeltaMode.THEOREM:
+        policy = dataclasses.replace(policy, half_gap=bulk_gap(profile),
+                                     coupling_norm=short_range_constant(H, policy.decay_length))
+    return index_report(H, policy, transition).csv_row(config.seed)
+
+
+@st.composite
+def scan_configs(draw):
+    convention = draw(st.sampled_from(["cell", "sites"]))
+    length = draw(st.integers(2, 40))
+    raw = disordered_config(
+        geometry={"length": length, "convention": convention},
+        delta=draw(st.sampled_from([
+            {"mode": "empirical"}, {"mode": "theorem"}, {"mode": "manual", "value": 0.1}])),
+        scan=draw(st.sampled_from(["none", "length", "switch", "delta"])),
+    )
+    raw["model"]["disorder"]["amplitude"] = draw(st.sampled_from([0.0, 0.1]))
+    if raw["scan"] == "length":
+        raw["geometry"]["length"] = draw(st.lists(st.integers(2, 40), min_size=1, max_size=3, unique=True))
+    elif raw["scan"] == "switch":
+        raw["switch"] = draw(st.lists(st.integers(1, length - 1), min_size=1, max_size=3, unique=True))
+    elif raw["scan"] == "delta":
+        raw["delta_values"] = draw(st.lists(st.floats(1e-9, 2.0), min_size=1, max_size=3, unique=True))
+    return parse_config(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=scan_configs())
+def test_run_equals_a_point_by_point_library_evaluation(config):
+    # Pins the sharing rules: a length scan never reuses another length's H,
+    # and a delta scan never reads theorem constants.
+    import chiralchain.cli as cli_module
+
+    def axis(values, scanned):
+        return sorted(values) if config.scan is scanned else [values]
+
+    lengths = axis(config.length, ScanAxis.LENGTH)
+    deltas = sorted(config.delta_values) if config.scan is ScanAxis.DELTA else [None]
+    expected = [
+        _point_row(config, length, transition, delta)
+        for length in lengths
+        for transition in axis(config.switch, ScanAxis.SWITCH)
+        for delta in deltas
+    ]
+    with mock.patch.object(cli_module, "bulk_gap", wraps=bulk_gap) as gaps:
+        rows = run(config).rows
+    assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+    theorem = config.delta.mode is DeltaMode.THEOREM and config.scan is not ScanAxis.DELTA
+    assert gaps.call_count == (len(lengths) if theorem else 0)
 
 
 def _count_matrix_reads(monkeypatch) -> list:

@@ -985,7 +985,7 @@ def test_constructor_takes_only_a_band_of_T(geom):
     "matrix, geom, message",
     [
         (np.zeros((4, 3)), make_geometry(2), "expected a square matrix"),
-        (np.zeros((6, 6)), make_geometry(2), "does not match 4 sublattice signs"),
+        (np.zeros((6, 6)), make_geometry(2), "does not match 4 basis vectors"),
         (np.eye(4), make_geometry(2), "not chiral"),
         (np.diag([1.0, 0.0, 0.0], 1), make_geometry(2), "not Hermitian"),
     ],
