@@ -5,12 +5,13 @@ an even function from ``spectral.even_blocks``, the A-B block of an odd one
 from ``spectral.odd_block``.  One pair of 1 - S^2 blocks
 (``gap_filter_blocks``) serves the edge filter and both trace norms.  The
 propagator check makes the same products only on the band of diagonals it
-reads (``_band_product``).  Each check compares measured norms against a proven
-envelope and reports the margin honestly: a certificate that fails is
-reported failing.  The big-O style statements are certified as "a
-polynomially bounded constant exists": gamma_star, the largest ratio of a
-norm to its envelope (floored at 1e-300), must stay under 10 L^2, the
-polynomial allowance of the quantization statement.
+reads (``_band_product``), and the positivity of 1 - S^2 is bounded from
+the spectrum alone (``gap_filter_lower_bound``).  Each check compares
+measured norms against a proven envelope and reports the margin honestly:
+a certificate that fails is reported failing.  The big-O style statements
+are certified as "a polynomially bounded constant exists": gamma_star, the
+largest ratio of a norm to its envelope (floored at 1e-300), must stay
+under 10 L^2, the polynomial allowance of the quantization statement.
 
 Floating point caveat, documented rather than hidden: the propagator bound
 is an exact-arithmetic theorem, so at position pairs where the envelope
@@ -28,9 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, _adjoint_band, _as_positive, _position_band_norms
+from .hamiltonian import ChiralHamiltonian, _abs2, _adjoint_band, _as_positive, _position_band_norms
 from .lattice import Convention, SwitchFunction
-from .spectral import ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block
+from .spectral import (
+    BLOCK_ROWS, ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block,
+)
 
 BOUND_CSV_HEADER = ["bound_name", "L", "delta", "margin", "gamma_star", "pass"]
 
@@ -353,6 +356,42 @@ def gap_filter_blocks(H: ChiralHamiltonian, delta: float) -> tuple[np.ndarray, n
     return even_blocks(eigh(H), lambda e: _sech_sq(_ratio(e, delta)))
 
 
-def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
-    """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
-    return min(float(np.linalg.eigvalsh(G).min()) for G in gap_filter_blocks(H, delta))
+def gap_filter_lower_bound(H: ChiralHamiltonian, delta: float) -> float:
+    """A lower bound of the smallest eigenvalue of 1 - S^2, read from the spectrum of H.
+
+    1 - S^2 = diag(G_A, G_B) with G_A = U g U^dag, where g = sech^2(sigma / delta)
+    on U's columns (1 on its zero modes), and G_B = W g W^dag.  Write
+    U^dag U = I + E.  G_A = B B^dag with B = U g^{1/2}, so it has the
+    eigenvalues of B^dag B = g + g^{1/2} E g^{1/2}, and by Weyl's inequality
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.3)
+    the smallest is at least min g - ||g^{1/2} E g^{1/2}||_F; the same holds
+    for W.  The smaller of the two bounds is returned: >= 0 up to rounding
+    for orthonormal factors.  Where the dense G_A is PSD for any U, the
+    bound also reads a factor's defect on the columns where g is not small.
+    No L x L function of H is formed and no eigensolver runs.
+    """
+    delta = _as_positive("delta", delta)
+    spec = eigh(H)
+    g = _sech_sq(_ratio(spec.column_sigma(max(spec.U.shape[1], spec.W.shape[1])), delta))
+    return min(
+        float(g[: X.shape[1]].min()) - _weighted_orthogonality_defect(X, g[: X.shape[1]])
+        for X in (spec.U, spec.W)
+    )
+
+
+def _weighted_orthogonality_defect(X: np.ndarray, g: np.ndarray) -> float:
+    """||g^{1/2} (X^dag X - I) g^{1/2}||_F for a square X and weights g >= 0.
+
+    X^dag X is Hermitian, so it is made BLOCK_ROWS rows at a time, each row
+    block only from the column of its first row on: the block's square on the
+    diagonal counts once and the entries right of it twice, for their mirror
+    images below.  No second n x n array is live.
+    """
+    n, total = X.shape[1], 0.0
+    for i in range(0, n, BLOCK_ROWS):
+        b = min(BLOCK_ROWS, n - i)
+        E = X[:, i : i + b].conj().T @ X[:, i:]
+        E[np.arange(b), np.arange(b)] -= 1.0
+        w = _abs2(E)
+        total += float(g[i : i + b] @ (w[:, :b] @ g[i : i + b] + 2.0 * (w[:, b:] @ g[i + b :])))
+    return math.sqrt(total)

@@ -34,7 +34,7 @@ from .bounds import (
     correlation_length,
     edge_filter_decay_check,
     gap_filter_blocks,
-    gap_filter_min_eigenvalue,
+    gap_filter_lower_bound,
     lieb_robinson_check,
     trace_norm_checks,
 )
@@ -625,7 +625,12 @@ def _assembly_defect(H: ChiralHamiltonian) -> float:
 
 
 def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    """Structural checks on the configured model at its first scan point."""
+    """Structural checks on the configured model at its first scan point.
+
+    ``gap_filter_psd`` prints a lower bound of the smallest eigenvalue of
+    1 - S^2 from ``gap_filter_lower_bound`` (Weyl's inequality on the
+    spectrum of H; no L x L block is formed) and passes when it is >= -1e-12.
+    """
     _, H, _, switch, delta = next(_points(config))
 
     defect = _assembly_defect(H)
@@ -640,8 +645,8 @@ def self_check(config: ExperimentConfig) -> list[tuple[str, bool, str]]:
         report.correspondence_residual < 1e-10,
         f"|edge - bulk - imbalance| = {report.correspondence_residual:.3e}",
     ))
-    min_eig = gap_filter_min_eigenvalue(H, delta)
-    results.append(("gap_filter_psd", min_eig >= -1e-12, f"min eigenvalue = {min_eig:.3e}"))
+    min_eig = gap_filter_lower_bound(H, delta)
+    results.append(("gap_filter_psd", min_eig >= -1e-12, f"min eigenvalue >= {min_eig:.3e}"))
     return results
 
 

@@ -34,6 +34,9 @@ their references:
 - ``propagator_block_norms`` and ``full_grid_lieb_robinson``: the
   Lieb-Robinson check on every position pair, with no Chebyshev band;
 - ``full_commutator_trace_norm``: ||[G, theta]||_1 from the whole matrix;
+- ``gap_filter_min_eigenvalue``: the smallest eigenvalue of 1 - S^2 from
+  ``eigvalsh`` of its two blocks, where ``check`` reads a lower bound of it
+  from the spectrum (``bounds.gap_filter_lower_bound``);
 - ``full_index_diagonals``: both index diagonals from the whole L x L
   product X = U tanh(Sigma / delta) W^dag and every row of U and W;
 - ``block_norms``: the norm of every position block of a matrix given as
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from chiralchain.bounds import BoundCertificate
+from chiralchain.bounds import BoundCertificate, gap_filter_blocks
 from chiralchain.hamiltonian import (
     ChiralHamiltonian, CouplingProfile, ExtraCoupling, NumericalError, _abs2, _as_positive, _block_entries,
     _chain_bonds, _check_hermitian, _ring_bonds, _sublattice_blocks, build_ssh,
@@ -274,6 +277,11 @@ def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:
 def full_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
     """||G theta - theta G||_1 for a diagonal theta given by its entries, from the n x n matrix."""
     return float(np.linalg.svd(G * theta[None, :] - theta[:, None] * G, compute_uv=False).sum())
+
+
+def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:
+    """Smallest eigenvalue of 1 - S^2 (>= 0 in exact arithmetic), from its A-A and B-B blocks."""
+    return min(float(np.linalg.eigvalsh(G).min()) for G in gap_filter_blocks(H, delta))
 
 
 def full_index_diagonals(H, delta: float, switch) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,12 @@ from chiralchain.bounds import (
     _chebyshev_log_tail,
     _propagator_band,
     _step_anticommutator,
+    _weighted_orthogonality_defect,
     anticommutator_trace_norms,
     correlation_length,
     edge_filter_decay_check,
     gap_filter_blocks,
+    gap_filter_lower_bound,
     lieb_robinson_check,
     trace_norm_checks,
 )
@@ -254,6 +256,35 @@ def test_lieb_robinson_check_forms_no_chain_sized_array():
         tracemalloc.stop()
     assert cert.passed
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, spectral.BLOCK_ROWS, spectral.BLOCK_ROWS + 1, 2 * spectral.BLOCK_ROWS + 7])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_weighted_orthogonality_defect_is_the_dense_norm(n, complex_valued):
+    # A factor far from orthonormal, so that every entry of the row blocks counts.
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, n)) / math.sqrt(n)
+    if complex_valued:
+        X = X + 1j * rng.normal(size=(n, n)) / math.sqrt(n)
+    g = rng.uniform(size=n)
+    g[: n // 3] = 0.0
+    r = np.sqrt(g)
+    want = np.linalg.norm(r[:, None] * (X.conj().T @ X - np.eye(n)) * r)
+    assert math.isclose(_weighted_orthogonality_defect(X, g), want, rel_tol=1e-12)
+
+
+def test_gap_filter_lower_bound_forms_no_second_chain_sized_array():
+    # One 2000 x 2000 float array is 32 MB; the row blocks stay under half of that.
+    H = build_ssh(make_geometry(2000), disordered_defect_profile(2000, seed=1))
+    spectral.eigh(H)
+    tracemalloc.start()
+    try:
+        bound = gap_filter_lower_bound(H, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert -1e-12 <= bound <= 1e-12
+    assert peak < 16 * 2**20
 
 
 def test_bound_table_forms_one_gap_filter_pair(monkeypatch):

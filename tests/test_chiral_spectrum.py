@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from chiralchain import _lapack, spectral
 from chiralchain.bounds import (
     _propagator_band, _step_commutator_trace_norm, anticommutator_trace_norms,
-    gap_filter_blocks, gap_filter_min_eigenvalue, lieb_robinson_check,
+    gap_filter_blocks, gap_filter_lower_bound, lieb_robinson_check,
 )
 from chiralchain.hamiltonian import (
     ChiralHamiltonian,
@@ -34,9 +34,10 @@ from chiralchain.lattice import Convention, make_geometry, switch_function
 from chiralchain.spectral import ChiralSpectrum, NumericalError, _sech_sq, eigh, even_blocks, odd_block
 from oracles import (
     dense_eigh, dense_function, dense_theta, exp_block_norms, flattened_sign, full_commutator_trace_norm,
-    full_grid_lieb_robinson, full_index_diagonals, gap_filter, propagator, propagator_block_norms,
-    spectrum_values, sublattice_signs, tanh_oracle,
+    full_grid_lieb_robinson, full_index_diagonals, gap_filter, gap_filter_min_eigenvalue, propagator,
+    propagator_block_norms, spectrum_values, sublattice_signs, tanh_oracle,
 )
+from test_acceptance import winding_chain
 
 
 def dense_index_diagonals(H, delta, switch):
@@ -373,8 +374,30 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
     for got, want in zip(anticommutator_trace_norms(H, delta, switch, gap_filter_blocks(H, delta)),
                          dense_trace_norms(H, delta, switch)):
         assert abs(got - want) <= 1e-13 * n * max(1.0, want)
-    min_eig = float(np.linalg.eigvalsh(gap_filter(H, delta)).min())
-    assert abs(gap_filter_min_eigenvalue(H, delta) - min_eig) <= 1e-14 * n
+
+
+def _assert_gap_filter_bound_matches_dense(H, delta):
+    # Within 1e-14 n of the dense eigenvalue, so also at most it plus 1e-14 n: a lower bound to rounding.
+    got, want = gap_filter_lower_bound(H, delta), gap_filter_min_eigenvalue(H, delta)
+    assert abs(got - want) <= 1e-14 * H.dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(H=_cell_chains() | _site_chains(), log_delta=st.floats(-9.0, 1.0))
+# Factors of several BLOCK_ROWS columns; the odd sites chain has a zero mode.
+@example(H=_long_chain(Convention.CELL_C2, 600, 1.0), log_delta=-9.0)
+@example(H=_long_chain(Convention.CELL_C2, 600, 1.0 + 0.5j), log_delta=0.0)
+@example(H=_long_chain(Convention.ALTERNATING_SITES, 601, 1.0), log_delta=-1.0)
+def test_gap_filter_lower_bound_matches_dense_eigenvalues(H, log_delta):
+    _assert_gap_filter_bound_matches_dense(H, 10.0**log_delta)
+
+
+@pytest.mark.parametrize("offset, on", [(2, "a"), (2, "b"), (3, "b")])  # windings -2, 2 and 3
+@pytest.mark.parametrize("disorder", [0.0, 0.05])
+@pytest.mark.parametrize("log_delta", [-9.0, -3.0, math.log10(0.05), 1.0])
+def test_gap_filter_lower_bound_on_higher_winding_chains(offset, on, disorder, log_delta):
+    # These chains take the np.linalg.svd route and have several edge modes each.
+    _assert_gap_filter_bound_matches_dense(winding_chain(80, offset, on, disorder), 10.0**log_delta)
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralchain import bounds, spectral
 from chiralchain.cli import (
     ConfigError,
     ResultTable,
@@ -37,6 +38,7 @@ from chiralchain.hamiltonian import (
 )
 from chiralchain.indices import INDEX_CSV_HEADER, DeltaMode, DeltaPolicy, index_report
 from chiralchain.lattice import Convention, make_geometry
+from chiralchain.spectral import ChiralSpectrum
 from chiralchain.svgplot import emit_plot
 from oracles import verify_chiral
 
@@ -833,6 +835,41 @@ def test_main_check_subcommand(tmp_path, capsys):
     assert "bulk_edge_identity" in out
 
 
+def test_check_fails_a_planted_edge_column_defect(tmp_path, capsys, monkeypatch):
+    # U g U^dag is PSD for any U, so the dense reading of 1 - S^2 cannot see
+    # an edge-mode column of U off by 1e-9; the lower bound reads -2e-9.
+    eigh = bounds.eigh
+
+    def planted(H):
+        spec = eigh(H)
+        U = spec.U.copy()
+        U[:, spec.sigma.size - 1] *= 1.0 + 1e-9  # the smallest sigma: the edge mode, g = 1
+        return ChiralSpectrum(U, spec.sigma, spec.W)
+
+    monkeypatch.setattr(bounds, "eigh", planted)
+    cfg = write_config(tmp_path, disordered_config(delta={"mode": "manual", "value": 0.01}))
+    assert main(["check", "--config", str(cfg)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].split()[0] for line in lines] == ["ok", "ok", "ok", "FAIL"]
+    assert lines[3].startswith("check gap_filter_psd: FAIL (min eigenvalue >= -2.0")
+
+
+def test_check_forms_no_gap_filter_block(tmp_path, capsys, monkeypatch):
+    # check reads 1 - S^2 from the spectrum alone: no L x L function of H, no eigensolver.
+    def refused(*args, **kwargs):
+        raise AssertionError("check formed an L x L block of 1 - S^2")
+
+    for module, name in ((spectral, "even_blocks"), (bounds, "even_blocks"),
+                         (bounds, "gap_filter_blocks"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, refused)
+    certify = disordered_config(
+        geometry={"length": 250, "convention": "cell"}, delta={"mode": "theorem", "decay_length": 1.0},
+    )
+    certify["model"]["defect"] = {"height": 0.2, "center_frac": 0.5, "width": 1.0}
+    assert main(["check", "--config", str(write_config(tmp_path, certify))]) == 0
+    assert capsys.readouterr().out.splitlines()[3] == "check gap_filter_psd: ok (min eigenvalue >= 1.100e-01)"
+
+
 def test_main_bounds_subcommand(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out = tmp_path / "bounds.csv"
@@ -932,8 +969,6 @@ def test_unwritable_bounds_output_fails_before_certificates(tmp_path, capsys, mo
 
 def _count_svds(monkeypatch) -> list:
     """Count the SVDs of A->B blocks, the one solve of the chiral path."""
-    from chiralchain import spectral
-
     calls = []
     solve = spectral._chiral_svd
 

@@ -7,7 +7,7 @@ from chiralchain.bounds import (
     anticommutator_trace_norms,
     correlation_length,
     gap_filter_blocks,
-    gap_filter_min_eigenvalue,
+    gap_filter_lower_bound,
     trace_norm_checks,
 )
 from chiralchain.hamiltonian import (
@@ -337,7 +337,7 @@ DELTA_TAKERS = {
         H, d, sw, gap_filter_blocks(H, 0.1)),
     "trace_norm_checks": lambda H, sw, d: trace_norm_checks(H, d, sw, 0.5, 2.0, gap_filter_blocks(H, 0.1)),
     "gap_filter_blocks": lambda H, sw, d: gap_filter_blocks(H, d),
-    "gap_filter_min_eigenvalue": lambda H, sw, d: gap_filter_min_eigenvalue(H, d),
+    "gap_filter_lower_bound": lambda H, sw, d: gap_filter_lower_bound(H, d),
 }
 
 
