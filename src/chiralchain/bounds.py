@@ -6,12 +6,13 @@ from ``spectral.odd_block``.  One pair of 1 - S^2 blocks
 (``gap_filter_blocks``) serves the edge filter and both trace norms.  The
 propagator check makes the same products only on the band of diagonals it
 reads (``_band_product``), and the positivity of 1 - S^2 is bounded from
-the spectrum alone (``gap_filter_lower_bound``).  Each check compares
-measured norms against a proven envelope and reports the margin honestly:
-a certificate that fails is reported failing.  The big-O style statements
-are certified as "a polynomially bounded constant exists": gamma_star, the
-largest ratio of a norm to its envelope (floored at 1e-300), must stay
-under 10 L^2, the polynomial allowance of the quantization statement.
+the spectrum alone (``gap_filter_lower_bound``).  Positions are read from
+the geometry, one path for both conventions.  Each check compares measured norms
+against a proven envelope and reports the margin honestly: a certificate
+that fails is reported failing.  The big-O style statements are certified
+as "a polynomially bounded constant exists": gamma_star, the largest ratio
+of a norm to its envelope (floored at 1e-300), must stay under 10 L^2, the
+polynomial allowance of the quantization statement.
 
 Floating point caveat, documented rather than hidden: the propagator bound
 is an exact-arithmetic theorem, so at position pairs where the envelope
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChiralHamiltonian, _abs2, _adjoint_band, _as_positive, _position_band_norms
-from .lattice import Convention, SwitchFunction
+from .hamiltonian import ChiralHamiltonian, _abs2, _adjoint_band, _as_positive, _diagonals, _position_band_norms
+from .lattice import SwitchFunction
 from .spectral import (
     BLOCK_ROWS, ChiralSpectrum, _checked_values, _ratio, _sech_sq, eigh, even_blocks, odd_block,
 )
@@ -113,9 +114,8 @@ def lieb_robinson_check(
     noise_floor = H.geometry.total_dim * float(np.finfo(float).eps)
     last = H.geometry.length - 1
     reach, tail = _propagator_band(H, t, noise_floor)
-    cells = H.geometry.convention is Convention.CELL_C2
-    # A site diagonal 2m or 2m + 1 reads sublattice diagonals m and -(m + 1).
-    half_width = reach if cells else (reach + 1) // 2
+    # reach positions span reach * per_position basis vectors; sublattice diagonal m spans 2m or 2m + 1.
+    half_width = (reach * H.geometry.per_position + 1) // 2
     norms = _position_band_norms(_propagator_blocks(eigh(H), t, half_width), H.geometry, reach)
     k, x = np.arange(-reach, reach + 1), np.arange(last + 1)
     checked = np.abs(k) >= decay_length
@@ -156,12 +156,11 @@ def _propagator_band(H: ChiralHamiltonian, t: float, noise_floor: float) -> tupl
         rows = np.abs(H.band).sum(axis=0)
         cols = np.abs(_adjoint_band(H.band, H.shape[1]))[::-1].sum(axis=0)
     x = abs(t) * float(max(rows.max(), cols.max()))
-    width = H.band.shape[0]
-    cells = H.geometry.convention is Convention.CELL_C2
-    last = H.geometry.length - 1
+    width, geom = H.band.shape[0], H.geometry
+    last = geom.length - 1
     log_target = math.log(_TAIL_FRACTION * noise_floor)
     degree = 0
-    while (reach := (degree * width + 1) // 2 if cells else degree * width) < last:
+    while (reach := geom.reach(degree * width)) < last:
         if degree + 2 > x / 2 and (log_tail := _chebyshev_log_tail(x, degree)) <= log_target:
             return reach, math.exp(log_tail)
         degree += 1
@@ -232,15 +231,14 @@ def _band_product(X: np.ndarray, d: np.ndarray, Y: np.ndarray, half_width: int) 
     rows = min(m, _BAND_ROWS)
     scaled = np.empty_like(X[:rows], dtype)  # X's layout, so BLAS is called as for X * d
     block = np.empty((rows, rows + 2 * h), dtype)  # column c holds M's column i - h + c
-    strides = (block.strides[0] + block.strides[1], block.strides[1])
+    diagonals = _diagonals(block, 2 * h + 1)  # row h + k holds diagonal k of M
     for i in range(0, m, rows):
         r = min(rows, m - i)
         lo, hi = max(0, i - h), min(n, i + r + h)
         np.multiply(X[i : i + r], d, out=scaled[:r])
         np.matmul(scaled[:r], Y[lo:hi].conj().T, out=block[:r, lo - i + h : hi - i + h])
         block[:r, : lo - i + h] = block[:r, hi - i + h :] = 0.0  # M's columns before 0 and from n
-        # Row p of the block holds diagonal k of M at column p + h + k: a view one column further per row.
-        band[:, i : i + r] = np.ndarray((r, 2 * h + 1), dtype, block, strides=strides).T
+        band[:, i : i + r] = diagonals[:, :r]
     return band
 
 
@@ -267,16 +265,11 @@ def edge_filter_decay_check(
     delta = _as_positive("delta", delta)
     half_gap = _as_positive("half_gap", half_gap, zero_ok=True)
     correlation_length = _as_positive("correlation_length", correlation_length)
-    geom = H.geometry
-    G_A, G_B = filter_blocks
-    if geom.convention is Convention.CELL_C2:
-        lhs = np.abs(G_A)
-        np.maximum(lhs, np.abs(G_B), out=lhs)
-    else:  # the absolute entries, A on the even and B on the odd sites
-        lhs = np.zeros((geom.total_dim, geom.total_dim))
-        np.abs(G_A, out=lhs[0::2, 0::2])
-        np.abs(G_B, out=lhs[1::2, 1::2])
-    P = lhs.shape[0]
+    geom, (G_A, G_B) = H.geometry, filter_blocks
+    (A, B), P = geom.sublattice_positions, geom.length
+    lhs = np.zeros((P, P))
+    np.abs(G_A, out=lhs[A, A])
+    np.maximum(lhs[B, B], np.abs(G_B), out=lhs[B, B])
     x = np.arange(P)
     edge_dist = np.minimum(x, P - 1 - x)
     # exp is monotone, so e^{-max(d_x, d_y)/(2 d')} is the smaller of the two per-position values.

@@ -26,7 +26,8 @@ certificates read, come from bands in that layout, one per sublattice
 block M: ``band[h + k, i] = M[i, i + k]``, zero outside M.
 ``_position_band_norms`` turns the bands of the four sublattice blocks into
 ``out[h + k, x] = ||M_{x, x + k}||`` in either convention, and
-``_adjoint_band`` gives the band of M^dag from that of M.
+``_adjoint_band`` gives the band of M^dag from that of M, through the one
+strided view ``_diagonals`` that every move between a matrix and a band takes.
 
 Chirality and Hermiticity are structural here: H = [[0, T], [T^dag, 0]] in
 sublattice order, so ``H C + C H = 0`` and ``H = H^dag`` hold exactly.  A
@@ -209,10 +210,9 @@ class ChiralHamiltonian:
         _check_hermitian(T, BA)
         rows, cols = np.nonzero(T)
         h = int(np.abs(cols - rows).max(initial=0))
-        band = np.zeros((2 * h + 1, T.shape[0]), T.dtype)
-        inside, i, j = _band_entries(h, T.shape)
-        band[inside] = T[i, j]
-        return cls(band, geometry)
+        padded = np.zeros((T.shape[0], 2 * h + max(T.shape)), T.dtype)
+        padded[:, h : h + T.shape[1]] = T
+        return cls(_diagonals(padded, 2 * h + 1).copy(), geometry)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -221,19 +221,16 @@ class ChiralHamiltonian:
         return (n + 1) // 2, n // 2
 
     @property
-    def dim(self) -> int:
-        return self.geometry.total_dim
-
-    @property
     def dtype(self) -> np.dtype:
         return self.band.dtype
 
     @property
     def T(self) -> np.ndarray:
         """The dense |A| x |B| block, assembled read-only on every read."""
-        T = np.zeros(self.shape, self.dtype)
-        inside, i, j = _band_entries(self.band.shape[0] // 2, self.shape)
-        T[i, j] = self.band[inside]
+        h, b = self.band.shape[0] // 2, self.shape[1]
+        padded = np.zeros((self.shape[0], 2 * h + max(self.shape)), self.dtype)
+        _diagonals(padded, 2 * h + 1)[...] = self.band
+        T = padded[:, h : h + b]
         T.setflags(write=False)
         return T
 
@@ -241,18 +238,22 @@ class ChiralHamiltonian:
     def matrix(self) -> np.ndarray:
         """The n x n matrix of H, assembled on every read."""
         T = self.T
-        M = np.zeros((self.dim, self.dim), dtype=self.dtype)
+        M = np.zeros((self.geometry.total_dim,) * 2, dtype=self.dtype)
         M[0::2, 1::2] = T
         # Added to zeros, as a symmetrized sum adds it: no -0.0 entries.
         M[1::2, 0::2] += T.conj().T
         return M
 
 
-def _band_entries(h: int, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inside, i, j): the entries ``band[inside]`` of a half-width-h band of an M of this shape are M[i, j]."""
-    j = np.arange(shape[0]) + np.arange(-h, h + 1)[:, None]
-    inside = (j >= 0) & (j < shape[1])
-    return inside, np.nonzero(inside)[1], j[inside]
+def _diagonals(A: np.ndarray, count: int) -> np.ndarray:
+    """The view ``view[c, i] = A[i, i + c]``, c < count, of a C-contiguous A of at least A.shape[0] + count - 1 columns.
+
+    An m x n M held from column h on of a zero m x (2h + max(m, n)) array
+    has the band ``band[h + k, i] = M[i, i + k]`` as this view with count
+    2h + 1, zero outside M: every move between a matrix and its band goes through it.
+    """
+    rows, cols = A.strides
+    return np.ndarray((count, A.shape[0]), A.dtype, A, strides=(cols, rows + cols))
 
 
 def _sublattice_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -637,17 +638,15 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def _adjoint_band(band: np.ndarray, n: int) -> np.ndarray:
     """The band of M^dag from the band of M, m x n: ``out[h + k, j] = conj(M[j + k, j])``.
 
-    Bands are stored as ``band[h + k, i] = M[i, i + k]``, zero outside M.
-    The result is a view into an array padded by h zero columns on each
-    side, into which the conjugated ``band`` is written through a strided
-    view in one pass.
+    Bands are stored as ``band[h + k, i] = M[i, i + k]``, zero outside M, so
+    ``out[s, j] = conj(band[2h - s, j + s - h])``: the conjugated band, rows
+    reversed, is held from column h on of a zero array, and row s of the
+    result is its row s from column s on, a ``_diagonals`` view.
     """
     h, m = band.shape[0] // 2, band.shape[1]
-    padded = np.zeros((2 * h + 1, h + max(m, n) + h), band.dtype)
-    # band[r, i] = M[i, i + r - h] is M^dag[i + r - h, i]: row 2h - r, column i + r of padded.
-    rows, cols = padded.strides
-    np.conjugate(band, out=np.lib.stride_tricks.as_strided(padded[::-1], band.shape, (cols - rows, cols)))
-    return padded[:, h : h + n]
+    padded = np.zeros((2 * h + 1, 2 * h + max(m, n)), band.dtype)
+    np.conjugate(band[::-1], out=padded[:, h : h + m])
+    return _diagonals(padded, n).T
 
 
 def _position_band_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry, h: int) -> np.ndarray:
@@ -664,14 +663,14 @@ def _position_band_norms(blocks: tuple[np.ndarray, ...], geom: ChainGeometry, h:
     """
     if geom.convention is Convention.CELL_C2:
         return _cell_block_norms(*blocks)
-    AA, AB, BA, BB = blocks
+    (AA, AB, BA, BB), (A, B) = blocks, geom.sublattice_positions
     out = np.empty((2 * h + 1, geom.total_dim))
     p = h % 2  # row of the first even k
     even, odd = out[p::2], out[1 - p :: 2]
-    np.abs(AA[p : p + len(even)], out=even[:, 0::2])
-    np.abs(BB[p : p + len(even)], out=even[:, 1::2])
-    np.abs(AB[: len(odd)], out=odd[:, 0::2])
-    np.abs(BA[1 : 1 + len(odd)], out=odd[:, 1::2])
+    np.abs(AA[p : p + len(even)], out=even[:, A])
+    np.abs(BB[p : p + len(even)], out=even[:, B])
+    np.abs(AB[: len(odd)], out=odd[:, A])
+    np.abs(BA[1 : 1 + len(odd)], out=odd[:, B])
     return out
 
 
@@ -687,13 +686,10 @@ def short_range_constant(H: ChiralHamiltonian, decay_length: float) -> float:
     """
     decay_length = _as_positive("decay_length", decay_length)
     r, (a, b) = H.band.shape[0] // 2, H.shape
-    if H.geometry.convention is Convention.CELL_C2:
-        h, T = r, H.band
-    else:
-        # T[a, a + k] sits at sites 2a and 2a + 2k + 1, so the site band reaches
-        # 2r + 1, and the sublattice bands it reads r + 1: one zero row more on each side.
-        h, T = 2 * r + 1, np.zeros((2 * r + 3, a), H.dtype)
-        T[1:-1] = H.band
+    # H couples basis vectors at most 2r + 1 apart, and the sublattice bands the
+    # sites read reach r + 1: one zero row more on each side, which adds only zeros.
+    h, T = H.geometry.reach(2 * r + 1), np.zeros((2 * r + 3, a), H.dtype)
+    T[1:-1] = H.band
     zero = np.zeros_like(T)
     norms = _position_band_norms((zero, T, _adjoint_band(T, b), zero[:, :b]), H.geometry, h)
     # A weight that overflows makes the constant infinite, which is its value.

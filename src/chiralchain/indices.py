@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .hamiltonian import ChiralHamiltonian, CouplingProfile, _abs2, _as_positive, build_ssh
-from .lattice import Convention, SwitchFunction, chiral_polarization, make_geometry, switch_function
+from .lattice import SwitchFunction, chiral_polarization, make_geometry, switch_function
 from .spectral import BLOCK_ROWS, _ratio, _sech_sq, eigh
 
 INDEX_CSV_HEADER = [
@@ -239,5 +239,5 @@ def windowed_edge_index(
     """
     if window < 4:
         raise ValueError(f"window must be at least 4 cells, got {window}")
-    H = build_ssh(make_geometry(window, Convention.CELL_C2), profile.truncate(window))
+    H = build_ssh(make_geometry(window), profile.truncate(window))
     return index_report(H, delta, window // 2).edge_index

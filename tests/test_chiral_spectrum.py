@@ -238,7 +238,7 @@ def test_disordered_defect_indices_match_dense(L):
 
 def test_from_matrix_rejects_non_chiral_matrix():
     H = build_ssh(make_geometry(6), CouplingProfile.constant(6, 0.5, 1.0))
-    shifted = H.matrix + 0.1 * np.eye(H.dim)
+    shifted = H.matrix + 0.1 * np.eye(H.geometry.total_dim)
     with pytest.raises(NumericalError, match="not chiral"):
         ChiralHamiltonian.from_matrix(shifted, H.geometry)
 
@@ -370,7 +370,7 @@ def test_lieb_robinson_band_matches_the_full_products(H, t, d):
 def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
     delta = 10.0**log_delta
     switch = switch_function(H.geometry, data.draw(st.integers(1, H.geometry.length - 1)))
-    n = H.dim
+    n = H.geometry.total_dim
     for got, want in zip(anticommutator_trace_norms(H, delta, switch, gap_filter_blocks(H, delta)),
                          dense_trace_norms(H, delta, switch)):
         assert abs(got - want) <= 1e-13 * n * max(1.0, want)
@@ -379,7 +379,7 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
 def _assert_gap_filter_bound_matches_dense(H, delta):
     # Within 1e-14 n of the dense eigenvalue, so also at most it plus 1e-14 n: a lower bound to rounding.
     got, want = gap_filter_lower_bound(H, delta), gap_filter_min_eigenvalue(H, delta)
-    assert abs(got - want) <= 1e-14 * H.dim
+    assert abs(got - want) <= 1e-14 * H.geometry.total_dim
 
 
 @settings(max_examples=80, deadline=None)

@@ -125,3 +125,15 @@ def test_every_public_function_and_class_of_the_package_is_exported_or_used_in_i
         )
         used |= _read_names(tree)
     assert sorted(f"{module}: {name}" for name, module in defined.items() if name not in used) == []
+
+
+@pytest.mark.parametrize("path", _PACKAGE_MODULES, ids=lambda p: p.name)
+def test_package_makes_no_view_through_stride_tricks(path):
+    # Every strided view of a band is ``hamiltonian._diagonals``, built on the array's own buffer.
+    assert "stride_tricks" not in path.read_text()
+
+
+@pytest.mark.parametrize("name", ["bounds.py", "indices.py"])
+def test_bounds_and_indices_read_positions_only_from_the_geometry(name):
+    # Neither branches on the basis convention: ``ChainGeometry`` maps basis vectors to positions.
+    assert "Convention" not in (ROOT / "src" / "chiralchain" / name).read_text()

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralchain import bounds
+from chiralchain.hamiltonian import CouplingProfile, build_ssh
 from chiralchain.lattice import (
+    ChainGeometry,
     Convention,
     GeometryError,
     SwitchError,
@@ -38,6 +43,31 @@ def test_non_integer_length_rejected():
         make_geometry(2.5)
 
 
+@pytest.mark.parametrize("value, member", [("cell", Convention.CELL_C2), ("sites", Convention.ALTERNATING_SITES)])
+def test_convention_may_be_given_by_its_value(value, member):
+    for geom in (make_geometry(10, value), ChainGeometry(10, value)):
+        assert geom.convention is member
+        assert geom == make_geometry(10, member)
+        assert (geom.total_dim, geom.cells) == ((20, 10) if member is Convention.CELL_C2 else (10, 5))
+
+
+@pytest.mark.parametrize("bad", ["Cell", "site", "", 2, None, ["cell"]])
+def test_unknown_convention_rejected_naming_the_value(bad):
+    with pytest.raises(GeometryError, match=f"unknown convention {re.escape(repr(bad))}"):
+        make_geometry(10, bad)
+
+
+@pytest.mark.parametrize("bad", [0, 1, True, False, 2.5, 4.0, "4", None])
+def test_geometry_checks_its_length_when_built(bad):
+    with pytest.raises(GeometryError, match="chain length"):
+        ChainGeometry(bad)
+
+
+def test_geometry_length_is_stored_as_a_python_int():
+    geom = ChainGeometry(np.int64(6))
+    assert type(geom.length) is int and geom == make_geometry(6)
+
+
 def test_chiral_operator_squares_to_identity():
     geom = make_geometry(7)
     C = np.diag(sublattice_signs(geom))
@@ -69,6 +99,16 @@ def test_switch_out_of_range(bad):
     geom = make_geometry(4)
     with pytest.raises(SwitchError):
         switch_function(geom, bad)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("bad", [-3, -1, 6, 9, True, False, 2.5, 3.0, "2", None])
+def test_switch_checks_its_transition_when_built(convention, bad):
+    # Any integer in 0..L is a switch, the constant ones 0 and L among them.
+    geom = make_geometry(5, convention)
+    with pytest.raises(SwitchError, match="integer in 0..5"):
+        SwitchFunction(bad, geom)
+    assert [SwitchFunction(t, geom).transition for t in (0, np.int64(3), 5)] == [0, 3, 5]
 
 
 def test_switch_construction_idempotent():
@@ -142,3 +182,57 @@ def test_split_counts_the_steps_of_the_dense_theta(convention, length):
         for sub, p in ((theta[0::2], p_a), (theta[1::2], p_b)):
             assert list(sub) == [1.0] * p + [0.0] * (sub.size - p)
         assert chiral_polarization(geom, switch) == float(sublattice_signs(geom) @ theta)
+
+
+def _positions(geom):
+    """Position of each basis vector: two states per cell, one per site."""
+    if geom.convention is Convention.CELL_C2:
+        return np.repeat(np.arange(geom.length), 2)
+    return np.arange(geom.length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(convention=st.sampled_from(list(Convention)), length=st.integers(2, 120))
+def test_position_maps_match_brute_force(convention, length):
+    geom = make_geometry(length, convention)
+    pos = _positions(geom)
+    assert pos.size == geom.total_dim and geom.positions.tobytes() == pos.tobytes()
+    # reach(d): the largest position distance over basis vectors at most d apart.
+    gaps = np.abs(pos[:, None] - pos[None, :])
+    apart = np.abs(np.arange(pos.size)[:, None] - np.arange(pos.size))
+    for d in range(geom.total_dim + 1):
+        assert min(geom.reach(d), length - 1) == gaps[apart <= d].max()
+    # The A (even) and B (odd) vectors sit at the positions the two slices take.
+    a, b = geom.sublattice_positions
+    assert np.array_equal(np.arange(length)[a], pos[0::2])
+    assert np.array_equal(np.arange(length)[b], pos[1::2])
+
+
+class _HalfWidth(Exception):
+    pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(convention=st.sampled_from(list(Convention)), length=st.integers(2, 120), data=st.data())
+def test_lieb_robinson_half_width_covers_the_reach(convention, length, data):
+    # Every pair of basis vectors whose positions are at most the reach apart sits on a
+    # sublattice diagonal m (between sublattice indices i // 2 and j // 2) within the half
+    # width, and short of the chain's last position some pair needs all of it.
+    geom = make_geometry(length, convention)
+    H = build_ssh(geom, CouplingProfile.constant(geom.cells, 0.5, 1.0))
+    reach = data.draw(st.integers(0, length - 1))
+
+    def half_width(spec, t, width):
+        raise _HalfWidth(width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_propagator_band", lambda H, t, floor: (reach, 0.0))
+        mp.setattr(bounds, "_propagator_blocks", half_width)
+        with pytest.raises(_HalfWidth) as caught:
+            bounds.lieb_robinson_check(H, 1.0, 1.0, 1.0)
+    width = caught.value.args[0]
+    pos = _positions(geom)
+    index = np.arange(pos.size) // 2
+    near = np.abs(pos[:, None] - pos[None, :]) <= reach
+    widest = np.abs(index[:, None] - index[None, :])[near].max()
+    assert widest <= width and (widest == width or reach == length - 1)
