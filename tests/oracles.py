@@ -34,6 +34,9 @@ their references:
 - ``propagator_block_norms`` and ``full_grid_lieb_robinson``: the
   Lieb-Robinson check on every position pair, with no Chebyshev band;
 - ``full_commutator_trace_norm``: ||[G, theta]||_1 from the whole matrix;
+- ``dense_trace_norms``: both trace norms of ``bounds.anticommutator_trace_norms``
+  from full SVDs of the assembled 2L x 2L matrices, where the package reads
+  each block's window around the switch plus a column-norm remainder;
 - ``gap_filter_min_eigenvalue``: the smallest eigenvalue of 1 - S^2 from
   ``eigvalsh`` of its two blocks, where ``check`` reads a lower bound of it
   from the spectrum (``bounds.gap_filter_lower_bound``);
@@ -277,6 +280,17 @@ def verify_chiral(matrix: np.ndarray, geom: ChainGeometry) -> float:
 def full_commutator_trace_norm(G: np.ndarray, theta: np.ndarray) -> float:
     """||G theta - theta G||_1 for a diagonal theta given by its entries, from the n x n matrix."""
     return float(np.linalg.svd(G * theta[None, :] - theta[:, None] * G, compute_uv=False).sum())
+
+
+def dense_trace_norms(H, delta, switch):
+    """The trace norms as first written: SVDs of 2L x 2L matrices assembled from the spectrum."""
+    S, G = flattened_sign(H, delta), gap_filter(H, delta)
+    signs = sublattice_signs(H.geometry)
+    theta = dense_theta(switch)
+    A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
+    anti = A @ S + S @ A
+    comm = G * theta[None, :] - theta[:, None] * G
+    return tuple(float(np.linalg.svd(M, compute_uv=False).sum()) for M in (anti, comm))
 
 
 def gap_filter_min_eigenvalue(H: ChiralHamiltonian, delta: float) -> float:

@@ -464,6 +464,9 @@ def test_trace_norms_vanish_for_constant_switch():
     full = SwitchFunction(geom.length, geom)
     _, comm_norm = anticommutator_trace_norms(H, 0.1, full, gap_filter_blocks(H, 0.1))
     assert comm_norm < 1e-12
+    # theta = 0 on a chain wider than the first window: P = Q = 0, so Y = 0, and G[:0, 0:] has no rows.
+    H = build_ssh(make_geometry(200), disordered_defect_profile(200, seed=1))
+    assert anticommutator_trace_norms(H, 0.5, SwitchFunction(0, H.geometry), gap_filter_blocks(H, 0.5)) == (0.0, 0.0)
 
 
 def test_trace_norms_reject_a_switch_of_another_geometry():
@@ -537,6 +540,134 @@ def test_edge_index_error_tracks_trace_norm():
         norms.append(anticommutator_trace_norms(H, 1.0 / 20.0, sw, gap_filter_blocks(H, 1.0 / 20.0))[0])
     assert errs[1] < errs[0]
     assert norms[1] < norms[0]
+
+
+def _recording_svd(monkeypatch):
+    """Patch np.linalg.svd to record the shape and the singular-value sum of each call."""
+    svd, calls = np.linalg.svd, []
+
+    def recording(M, *args, **kwargs):
+        s = svd(M, *args, **kwargs)
+        calls.append((M.shape, float(s.sum())))
+        return s
+
+    monkeypatch.setattr(bounds.np.linalg, "svd", recording)
+    return calls
+
+
+def test_window_trace_norm_never_under_reports_a_planted_far_corner(monkeypatch):
+    # An entry of X at the corner farthest from the switch lies outside the
+    # first windows of Y: only the column-norm remainder sees it, and it must
+    # carry that mass or grow the window until the window holds it.
+    L, delta = 250, 0.5
+    H = build_ssh(make_geometry(L), disordered_defect_profile(L, seed=1))
+    sw = switch_function(H.geometry, "middle")
+    G = gap_filter_blocks(H, delta)
+    clean, _ = anticommutator_trace_norms(H, delta, sw, G)
+    odd_block = bounds.odd_block
+
+    def planted(spec, f):
+        X = odd_block(spec, f).copy()
+        X[0, -1] += 1e-6
+        return X
+
+    monkeypatch.setattr(bounds, "odd_block", planted)
+    anti, _ = anticommutator_trace_norms(H, delta, sw, G)
+    P, Q = (_step_anticommutator(g, p) for g, p in zip(G, sw.split(H.geometry)))
+    X = planted(spectral.eigh(H), lambda e: np.tanh(e / delta))
+    dense = 2.0 * float(np.linalg.svd(P @ X - X @ Q, compute_uv=False).sum())
+    assert anti >= dense - 1e-13 * L * max(1.0, dense)
+    assert anti > clean + 1e-7
+
+
+@pytest.mark.parametrize("shape, row, col", [((40, 40), 20, 20), ((70, 50), 3, 47), ((50, 90), 50, 0), ((1, 80), 1, 5)])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_first_window_plus_remainder_bounds_the_trace_norm(monkeypatch, shape, row, col, complex_valued):
+    # With no tolerance the first window is kept however large the
+    # remainder: window plus remainder still bounds ||M||_1 from above.
+    monkeypatch.setattr(bounds, "_WINDOW_TOLERANCE", math.inf)
+    calls = _recording_svd(monkeypatch)
+    rng = np.random.default_rng(sum(shape) + row)
+    M = rng.normal(size=shape)
+    if complex_valued:
+        M = M + 1j * rng.normal(size=shape)
+    value = bounds._window_trace_norm(M, row, col)
+    [(window_shape, window)] = calls
+    assert window_shape != M.shape
+    dense = float(np.linalg.svd(M, compute_uv=False).sum())
+    assert window <= dense * (1.0 + 1e-13)
+    assert value >= dense * (1.0 - 1e-13)
+
+
+def test_window_remainder_keeps_mass_below_a_columns_rounding():
+    # Row 0 holds 1e-9 in the window's columns, orthogonal to the rank-one
+    # window: a first-order term of ||M||_1 whose squares vanish beside the
+    # columns' totals of 32.  Total minus window would read a zero remainder.
+    M = np.zeros((200, 200))
+    M[84:116, 84:116] = 1.0
+    M[0, 84:116] = 1e-9 * (-1.0) ** np.arange(32)
+    dense = float(np.linalg.svd(M, compute_uv=False).sum())
+    assert dense > 32.0 + 5e-9
+    assert bounds._window_trace_norm(M, 100, 100) >= dense * (1.0 - 1e-15)
+
+
+def test_window_trace_norm_falls_back_to_the_full_svd_on_a_gapless_chain(monkeypatch):
+    # t1 = t2: the modes near zero energy are extended, so no window leaves
+    # a small remainder and each block's window grows to the whole block.
+    H = ssh(100, 1.0, 1.0)
+    G = gap_filter_blocks(H, 0.01)
+    helper, blocks = bounds._window_trace_norm, []
+
+    def recording(M, row, col):
+        value = helper(M, row, col)
+        blocks.append((M, value))
+        return value
+
+    monkeypatch.setattr(bounds, "_window_trace_norm", recording)
+    calls = _recording_svd(monkeypatch)
+    anticommutator_trace_norms(H, 0.01, switch_function(H.geometry, "middle"), G)
+    assert [M.shape for M, _ in blocks] == [(100, 100), (50, 50), (50, 50)]
+    assert [shape for shape, _ in calls if shape in {(100, 100), (50, 50)}] == [M.shape for M, _ in blocks]
+    for M, value in blocks:
+        assert value == float(np.linalg.svd(M, compute_uv=False).sum())
+
+
+def test_bounds_takes_no_svd_of_a_whole_trace_norm_block(monkeypatch):
+    # The benchmark model at L = 600: every trace norm stops at a window.
+    config = cli.parse_config({
+        "model": {"t1": 0.5, "t2": 1.0, "disorder": {"amplitude": 0.1},
+                  "defect": {"height": 0.2, "center_frac": 0.5, "width": 1.0}},
+        "geometry": {"length": 600, "convention": "cell"},
+        "delta": {"mode": "theorem", "decay_length": 1.0},
+        "seed": 1,
+    })
+    _, H, _, switch, _ = next(cli._points(config))
+    n = H.geometry.length
+    whole = {(n, n)} | {(p, n - p) for p in switch.split(H.geometry)}
+    calls = _recording_svd(monkeypatch)
+    table = cli.bound_table(config)
+    assert all(row[-1] for row in table.rows)
+    assert calls and not {shape for shape, _ in calls} & whole
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_window_trace_norm_forms_no_block_sized_array(monkeypatch, complex_valued):
+    # One 2000 x 2000 float array is 32 MB; the column sums take 16 kB.
+    x, c = np.arange(2000), 1.0 + 0.5j if complex_valued else 1.0
+    u = np.exp(-np.abs(x - 700) / 2.0)
+    v = np.roll(u, 600)
+    M = c * np.outer(u, v)  # rank one: ||M||_1 = |c| ||u|| ||v||
+    calls = _recording_svd(monkeypatch)
+    tracemalloc.start()
+    try:
+        value = bounds._window_trace_norm(M, 700, 1300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (rows, cols), _ = calls[-1]
+    assert rows < 2000 and cols < 2000
+    assert math.isclose(value, abs(c) * np.linalg.norm(u) * np.linalg.norm(v), rel_tol=1e-12)
+    assert peak < 2**20 + rows * cols * M.itemsize
 
 
 def test_bulk_gap_feeds_edge_filter_envelope():

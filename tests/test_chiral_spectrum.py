@@ -5,16 +5,18 @@ for both index diagonals.  The dense diagonals below are the formulas the
 package used before the chiral path, kept as the reference.
 """
 
+import contextlib
 import dataclasses
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralchain import _lapack, spectral
+from chiralchain import _lapack, bounds, spectral
 from chiralchain.bounds import (
     _propagator_band, _step_commutator_trace_norm, anticommutator_trace_norms,
     gap_filter_blocks, gap_filter_lower_bound, lieb_robinson_check,
@@ -30,12 +32,12 @@ from chiralchain.hamiltonian import (
     short_range_constant,
 )
 from chiralchain.indices import DeltaPolicy, _index_diagonals, index_report
-from chiralchain.lattice import Convention, make_geometry, switch_function
+from chiralchain.lattice import Convention, SwitchFunction, make_geometry, switch_function
 from chiralchain.spectral import ChiralSpectrum, NumericalError, _sech_sq, eigh, even_blocks, odd_block
 from oracles import (
-    dense_eigh, dense_function, dense_theta, exp_block_norms, flattened_sign, full_commutator_trace_norm,
-    full_grid_lieb_robinson, full_index_diagonals, gap_filter, gap_filter_min_eigenvalue, propagator,
-    propagator_block_norms, spectrum_values, sublattice_signs, tanh_oracle,
+    dense_eigh, dense_function, dense_theta, dense_trace_norms, exp_block_norms, flattened_sign,
+    full_commutator_trace_norm, full_grid_lieb_robinson, full_index_diagonals, gap_filter,
+    gap_filter_min_eigenvalue, propagator, propagator_block_norms, spectrum_values, sublattice_signs, tanh_oracle,
 )
 from test_acceptance import winding_chain
 
@@ -115,10 +117,10 @@ def _site_chains(draw):
     return build_ssh(geom, CouplingProfile(t1, t2))
 
 
-def _long_chain(convention, length, t2, extra=()):
+def _long_chain(convention, length, t2, extra=(), seed=7):
     geom = make_geometry(length, convention)
     cells = geom.cells
-    profile = apply_disorder(CouplingProfile(np.full(cells, 0.5), np.full(cells, t2), extra), 7, 0.3)
+    profile = apply_disorder(CouplingProfile(np.full(cells, 0.5), np.full(cells, t2), extra), seed, 0.3)
     return build_ssh(geom, profile)
 
 
@@ -303,17 +305,6 @@ def test_spectrum_lives_and_dies_with_its_hamiltonian():
     assert ref() is None
 
 
-def dense_trace_norms(H, delta, switch):
-    """The trace norms as first written: SVDs of 2L x 2L matrices assembled from the spectrum."""
-    S, G = flattened_sign(H, delta), gap_filter(H, delta)
-    signs = sublattice_signs(H.geometry)
-    theta = dense_theta(switch)
-    A = 0.5 * signs[:, None] * (theta[:, None] * G + G * theta[None, :])
-    anti = A @ S + S @ A
-    comm = G * theta[None, :] - theta[:, None] * G
-    return tuple(float(np.linalg.svd(M, compute_uv=False).sum()) for M in (anti, comm))
-
-
 @st.composite
 def _seeded_chains(draw):
     """Chains of up to 150 cells or sites, long enough for several row blocks of the band.
@@ -374,6 +365,65 @@ def test_block_trace_norms_match_assembled_matrices(data, H, log_delta):
     for got, want in zip(anticommutator_trace_norms(H, delta, switch, gap_filter_blocks(H, delta)),
                          dense_trace_norms(H, delta, switch)):
         assert abs(got - want) <= 1e-13 * n * max(1.0, want)
+
+
+@st.composite
+def _windowed_chains(draw):
+    """Chains of 40-400 cells or sites, wider than the first window of ``bounds._window_trace_norm``.
+
+    ``_long_chain``'s disordered chains in both conventions (odd site counts
+    too), real or complex and seeded, and the winding -2, 2 and 3 chains of
+    ``winding_chain``, clean or disordered.
+    """
+    length = draw(st.integers(40, 400))
+    if draw(st.booleans()):
+        offset, on = draw(st.sampled_from([(2, "a"), (2, "b"), (3, "b")]))
+        return winding_chain(length, offset, on, draw(st.sampled_from([0.0, 0.05])))
+    convention = draw(st.sampled_from([Convention.CELL_C2, Convention.ALTERNATING_SITES]))
+    t2 = draw(st.sampled_from([1.0, 1.0 + 0.5j]))
+    return _long_chain(convention, length, t2, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@contextlib.contextmanager
+def _final_windows():
+    """Record, per ``_window_trace_norm`` call, the trace norm of the last window it took: its last SVD."""
+    svd, helper, sums, windows = np.linalg.svd, bounds._window_trace_norm, [], []
+
+    def recording_svd(M, *args, **kwargs):
+        s = svd(M, *args, **kwargs)
+        sums.append(float(s.sum()))
+        return s
+
+    def recording_helper(M, row, col):
+        value = helper(M, row, col)
+        windows.append(sums[-1])
+        return value
+
+    with mock.patch.object(np.linalg, "svd", recording_svd), mock.patch.object(
+        bounds, "_window_trace_norm", recording_helper
+    ):
+        yield windows
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), H=_windowed_chains(), log_delta=st.floats(-3.0, 1.0))
+def test_windowed_trace_norms_match_dense_on_long_chains(data, H, log_delta):
+    # Switches anywhere, and often within the first window of either edge.
+    delta, L, b = 10.0**log_delta, H.geometry.length, bounds._WINDOW_START
+    transition = data.draw(st.integers(0, L) | st.integers(0, b) | st.integers(L - b, L))
+    switch = SwitchFunction(transition, H.geometry)
+    n = H.geometry.total_dim
+    G = gap_filter_blocks(H, delta)
+    with _final_windows() as windows:
+        got = anticommutator_trace_norms(H, delta, switch, G)
+    # The window part alone: ||Y|| and ||G_A[:p, p:]|| + ||G_B[:q, q:]||, each doubled.
+    window_parts = (2.0 * windows[0], 2.0 * (windows[1] + windows[2]))
+    for value, window, want in zip(got, window_parts, dense_trace_norms(H, delta, switch)):
+        tol = 1e-13 * n * max(1.0, want)
+        assert abs(value - want) <= tol
+        assert window <= want + tol
+    if transition == 0:
+        assert got == (0.0, 0.0)
 
 
 def _assert_gap_filter_bound_matches_dense(H, delta):

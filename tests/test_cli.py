@@ -854,6 +854,31 @@ def test_check_fails_a_planted_edge_column_defect(tmp_path, capsys, monkeypatch)
     assert lines[3].startswith("check gap_filter_psd: FAIL (min eigenvalue >= -2.0")
 
 
+def test_bounds_fails_a_planted_far_corner_of_x(tmp_path, monkeypatch):
+    # An entry of X = tanh(H / delta)_AB at the corner farthest from the
+    # switch lies outside the first windows of Y = P X - X Q.  At ten times
+    # the 10 L^2 allowance (the envelope is near 1 here) it must fail that row alone.
+    L = 60
+    cfg = write_config(tmp_path, disordered_config(geometry={"length": L, "convention": "cell"}))
+    out = tmp_path / "bounds.csv"
+
+    def rows():
+        assert main(["bounds", "--config", str(cfg), "--out", str(out), "--reproducible"]) == 0
+        return [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+
+    clean = rows()
+    odd_block = bounds.odd_block
+
+    def planted(spec, f):
+        X = odd_block(spec, f).copy()
+        X[0, -1] += 100.0 * L * L
+        return X
+
+    monkeypatch.setattr(bounds, "odd_block", planted)
+    changed = [(a[0], a[-1], b[-1]) for a, b in zip(clean, rows()) if a != b]
+    assert changed == [("anticommutator_trace_norm", "true", "false")]
+
+
 def test_check_forms_no_gap_filter_block(tmp_path, capsys, monkeypatch):
     # check reads 1 - S^2 from the spectrum alone: no L x L function of H, no eigensolver.
     def refused(*args, **kwargs):
